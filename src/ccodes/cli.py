@@ -60,14 +60,28 @@ def _load_spec_file(path: str) -> dict:
     return data
 
 
+def _spec_file_degree(value) -> int:
+    """The d of a spec file: an integer, or a string of one (key=value files)."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"spec file d must be an integer, got {value!r}")
+
+
 def _spec_from_args(args) -> codes.CartesianCodeSpec:
     field_text, sets_text, d = args.field, args.sets, args.d
     if args.spec_file:
         data = _load_spec_file(args.spec_file)
+        for key, example in (("field", "2^1"), ("sets", "0,1;0,1,2")):
+            if key in data and not isinstance(data[key], str):
+                raise ValueError(
+                    f"spec file {key} must be a string like {example!r}, got {data[key]!r}")
         field_text = field_text or data.get("field")
         sets_text = sets_text or data.get("sets")
         if d is None and "d" in data:
-            d = int(data["d"])
+            d = _spec_file_degree(data["d"])
     if not field_text or not sets_text or d is None:
         raise ValueError("need --field, --sets and --d (inline or via --spec-file)")
     return codes.spec_from_parts(field_text, sets_text, int(d))
@@ -176,12 +190,13 @@ def _cmd_verify(args) -> int:
         report = codes.wei_duality_check(spec)
         _check(results, "wei duality", True, report.ok)
 
-    ok = True
-    for name, closed, oracle in results:
-        match = closed == oracle
-        ok = ok and match
-        print(f"{name}: closed={closed} oracle={oracle} {'ok' if match else 'MISMATCH'}")
-    print("VERIFY " + ("OK" if ok else "FAILED"))
+    checks = [{"name": name, "closed": closed, "oracle": oracle, "ok": bool(closed == oracle)}
+              for name, closed, oracle in results]
+    ok = all(c["ok"] for c in checks)
+    lines = [f"{c['name']}: closed={c['closed']} oracle={c['oracle']} "
+             f"{'ok' if c['ok'] else 'MISMATCH'}" for c in checks]
+    lines.append("VERIFY " + ("OK" if ok else "FAILED"))
+    _emit(args, {"checks": checks, "ok": ok}, lines)
     return 0 if ok else 1
 
 

@@ -27,6 +27,7 @@ from .errors import (
     BudgetExceededError,
     DegreeRangeError,
     FieldMismatchError,
+    InvariantError,
     RankDeficiencyError,
     RankRangeError,
 )
@@ -34,13 +35,14 @@ from .gf import Field, FieldElement, parse_field
 from .grid import (
     DEFAULT_BUDGET,
     GridShape,
+    count_deg_ge,
     count_deg_le,
     lex_segment,
     mixed_radix_value,
     rth_of_deg_ge,
     rth_of_deg_le,
-    tuples_deg_ge,
     tuples_deg_le,
+    values_deg_ge,
 )
 from .hilbert import Polynomial
 
@@ -48,6 +50,9 @@ _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 # Support bitmasks in the subspace oracle live in uint64 words.
 _MAX_ORACLE_LENGTH = 64
+
+# A hierarchy is held as a tuple of Python ints; refuse ones past this length.
+_MAX_HIERARCHY_LENGTH = DEFAULT_BUDGET
 
 
 class CartesianCodeSpec:
@@ -79,7 +84,8 @@ class CartesianCodeSpec:
             raise DegreeRangeError(f"degree {d} outside [1, {shape.k}]")
         # mixed-radix self check: n - 1 must decompose on the top tuple
         top = tuple(x - 1 for x in dims)
-        assert shape.n - 1 == mixed_radix_value(shape, top)
+        if shape.n - 1 != mixed_radix_value(shape, top):
+            raise InvariantError(f"top tuple {top} does not have value n - 1")
         self.field = field
         self.sets = sets
         self.d = d
@@ -275,7 +281,9 @@ def generator_matrix(spec: CartesianCodeSpec) -> LinearCode:
     except RankDeficiencyError:
         raise RankDeficiencyError(
             "monomial basis evaluated to dependent rows; this is a bug") from None
-    assert code.dimension == spec.dimension
+    if code.dimension != spec.dimension:
+        raise InvariantError(
+            f"generator has {code.dimension} rows, spec dimension is {spec.dimension}")
     return code
 
 
@@ -300,20 +308,25 @@ def max_common_zeros(spec: CartesianCodeSpec, r: int) -> int:
 
 
 def _hierarchy_at_degree(shape: GridShape, d: int) -> tuple:
-    """Weight hierarchy of the degree-d code on this grid; d >= 0."""
+    """Weight hierarchy of the degree-d code on this grid; d >= 0.
+
+    d_r is 1 + the value of the r-th tuple of degree >= k - d, ascending.
+    """
     if not 0 <= d <= shape.k:
         raise DegreeRangeError(f"degree {d} outside [0, {shape.k}]")
-    elems = tuples_deg_ge(shape, shape.k - d)
-    weights = tuple(1 + mixed_radix_value(shape, a) for a in elems)
-    assert all(a < b for a, b in zip(weights, weights[1:]))
-    return weights
+    length = count_deg_ge(shape, shape.k - d)
+    if length > _MAX_HIERARCHY_LENGTH:
+        raise BudgetExceededError(
+            f"hierarchy of {length} weights exceeds the limit {_MAX_HIERARCHY_LENGTH}")
+    values = values_deg_ge(shape, shape.k - d)
+    if values.size != length or np.any(values[1:] <= values[:-1]):
+        raise InvariantError(f"degree-{d} hierarchy on {shape} is not strictly increasing")
+    return tuple((values + 1).tolist())
 
 
 def hierarchy(spec: CartesianCodeSpec) -> tuple:
     """All generalized Hamming weights (d_1, ..., d_K), strictly increasing."""
-    weights = _hierarchy_at_degree(spec.shape, spec.d)
-    assert len(weights) == spec.dimension
-    return weights
+    return _hierarchy_at_degree(spec.shape, spec.d)
 
 
 def dual_hierarchy(spec: CartesianCodeSpec) -> tuple:
@@ -336,7 +349,8 @@ def min_distance_closed_form(spec: CartesianCodeSpec) -> int:
     while j < spec.m and prefix + dims[j] - 1 < d:
         prefix += dims[j] - 1
         j += 1
-    assert j < spec.m
+    if j == spec.m:
+        raise InvariantError(f"degree {d} does not split on {dims}")
     ell = d - prefix
     return (dims[j] - ell) * math.prod(dims[j + 1:])
 
@@ -495,7 +509,8 @@ def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
             acc = np.bitwise_or.outer(acc, masks).ravel()
         enumerated += acc.size
         best = min(best, int(_popcount(acc).min()))
-    assert enumerated == total
+    if enumerated != total:
+        raise InvariantError(f"enumerated {enumerated} subspaces, expected {total}")
     return best
 
 

@@ -1,8 +1,8 @@
 """Exception types shared across the library.
 
-Everything except RankDeficiencyError subclasses ValueError, so callers
-that only care about "bad input" can catch that.  RankDeficiencyError
-flags an internal consistency failure and is a RuntimeError.
+Everything except RankDeficiencyError and InvariantError subclasses
+ValueError, so callers that only care about "bad input" can catch that.
+Those two flag internal consistency failures and are RuntimeErrors.
 """
 
 
@@ -40,3 +40,7 @@ class BudgetExceededError(ValueError):
 
 class RankDeficiencyError(RuntimeError):
     """A matrix expected to have full row rank does not."""
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed; this is a bug."""

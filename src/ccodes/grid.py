@@ -9,17 +9,28 @@ order of the mixed-radix value
 
 and 1-based descending ranks are r = n - value(a).
 
+The closed forms never walk the box.  They rest on one table per shape,
+the suffix level counts: the number of tuples of dims[i:] of each total
+degree, cumulated over degrees (_suffix_counts).  From it rth_of_deg_le
+unranks a degree band digit by digit in O(m * d_m) exact integer steps,
+and values_deg_ge lists a whole band of K tuples in O(K * m * d_m)
+without touching the tuples outside it.
+
 The shadow of a subset S is every box tuple that dominates some element
-of S coordinatewise.  Shadows are computed by a full scan of the box:
-at desk scale this is cheap, obviously correct, and doubles as the
-oracle against the closed-form segment sizes.
+of S coordinatewise.  Shadows, and the all_tuples / tuples_deg_* lists,
+are plain scans of the box.  They are the oracle side: brute_min_shadow,
+the harnesses, generator matrices and the tests use them, and no closed
+form does.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BudgetExceededError, DegreeRangeError, RankRangeError
 
@@ -125,26 +136,51 @@ def tuples_deg_ge(shape: GridShape, u: int, descending: bool = False) -> list:
     return [t for t in all_tuples(shape, descending) if sum(t) >= u]
 
 
+def _convolve_side(counts: tuple, d: int) -> tuple:
+    """Level counts after prepending a coordinate of range 0..d-1.
+
+    out[t] = counts[t] + ... + counts[t-d+1], kept as a sliding window.
+    """
+    padded = counts + (0,) * (d - 1)
+    out = []
+    window = 0
+    for t, c in enumerate(padded):
+        window += c
+        if t >= d:
+            window -= padded[t - d]
+        out.append(window)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=128)
+def _suffix_counts(shape: GridShape) -> tuple:
+    """le[i][t]: number of tuples of dims[i:] of degree <= t, t = 0..k_i.
+
+    k_i is the suffix's maximum degree; le[m] == (1,) for the empty suffix.
+    Above k_i every count is the suffix's full size, le[i][-1].
+    """
+    levels = (1,)
+    table = [levels]
+    for d in reversed(shape.dims):
+        levels = _convolve_side(levels, d)
+        table.append(tuple(itertools.accumulate(levels)))
+    return tuple(reversed(table))
+
+
 def level_counts(shape: GridShape) -> tuple:
     """Number of box tuples of each total degree 0..k (by convolution)."""
-    counts = [1]
-    for d in shape.dims:
-        nxt = [0] * (len(counts) + d - 1)
-        for i, c in enumerate(counts):
-            for j in range(d):
-                nxt[i + j] += c
-        counts = nxt
-    return tuple(counts)
+    le = _suffix_counts(shape)[0]
+    return (le[0],) + tuple(b - a for a, b in zip(le, le[1:]))
 
 
 def count_deg_le(shape: GridShape, u: int) -> int:
     _check_deg(shape, u)
-    return sum(level_counts(shape)[: u + 1])
+    return _suffix_counts(shape)[0][u]
 
 
 def count_deg_ge(shape: GridShape, u: int) -> int:
     _check_deg(shape, u)
-    return sum(level_counts(shape)[u:])
+    return shape.n - (_suffix_counts(shape)[0][u - 1] if u else 0)
 
 
 def mixed_radix_value(shape: GridShape, t) -> int:
@@ -179,23 +215,32 @@ def rank_desc(shape: GridShape, t) -> int:
     return shape.n - mixed_radix_value(shape, t)
 
 
-def rth_of_deg_le(shape: GridShape, d: int, r: int) -> tuple:
-    """The r-th tuple of degree <= d in descending lex order.
+def _check_rank_le(shape, d, r):
+    count = count_deg_le(shape, d)
+    if not 1 <= r <= count:
+        raise RankRangeError(f"rank {r} outside [1, {count}] for degree <= {d}")
 
-    Walks descending ranks and skips tuples over the degree bound.
+
+def rth_of_deg_le(shape: GridShape, d: int, r: int) -> tuple:
+    """The r-th tuple of degree <= d in descending lex order, in O(m * d_m).
+
+    Picks digits left to right.  With budget b left at coordinate i, the
+    candidate x (largest first) heads le[i+1][b - x] tuples of the band,
+    so x is skipped while r exceeds that count.
     """
-    _check_deg(shape, d)
-    if not 1 <= r <= count_deg_le(shape, d):
-        raise RankRangeError(
-            f"rank {r} outside [1, {count_deg_le(shape, d)}] for degree <= {d}")
-    seen = 0
-    for pos in range(1, shape.n + 1):
-        t = tuple_at_rank_desc(shape, pos)
-        if sum(t) <= d:
-            seen += 1
-            if seen == r:
-                return t
-    raise AssertionError("unreachable")
+    _check_rank_le(shape, d, r)
+    le = _suffix_counts(shape)
+    digits = []
+    budget = d
+    for dim, tail in zip(shape.dims, le[1:]):
+        for x in range(min(dim - 1, budget), -1, -1):
+            heads = tail[min(budget - x, len(tail) - 1)]
+            if r <= heads:
+                break
+            r -= heads
+        digits.append(x)
+        budget -= x
+    return tuple(digits)
 
 
 def rth_of_deg_ge(shape: GridShape, u: int, r: int) -> tuple:
@@ -213,18 +258,34 @@ def rth_of_deg_ge(shape: GridShape, u: int, r: int) -> tuple:
 
 def lex_segment(shape: GridShape, d: int, r: int) -> list:
     """First r tuples of degree <= d in descending lex order."""
-    _check_deg(shape, d)
-    if not 1 <= r <= count_deg_le(shape, d):
-        raise RankRangeError(
-            f"rank {r} outside [1, {count_deg_le(shape, d)}] for degree <= {d}")
-    out = []
-    for pos in range(1, shape.n + 1):
-        t = tuple_at_rank_desc(shape, pos)
-        if sum(t) <= d:
-            out.append(t)
-            if len(out) == r:
-                return out
-    raise AssertionError("unreachable")
+    _check_rank_le(shape, d, r)
+    return [rth_of_deg_le(shape, d, j) for j in range(1, r + 1)]
+
+
+def values_deg_ge(shape: GridShape, u: int) -> np.ndarray:
+    """Mixed-radix values of the tuples of degree >= u, ascending.
+
+    Expands one coordinate at a time and keeps only the prefixes whose
+    degree plus the rest's maximum degree still reaches u.  Every kept
+    prefix has a completion, so no level holds more prefixes than the band
+    has tuples (K): work is O(K * m * d_m) and memory O(K * d_m), never O(n).
+    Each new digit is the least significant, so values stay sorted.
+    The array is int64 while n fits, else of dtype object holding exact
+    Python ints.
+    """
+    _check_deg(shape, u)
+    dtype = np.int64 if shape.n <= np.iinfo(np.int64).max else object
+    values = np.zeros(1, dtype=dtype)
+    degrees = np.zeros(1, dtype=np.int64)
+    rest = shape.k
+    for dim in shape.dims:
+        rest -= dim - 1
+        digits = np.arange(dim)
+        degrees = (degrees[:, None] + digits).ravel()
+        values = (values[:, None] * dim + digits.astype(dtype)).ravel()
+        keep = degrees + rest >= u
+        degrees, values = degrees[keep], values[keep]
+    return values
 
 
 def lex_segment_level(shape: GridShape, u: int, r: int) -> list:
@@ -304,7 +365,7 @@ def check_clements_lindstrom(shape: GridShape, u: int, pts) -> InclusionReport:
 
 def min_shadow_size(shape: GridShape, v: int, r: int) -> int:
     """Shadow size of the first r tuples of degree <= v (the minimizer)."""
-    return len(shadow(shape, lex_segment(shape, v, r)))
+    return lex_segment_shadow_size(shape, v, r)
 
 
 def brute_min_shadow(shape: GridShape, v: int, r: int,

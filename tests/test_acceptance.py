@@ -6,6 +6,7 @@ sweeps is 10^6 subspaces per instance; instances above it are skipped.
 """
 
 import itertools
+import math
 import random
 import time
 
@@ -258,4 +259,20 @@ def test_criterion_10_reed_muller_specialization():
                                  for a in ascending)
                 assert hierarchy(spec) == expected, (q, m, d)
                 checked += 1
-    _report(10, "reed-muller specialization", f"{checked} (q, m, d) triples")
+    # binary RM(d, m) up to m = 30 (n = 2^30), never building the box
+    large = 0
+    for m, degrees in ((8, range(1, 8)), (16, (1, 4, 8)), (20, (2, 3)), (30, (1, 2, 3))):
+        n = 2 ** m
+        for d in degrees:
+            spec = spec_from_parts("2^1", ";".join(["0,1"] * m), d)
+            h = hierarchy(spec)
+            K = sum(math.comb(m, i) for i in range(d + 1))
+            assert len(h) == K, (m, d)
+            assert h[0] == 2 ** (m - d) and h[-1] == n, (m, d)
+            assert all(a < b for a, b in zip(h, h[1:])), (m, d)
+            for r in {1, 2, K // 3, K // 2, K - 1, K}:
+                assert ghw_closed_form(spec, r) == h[r - 1], (m, d, r)
+                assert max_common_zeros(spec, r) == n - h[r - 1], (m, d, r)
+            large += 1
+    _report(10, "reed-muller specialization",
+            f"{checked} (q, m, d) triples, {large} binary RM(d, m) with m <= 30")

@@ -76,6 +76,20 @@ def test_verify_exits_zero(capsys):
     assert "MISMATCH" not in out
 
 
+def test_verify_json_matches_text(capsys):
+    args = ("verify", "--field", "2^2", "--sets", "0,1;0,1,2", "--d", "2")
+    status, text, _ = run_cli(capsys, *args)
+    json_status, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert status == json_status == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    checks = payload["checks"]
+    assert [set(c) for c in checks] == [{"name", "closed", "oracle", "ok"}] * len(checks)
+    assert all(c["ok"] and c["closed"] == c["oracle"] for c in checks)
+    lines = [f"{c['name']}: closed={c['closed']} oracle={c['oracle']} ok" for c in checks]
+    assert text.splitlines() == lines + ["VERIFY OK"]
+
+
 def test_verify_gf4_spec(capsys):
     status, out, _ = run_cli(capsys, "verify", "--field", "2^2",
                              "--sets", "0,1;0,1,2", "--d", "2")
@@ -166,6 +180,20 @@ def test_spec_file_inline_overrides(tmp_path, capsys):
     assert json.loads(out)["degree"] == 2
 
 
+@pytest.mark.parametrize("data", [
+    {"field": "2^1", "sets": [[0, 1], [0, 1]], "d": 1},
+    {"field": 2, "sets": "0,1;0,1", "d": 1},
+    {"field": "2^1", "sets": "0,1;0,1", "d": 1.5},
+])
+def test_spec_file_wrong_types_exit_two(tmp_path, capsys, data):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    status, out, err = run_cli(capsys, "hierarchy", "--spec-file", str(path))
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: spec file ")
+
+
 def test_missing_spec_file(capsys):
     status, _, err = run_cli(capsys, "hierarchy", "--spec-file", "/nonexistent")
     assert status == 2
@@ -194,3 +222,16 @@ def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_huge_grid_maxzeros_exact_and_hierarchy_refused(capsys):
+    sets = ";".join(["0,1"] * 64)
+    status, out, _ = run_cli(capsys, "maxzeros", "--field", "2^1", "--sets", sets,
+                             "--d", "1", "--r", "3", "--format", "json")
+    assert status == 0
+    assert json.loads(out)["value"] == 2 ** 61
+    # the dual hierarchy would list 2^64 - 65 weights
+    status, out, err = run_cli(capsys, "hierarchy", "--field", "2^1", "--sets", sets,
+                               "--d", "1")
+    assert status == 2
+    assert out == "" and "exceeds" in err

@@ -34,6 +34,7 @@ from ccodes.errors import (
     BudgetExceededError,
     DegreeRangeError,
     FieldMismatchError,
+    InvariantError,
     RankDeficiencyError,
     RankRangeError,
 )
@@ -514,3 +515,22 @@ def test_monomial_evaluations_alignment():
             for x, e in zip(pt, mono):
                 expected = expected * x ** e
             assert rows[ri, ci] == expected.to_int()
+
+
+def test_first_order_reed_muller_exact_past_int64():
+    # RM(1, m) has d_r = 2^m - 2^(m-r) for r <= m and d_(m+1) = 2^m (Wei 1991);
+    # n = 2^64 and 2^70 do not fit in int64.
+    for m in (20, 64, 70):
+        spec = spec_from_parts("2^1", ";".join(["0,1"] * m), 1)
+        expected = tuple(2 ** m - 2 ** (m - r) for r in range(1, m + 1)) + (2 ** m,)
+        assert hierarchy(spec) == expected
+        assert all(type(w) is int for w in hierarchy(spec))
+        assert [ghw_closed_form(spec, r) for r in range(1, m + 2)] == list(expected)
+        assert max_common_zeros(spec, 3) == 2 ** (m - 3)
+
+
+def test_hierarchy_invariant_raises(monkeypatch):
+    import ccodes.codes as codes_module
+    monkeypatch.setattr(codes_module, "values_deg_ge", lambda shape, u: np.array([0, 2, 2]))
+    with pytest.raises(InvariantError):
+        hierarchy(spec_from_parts("2^1", "0,1;0,1", 1))

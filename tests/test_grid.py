@@ -2,8 +2,12 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ccodes.codes import _hierarchy_at_degree
 from ccodes.errors import BudgetExceededError, DegreeRangeError, RankRangeError
 from ccodes.grid import (
     GridShape,
@@ -358,3 +362,37 @@ def test_min_shadow_rank_validation():
         min_shadow_size(GridShape((2, 2)), 1, 4)
     with pytest.raises(RankRangeError):
         brute_min_shadow(GridShape((2, 2)), 1, 0)
+
+
+# -- unranking against a product filter, on random boxes ---------------------------
+
+@st.composite
+def boxes(draw, max_n=2000):
+    """Ascending boxes of up to six coordinates with at most max_n tuples."""
+    dims = []
+    n = 1
+    for _ in range(draw(st.integers(1, 6))):
+        dims.append(draw(st.integers(1, min(12, max_n // n))))
+        n *= dims[-1]
+    return GridShape(tuple(sorted(dims)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(boxes(), st.data())
+def test_unranking_matches_product_filter(shape, data):
+    # itertools.product lists the box in ascending lex order, so a tuple's
+    # position in it is its mixed-radix value.
+    box = list(itertools.product(*(range(x) for x in shape.dims)))
+    for d in range(shape.k + 1):
+        le = [t for t in reversed(box) if sum(t) <= d]
+        ge = [t for t in box if sum(t) >= d]
+        assert [rth_of_deg_le(shape, d, r) for r in range(1, len(le) + 1)] == le
+        assert [rth_of_deg_ge(shape, d, r) for r in range(1, len(ge) + 1)] == ge
+        weights = tuple(1 + v for v, t in enumerate(box) if sum(t) >= shape.k - d)
+        assert _hierarchy_at_degree(shape, d) == weights
+    d = data.draw(st.integers(0, shape.k), label="d")
+    le = [t for t in reversed(box) if sum(t) <= d]
+    r = data.draw(st.integers(1, len(le)), label="r")
+    assert lex_segment(shape, d, r) == le[:r]
+    dominates = (np.array(box)[:, None, :] >= np.array(le[:r])[None, :, :]).all(axis=2)
+    assert lex_segment_shadow_size(shape, d, r) == int(dominates.any(axis=1).sum())
