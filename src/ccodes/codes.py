@@ -10,9 +10,12 @@ are enumerated with the leftmost coordinate slowest, the generator rows
 follow the degree-<=d exponent tuples in descending lex order, and field
 elements appear in matrices through their canonical integer codes.
 
-Matrix work (row reduction, subspace sweeps, codeword sweeps) runs on
-numpy integer arrays indexed through the field's add/mul lookup tables,
-which keeps the exhaustive oracles fast enough for desk-scale corpora.
+All matrix work runs on numpy arrays of integer codes indexed through the
+field's lookup tables.  An evaluation matrix is the row-wise Kronecker
+product of per-coordinate power ladders; the dual's column scalars are
+the Kronecker product of the per-set derivatives g_i'; row reduction
+clears a pivot column in all other rows with one table lookup; and the
+exhaustive oracles sweep subspaces and codewords a few lookups at a time.
 """
 
 from __future__ import annotations
@@ -45,8 +48,6 @@ from .grid import (
     values_deg_ge,
 )
 from .hilbert import Polynomial
-
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 # Support bitmasks in the subspace oracle live in uint64 words.
 _MAX_ORACLE_LENGTH = 64
@@ -181,7 +182,8 @@ class LinearCode:
 def rref(matrix, field: Field):
     """Reduced row echelon form over the field; returns (rref, pivots)."""
     A = np.array(matrix, dtype=field.int_dtype)
-    add, mul = field.add_table, field.mul_table
+    q, mul = field.q, field.mul_table
+    add = field.add_table.ravel()  # a + b is add[a * q + b]
     neg, inv = field.neg_table, field.inv_table
     rows, cols = A.shape
     pivots = []
@@ -195,10 +197,12 @@ def rref(matrix, field: Field):
         pivot = r + int(hits[0])
         if pivot != r:
             A[[r, pivot]] = A[[pivot, r]]
-        A[r] = mul[inv[A[r, c]], A[r]]
-        for i in range(rows):
-            if i != r and A[i, c]:
-                A[i] = add[A[i], mul[neg[A[i, c]], A[r]]]
+        A[r, c:] = mul[inv[A[r, c]], A[r, c:]]
+        # the pivot row is zero left of c, so only columns c: change
+        others = np.flatnonzero(A[:, c])
+        others = others[others != r]
+        scaled = mul[neg[A[others, c]]][:, A[r, c:]]
+        A[others, c:] = add[A[others, c:].astype(np.intp) * q + scaled]
         pivots.append(c)
         r += 1
     return A, tuple(pivots)
@@ -242,34 +246,36 @@ def points(spec: CartesianCodeSpec) -> list:
     return list(itertools.product(*spec.sets))
 
 
+def _kron_rows(mul: np.ndarray, factors) -> np.ndarray:
+    """Row-wise Kronecker product of integer-coded factors over the field.
+
+    factors[i] has shape (rows, d_i); the result has shape
+    (rows, d_1 * ... * d_m) with the first factor's index slowest.
+    """
+    rows = factors[0].shape[0]
+    out = np.ones((rows, 1), dtype=mul.dtype)
+    for f in factors:
+        out = mul[out[:, :, None], f[:, None, :]].reshape(rows, out.shape[1] * f.shape[1])
+    return out
+
+
 def monomial_evaluations(field: Field, sets, monos) -> np.ndarray:
     """Evaluations of the monomials x^a at every grid point, encoded.
 
     Columns follow the same point order as points(); rows follow monos.
+    Each coordinate gets a ladder of powers of its set's codes, and a row
+    is the Kronecker product of its exponents' ladder rows.
     """
-    pts = list(itertools.product(*sets))
-    m = len(sets)
-    max_exp = [max((mono[i] for mono in monos), default=0) for i in range(m)]
-    # per-coordinate power ladders, indexed by position within each set
-    pows = []
+    mul = field.mul_table
+    monos = np.array(monos, dtype=np.intp).reshape(len(monos), len(sets))
+    factors = []
     for i, s in enumerate(sets):
-        ladder = []
-        for x in s:
-            col = [field.one]
-            for _ in range(max_exp[i]):
-                col.append(col[-1] * x)
-            ladder.append(col)
-        pows.append(ladder)
-    index_tuples = list(itertools.product(*(range(len(s)) for s in sets)))
-    out = np.zeros((len(monos), len(pts)), dtype=field.int_dtype)
-    for ri, mono in enumerate(monos):
-        for ci, idx in enumerate(index_tuples):
-            value = field.one
-            for i, e in enumerate(mono):
-                if e:
-                    value = value * pows[i][idx[i]][e]
-            out[ri, ci] = value.to_int()
-    return out
+        codes = np.array([x.to_int() for x in s], dtype=field.int_dtype)
+        ladder = [np.ones_like(codes)]
+        for _ in range(monos[:, i].max(initial=0)):
+            ladder.append(mul[ladder[-1], codes])
+        factors.append(np.array(ladder)[monos[:, i]])
+    return _kron_rows(mul, factors)
 
 
 def generator_matrix(spec: CartesianCodeSpec) -> LinearCode:
@@ -389,29 +395,27 @@ def extremal_polynomials(spec: CartesianCodeSpec, r: int) -> list:
 # Duals
 # --------------------------------------------------------------------------
 
-def dual_point_weights(spec: CartesianCodeSpec) -> list:
-    """Column scalars w_j with 1/w_j the product of the g_i' at the point.
+def dual_point_weights(spec: CartesianCodeSpec) -> np.ndarray:
+    """Codes of the column scalars w_j, 1/w_j the product of the g_i' at the point.
 
     g_i is the monic vanishing polynomial of A_i, so g_i' at a member
     gamma_{i,t} is the product of (gamma_{i,t} - gamma_{i,s}) over s != t.
+    The result is a read-only array in point order.
     """
+    f = spec.field
+    add, mul = f.add_table, f.mul_table
     derivs = []
     for s in spec.sets:
-        col = []
-        for t, x in enumerate(s):
-            value = spec.field.one
-            for u, y in enumerate(s):
-                if u != t:
-                    value = value * (x - y)
-            col.append(value)
-        derivs.append(col)
-    weights = []
-    for idx in itertools.product(*(range(len(s)) for s in spec.sets)):
-        value = spec.field.one
-        for i, t in enumerate(idx):
-            value = value * derivs[i][t]
-        weights.append(value.inverse())
-    return weights
+        codes = np.array([x.to_int() for x in s], dtype=f.int_dtype)
+        diffs = add[codes[:, None], f.neg_table[codes][None, :]]
+        np.fill_diagonal(diffs, 1)
+        deriv = diffs[:, 0]
+        for col in diffs.T[1:]:
+            deriv = mul[deriv, col]
+        derivs.append(deriv[None, :])
+    w = f.inv_table[_kron_rows(mul, derivs)[0]]
+    w.flags.writeable = False
+    return w
 
 
 def dual_code(spec: CartesianCodeSpec) -> LinearCode:
@@ -423,8 +427,7 @@ def dual_code(spec: CartesianCodeSpec) -> LinearCode:
         return LinearCode(spec.field, np.zeros((0, spec.n), dtype=spec.field.int_dtype))
     monos = tuples_deg_le(spec.shape, spec.k - spec.d - 1, descending=True)
     rows = monomial_evaluations(spec.field, spec.sets, monos)
-    w = np.array([x.to_int() for x in dual_point_weights(spec)],
-                 dtype=spec.field.int_dtype)
+    w = dual_point_weights(spec)
     return LinearCode(spec.field, spec.field.mul_table[rows, w[None, :]])
 
 
@@ -456,11 +459,6 @@ def wei_duality_check(spec: CartesianCodeSpec) -> WeiDualityReport:
 # --------------------------------------------------------------------------
 # Exhaustive oracles
 # --------------------------------------------------------------------------
-
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    b = np.ascontiguousarray(masks).view(np.uint8).reshape(masks.size, 8)
-    return _POPCOUNT8[b].sum(axis=1, dtype=np.int64)
-
 
 def _support_masks(variants: np.ndarray) -> np.ndarray:
     n = variants.shape[1]
@@ -508,7 +506,7 @@ def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
         for masks in row_masks[1:]:
             acc = np.bitwise_or.outer(acc, masks).ravel()
         enumerated += acc.size
-        best = min(best, int(_popcount(acc).min()))
+        best = min(best, int(np.bitwise_count(acc).min()))
     if enumerated != total:
         raise InvariantError(f"enumerated {enumerated} subspaces, expected {total}")
     return best

@@ -14,8 +14,14 @@ term upward, so fields and everything derived from them are reproducible
 across runs and machines.  For e = 1 the modulus is x and arithmetic is
 plain arithmetic mod p.
 
-Division goes through the extended Euclidean algorithm on representative
-polynomials rather than through a^(q-2).
+FieldElement is the reference arithmetic: division goes through the
+extended Euclidean algorithm on representative polynomials rather than
+through a^(q-2).  Matrix work uses the dense tables of a Field instead
+(orders up to TABLE_ORDER_LIMIT).  They are built in numpy on integer
+codes: add digit by digit in base p (XOR for p = 2), mul and inv from the
+discrete log and antilog tables of the least primitive element, whose
+q - 1 powers are the only FieldElement products involved, and neg as the
+products with -1.  The tests check every table against FieldElement.
 """
 
 from __future__ import annotations
@@ -317,42 +323,62 @@ class Field:
         return np.min_scalar_type(self.q - 1)
 
     @functools.cached_property
+    def _log_antilog(self):
+        """(log, antilog) over the least primitive element g.
+
+        antilog[k] is the code of g^k for 0 <= k < 2(q - 1), doubled so a
+        sum of two logs needs no reduction; log[0] is a 0 sentinel.
+        """
+        self._require_tables()
+        q = self.q
+        factors = _prime_factors(q - 1)
+        g = next(x for x in self.elements()[1:]
+                 if all(x ** ((q - 1) // f) != self.one for f in factors))
+        antilog = np.empty(q - 1, dtype=self.int_dtype)
+        power = self.one
+        for k in range(q - 1):
+            antilog[k] = power.to_int()
+            power = power * g
+        log = np.zeros(q, dtype=np.intp)
+        log[antilog] = np.arange(q - 1)
+        return log, np.concatenate([antilog, antilog])
+
+    @functools.cached_property
     def add_table(self) -> np.ndarray:
         self._require_tables()
-        els = self.elements()
-        t = np.zeros((self.q, self.q), dtype=self.int_dtype)
-        for i, a in enumerate(els):
-            for j, b in enumerate(els):
-                t[i, j] = (a + b).to_int()
+        codes = np.arange(self.q)
+        if self.p == 2:
+            t = codes[:, None] ^ codes[None, :]
+        else:  # digit by digit in base p
+            t = np.zeros((self.q, self.q), dtype=np.intp)
+            for k in range(self.e):
+                digit = codes // self.p ** k % self.p
+                t += (digit[:, None] + digit[None, :]) % self.p * self.p ** k
+        t = t.astype(self.int_dtype)
         t.flags.writeable = False
         return t
 
     @functools.cached_property
     def mul_table(self) -> np.ndarray:
         self._require_tables()
-        els = self.elements()
+        log, antilog = self._log_antilog
         t = np.zeros((self.q, self.q), dtype=self.int_dtype)
-        for i, a in enumerate(els):
-            for j, b in enumerate(els):
-                t[i, j] = (a * b).to_int()
+        t[1:, 1:] = antilog[log[1:, None] + log[None, 1:]]
         t.flags.writeable = False
         return t
 
     @functools.cached_property
     def neg_table(self) -> np.ndarray:
-        self._require_tables()
-        t = np.array([(-a).to_int() for a in self.elements()], dtype=self.int_dtype)
-        t.flags.writeable = False
-        return t
+        """Products with -1, whose code is p - 1; a read-only view."""
+        return self.mul_table[self.p - 1]
 
     @functools.cached_property
     def inv_table(self) -> np.ndarray:
         """Inverses by integer code; slot 0 is a 0 sentinel, never valid."""
         self._require_tables()
+        log, antilog = self._log_antilog
         t = np.zeros(self.q, dtype=self.int_dtype)
-        for i, a in enumerate(self.elements()):
-            if i:
-                t[i] = a.inverse().to_int()
+        t[1:] = antilog[self.q - 1 - log[1:]]
         t.flags.writeable = False
         return t
 

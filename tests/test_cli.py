@@ -78,16 +78,42 @@ def test_verify_exits_zero(capsys):
 
 def test_verify_json_matches_text(capsys):
     args = ("verify", "--field", "2^2", "--sets", "0,1;0,1,2", "--d", "2")
-    status, text, _ = run_cli(capsys, *args)
+    status, text, err = run_cli(capsys, *args)
     json_status, out, _ = run_cli(capsys, *args, "--format", "json")
     assert status == json_status == 0
     payload = json.loads(out)
     assert payload["ok"] is True
+    assert payload["skipped"] == [] and err == ""
     checks = payload["checks"]
     assert [set(c) for c in checks] == [{"name", "closed", "oracle", "ok"}] * len(checks)
     assert all(c["ok"] and c["closed"] == c["oracle"] for c in checks)
     lines = [f"{c['name']}: closed={c['closed']} oracle={c['oracle']} ok" for c in checks]
     assert text.splitlines() == lines + ["VERIFY OK"]
+
+
+def test_verify_records_over_budget_skips(capsys):
+    args = ("verify", "--field", "2^2", "--sets", "0,1,2,3;0,1,2,3", "--d", "3",
+            "--budget", "10")
+    status, text, err = run_cli(capsys, *args)
+    json_status, out, json_err = run_cli(capsys, *args, "--format", "json")
+    assert status == json_status == 0
+    payload = json.loads(out)
+    skipped = payload["skipped"]
+    assert [s["name"] for s in skipped] == (
+        [f"ghw r={r}" for r in range(1, 10)] + ["min_distance"]
+        + [f"dual ghw r={r}" for r in range(1, 6)])
+    # [10 choose 1]_4 = (4^10 - 1) / 3 subspaces
+    assert skipped[0]["reason"] == "349525 subspaces exceed budget 10"
+    assert skipped[9]["reason"] == "1048576 codewords exceed budget 10"
+    checks = payload["checks"]
+    assert not {c["name"] for c in checks} & {s["name"] for s in skipped}
+    assert "ghw r=10" in {c["name"] for c in checks}
+    # stdout keeps its format; the skips go to one stderr line
+    lines = [f"{c['name']}: closed={c['closed']} oracle={c['oracle']} ok" for c in checks]
+    assert text.splitlines() == lines + ["VERIFY OK"]
+    assert err.count("\n") == 1
+    assert err.startswith(f"verify: skipped 15 of {15 + len(checks)} checks over budget 10: ")
+    assert json_err == ""
 
 
 def test_verify_gf4_spec(capsys):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccodes.codes import (
     CartesianCodeSpec,
@@ -157,6 +159,63 @@ def test_rref_properties():
         assert col[i] == 1 and all(x == 0 for j, x in enumerate(col) if j != i)
     R2, pivots2 = rref(R, f4)
     assert np.array_equal(R, R2) and pivots == pivots2
+
+
+def gauss_jordan(rows, field):
+    """Reduced row echelon form over FieldElement arithmetic; (rows, pivots)."""
+    A = [[field.from_int(int(x)) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(A[0]) if A else 0):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if hit is None:
+            continue
+        A[r], A[hit] = A[hit], A[r]
+        scale = A[r][c].inverse()
+        A[r] = [x * scale for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                factor = A[i][c]
+                A[i] = [x - factor * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return [[x.to_int() for x in row] for row in A], tuple(pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 1)]), st.data())
+def test_rref_matches_element_gauss_jordan(pe, data):
+    f = field_create(*pe)
+    rows = data.draw(st.integers(0, 6), label="rows")
+    cols = data.draw(st.integers(1, 7), label="cols")
+    entry = st.integers(0, f.q - 1)
+    if data.draw(st.booleans(), label="rank deficient") and rows >= 2:
+        # the last rows are combinations of the first ones
+        base = data.draw(st.integers(1, rows - 1), label="base")
+        mat = np.array(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                          min_size=base, max_size=base)), dtype=np.int64)
+        for _ in range(rows - base):
+            coeffs = data.draw(st.lists(entry, min_size=base, max_size=base))
+            combo = np.zeros(cols, dtype=f.int_dtype)
+            for c, row in zip(coeffs, mat):
+                combo = f.add_table[combo, f.mul_table[c, row]]
+            mat = np.vstack([mat, combo])
+    else:
+        mat = np.array(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                          min_size=rows, max_size=rows)), dtype=np.int64)
+        mat = mat.reshape(rows, cols)
+    expected, expected_pivots = gauss_jordan(mat.tolist(), f)
+    R, pivots = rref(mat, f)
+    assert R.dtype == f.int_dtype
+    assert pivots == expected_pivots
+    assert R.tolist() == expected
+
+
+def test_rref_zero_and_empty_matrices():
+    f9 = field_create(3, 2)
+    R, pivots = rref(np.zeros((3, 4), dtype=np.uint8), f9)
+    assert pivots == () and not R.any()
+    R, pivots = rref(np.zeros((0, 5), dtype=np.uint8), f9)
+    assert pivots == () and R.shape == (0, 5)
 
 
 def test_matmul_identity_and_mismatch():
@@ -331,7 +390,7 @@ def test_extremal_validation():
 
 def test_dual_weights_line_example():
     spec = spec_from_parts("3^1", "0,1,2", 1)
-    assert [w.to_int() for w in dual_point_weights(spec)] == [2, 2, 2]
+    assert dual_point_weights(spec).tolist() == [2, 2, 2]
     dual = dual_code(spec)
     assert (dual.length, dual.dimension) == (3, 1)
     assert np.count_nonzero(matmul(generator_matrix(spec).matrix, dual.matrix.T,
@@ -345,7 +404,7 @@ def test_dual_full_grid_weights_are_sign():
         spec = spec_from_parts(f"{field.p}^{field.e}", sets_text, 1)
         minus_one = -field.one
         expected = field.one if m % 2 == 0 else minus_one
-        assert all(w == expected for w in dual_point_weights(spec))
+        assert dual_point_weights(spec).tolist() == [expected.to_int()] * spec.n
 
 
 def test_dual_of_reed_muller_is_reed_muller():
@@ -515,6 +574,31 @@ def test_monomial_evaluations_alignment():
             for x, e in zip(pt, mono):
                 expected = expected * x ** e
             assert rows[ri, ci] == expected.to_int()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4)]), st.data())
+def test_monomial_evaluations_match_element_products(pe, data):
+    f = field_create(*pe)
+    m = data.draw(st.integers(1, 3), label="m")
+    sets = [[f.from_int(v) for v in data.draw(
+        st.lists(st.integers(0, f.q - 1), min_size=1, max_size=5, unique=True))]
+        for _ in range(m)]
+    monos = data.draw(st.lists(st.tuples(*[st.integers(0, 2 * f.q)] * m), max_size=6))
+    rows = monomial_evaluations(f, sets, monos)
+    pts = list(itertools.product(*sets))
+    assert rows.dtype == f.int_dtype
+    assert rows.shape == (len(monos), len(pts))
+    expected = []
+    for mono in monos:
+        row = []
+        for pt in pts:
+            value = f.one
+            for x, e in zip(pt, mono):
+                value = value * x ** e
+            row.append(value.to_int())
+        expected.append(row)
+    assert rows.tolist() == expected
 
 
 def test_first_order_reed_muller_exact_past_int64():

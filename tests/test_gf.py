@@ -2,7 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccodes.errors import DegreeRangeError, FieldMismatchError, NotPrimeError
 from ccodes.gf import Field, field_create, is_irreducible, parse_field, smallest_irreducible
@@ -232,7 +235,8 @@ def test_negative_powers():
 
 # -- lookup tables -----------------------------------------------------------
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1),
+                                 (3, 2), (2, 3), (2, 4), (5, 2), (7, 2)])
 def test_tables_match_element_arithmetic(p, e):
     f = field_create(p, e)
     els = f.elements()
@@ -243,6 +247,30 @@ def test_tables_match_element_arithmetic(p, e):
         for j, b in enumerate(els):
             assert f.add_table[i, j] == (a + b).to_int()
             assert f.mul_table[i, j] == (a * b).to_int()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(2, 10), (3, 6)]), st.data())
+def test_large_tables_match_element_arithmetic(pe, data):
+    f = field_create(*pe)
+    i, j = (data.draw(st.integers(0, f.q - 1), label=label) for label in ("i", "j"))
+    a, b = f.from_int(i), f.from_int(j)
+    assert f.add_table[i, j] == (a + b).to_int()
+    assert f.mul_table[i, j] == (a * b).to_int()
+    assert f.neg_table[i] == (-a).to_int()
+    if i:
+        assert f.inv_table[i] == a.inverse().to_int()
+
+
+def test_largest_tables_are_fast_read_only_and_compact():
+    import time
+    start = time.process_time()
+    f = Field(2, 10)  # not the cached instance, so the tables are built here
+    tables = (f.add_table, f.mul_table, f.neg_table, f.inv_table)
+    assert time.process_time() - start < 1.0  # about 0.03 s on a 2-core x86-64 VM
+    for t in tables:
+        assert t.dtype == np.uint16 and not t.flags.writeable
+    assert f.add_table.shape == f.mul_table.shape == (1024, 1024)
 
 
 def test_field_create_is_cached():
