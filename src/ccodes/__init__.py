@@ -51,4 +51,6 @@ from .hilbert import (
     leading_term,
 )
 
+from .verification import VerifyReport, verify
+
 __version__ = "0.1.0"

@@ -3,13 +3,15 @@
 Subcommands:
     hierarchy   length, dimension and the full weight hierarchy of a code
     dual        dual generator matrix and dual hierarchy
-    verify      closed forms vs exhaustive oracles; nonzero exit on mismatch
+    verify      closed forms vs exhaustive oracles (ccodes.verify); exit 1 on mismatch
     shadow      minimal shadow size of a lex segment, optional brute check
     footprint   upper bound on common zeros from leading terms
     maxzeros    maximal common-zero count and the polynomials attaining it
 
 Code specs are given inline (--field p^e --sets "a,b;c,d,e" --d D) or via
 --spec-file pointing at JSON or key=value text with the same three parts.
+Only verify and shadow take --budget, the oracle work cap (default 10^7 or
+$CCODES_BUDGET); verify reports a check whose oracle refuses it as skipped.
 Exit codes: 0 ok, 1 verification mismatch, 2 parse or validation error.
 """
 
@@ -21,8 +23,8 @@ import os
 import sys
 
 from . import codes, grid, hilbert
-from .errors import BudgetExceededError
 from .grid import DEFAULT_BUDGET
+from .verification import verify
 
 
 def _default_budget() -> int:
@@ -94,10 +96,11 @@ def _add_spec_flags(parser):
     parser.add_argument("--spec-file", help="JSON or key=value file with field/sets/d")
 
 
-def _add_common_flags(parser):
+def _add_common_flags(parser, budget: bool = False):
     parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="oracle work cap (default 10^7 or $CCODES_BUDGET)")
+    if budget:  # only the subcommands that run an exhaustive oracle
+        parser.add_argument("--budget", type=int, default=None,
+                            help="oracle work cap (default 10^7 or $CCODES_BUDGET)")
 
 
 def _emit(args, payload: dict, table_lines) -> None:
@@ -133,85 +136,31 @@ def _cmd_dual(args) -> int:
         "matrix": rows,
         "hierarchy": list(codes.dual_hierarchy(spec)),
     }
-    lines = [f"length    {dual.length}", f"dimension {dual.dimension}", "matrix"]
-    lines += ["  " + " ".join(str(x) for x in row) for row in rows]
-    lines.append("hierarchy " + " ".join(str(w) for w in payload["hierarchy"]))
+    lines = []
+    if args.format == "table":  # one str() per matrix entry; JSON needs none
+        lines = [f"length    {dual.length}", f"dimension {dual.dimension}", "matrix"]
+        lines += ["  " + " ".join(str(x) for x in row) for row in rows]
+        lines.append("hierarchy " + " ".join(str(w) for w in payload["hierarchy"]))
     _emit(args, payload, lines)
     return 0
-
-
-def _check(results, name: str, closed, oracle) -> None:
-    results.append((name, closed, oracle))
-
-
-def _within_budget(skipped, name: str, work: int, unit: str, budget: int) -> bool:
-    """False, with a record in skipped, when an oracle's work exceeds the budget."""
-    if work <= budget:
-        return True
-    skipped.append({"name": name, "reason": f"{work} {unit} exceed budget {budget}"})
-    return False
 
 
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     budget = args.budget if args.budget is not None else _default_budget()
-    results = []
-    skipped = []
-
-    code = codes.generator_matrix(spec)
-    q = spec.field.q
-    for r in range(1, spec.dimension + 1):
-        name = f"ghw r={r}"
-        if _within_budget(skipped, name, codes.gaussian_binomial(spec.dimension, r, q),
-                          "subspaces", budget):
-            _check(results, name, codes.ghw_closed_form(spec, r),
-                   codes.brute_ghw(code, r, budget=budget))
-    for r in range(1, spec.dimension + 1):
-        _check(results, f"ghw+zeros r={r}", codes.ghw_closed_form(spec, r),
-               spec.n - codes.max_common_zeros(spec, r))
-
-    if _within_budget(skipped, "min_distance", q ** spec.dimension, "codewords", budget):
-        _check(results, "min_distance", codes.min_distance_closed_form(spec),
-               codes.brute_min_weight(code, budget=budget))
-
-    # extremal families attain the closed-form zero counts
-    polys = codes.extremal_polynomials(spec, spec.dimension)
-    pts = codes.points(spec)
-    evals = [[f.evaluate(pt) for pt in pts] for f in polys]
-    zero_mask = [True] * spec.n
-    for r, row in enumerate(evals, start=1):
-        zero_mask = [z and not v for z, v in zip(zero_mask, row)]
-        _check(results, f"extremal zeros r={r}", codes.max_common_zeros(spec, r),
-               sum(zero_mask))
-    enc = [[v.to_int() for v in row] for row in evals]
-    _check(results, "extremal rank", spec.dimension, codes.rank(enc, spec.field))
-
-    dual = codes.dual_code(spec)
-    _check(results, "dual dimension", spec.n - spec.dimension, dual.dimension)
-    if dual.dimension:
-        product = codes.matmul(code.matrix, dual.matrix.T, spec.field)
-        _check(results, "orthogonality", 0, int(product.max()))
-        dh = codes.dual_hierarchy(spec)
-        for r in range(1, dual.dimension + 1):
-            name = f"dual ghw r={r}"
-            if _within_budget(skipped, name, codes.gaussian_binomial(dual.dimension, r, q),
-                              "subspaces", budget):
-                _check(results, name, dh[r - 1], codes.brute_ghw(dual, r, budget=budget))
-        report = codes.wei_duality_check(spec)
-        _check(results, "wei duality", True, report.ok)
-
+    report = verify(spec, budget)
     checks = [{"name": name, "closed": closed, "oracle": oracle, "ok": bool(closed == oracle)}
-              for name, closed, oracle in results]
-    ok = all(c["ok"] for c in checks)
+              for name, closed, oracle in report.checks]
+    skipped = [{"name": name, "reason": reason} for name, reason in report.skipped]
     lines = [f"{c['name']}: closed={c['closed']} oracle={c['oracle']} "
              f"{'ok' if c['ok'] else 'MISMATCH'}" for c in checks]
-    lines.append("VERIFY " + ("OK" if ok else "FAILED"))
-    _emit(args, {"checks": checks, "skipped": skipped, "ok": ok}, lines)
+    lines.append("VERIFY " + ("OK" if report.ok else "FAILED"))
+    _emit(args, {"checks": checks, "skipped": skipped, "ok": report.ok}, lines)
     if skipped and args.format != "json":
         print(f"verify: skipped {len(skipped)} of {len(skipped) + len(checks)} checks "
               f"over budget {budget}: " + ", ".join(s["name"] for s in skipped),
               file=sys.stderr)
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_shadow(args) -> int:
@@ -271,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="closed forms vs exhaustive oracles")
     _add_spec_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, budget=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("shadow", help="minimal shadow size of a lex segment")
@@ -280,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="segment size")
     p.add_argument("--brute", action="store_true",
                    help="also exhaust all r-subsets and compare")
-    _add_common_flags(p)
+    _add_common_flags(p, budget=True)
     p.set_defaults(func=_cmd_shadow)
 
     p = sub.add_parser("footprint", help="common-zero bound from leading terms")
@@ -304,10 +253,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # BudgetExceededError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

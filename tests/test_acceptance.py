@@ -1,8 +1,9 @@
 """Acceptance sweep: every closed form against an independent oracle.
 
 Each test prints one PASS line (visible with pytest -s); a failed
-assertion is the corresponding FAIL.  The oracle budget for subspace
-sweeps is 10^6 subspaces per instance; instances above it are skipped.
+assertion is the corresponding FAIL.  Criteria 1-5 read the checks of
+one `verify` report per corpus spec, run with an oracle budget of 10^6
+subspaces or codewords per instance; the report skips instances above it.
 """
 
 import itertools
@@ -11,25 +12,17 @@ import random
 import time
 
 import numpy as np
+import pytest
 
+from ccodes import verify
 from ccodes.codes import (
-    brute_ghw,
-    brute_min_weight,
-    dual_code,
     dual_hierarchy,
-    extremal_polynomials,
-    gaussian_binomial,
-    generator_matrix,
     ghw_closed_form,
     hierarchy,
     matmul,
     max_common_zeros,
-    min_distance_closed_form,
     monomial_evaluations,
-    points,
-    rank,
     spec_from_parts,
-    wei_duality_check,
 )
 from ccodes.gf import field_create
 from ccodes.grid import (
@@ -54,8 +47,7 @@ from ccodes.hilbert import (
 
 from corpus import corpus_specs
 
-SUBSPACE_BUDGET = 10 ** 6
-CODEWORD_BUDGET = 10 ** 6
+ORACLE_BUDGET = 10 ** 6
 
 HARNESS_SHAPES = [GridShape(d) for d in [(2, 2), (2, 3), (3, 3), (2, 2, 2)]]
 
@@ -64,89 +56,75 @@ def _report(num, name, details):
     print(f"ACCEPTANCE {num} ({name}): PASS ({details})")
 
 
-def test_criterion_1_ghw_closed_form_vs_subspace_oracle():
+@pytest.fixture(scope="module")
+def sweep():
+    """(label, spec, verify report) per corpus spec, and the sweep's seconds."""
     start = time.monotonic()
-    checked = 0
-    skipped = 0
-    for label, spec in corpus_specs():
-        code = generator_matrix(spec)
-        q = spec.field.q
-        for r in range(1, spec.dimension + 1):
-            if gaussian_binomial(spec.dimension, r, q) > SUBSPACE_BUDGET:
-                skipped += 1
-                continue
-            closed = ghw_closed_form(spec, r)
-            oracle = brute_ghw(code, r, budget=SUBSPACE_BUDGET)
-            assert closed == oracle, f"{label} r={r}: closed {closed} vs oracle {oracle}"
-            checked += 1
-    elapsed = time.monotonic() - start
+    reports = [(label, spec, verify(spec, budget=ORACLE_BUDGET))
+               for label, spec in corpus_specs()]
+    return reports, time.monotonic() - start
+
+
+def _agreeing(label, report, prefix):
+    """The report's checks whose name starts with prefix, asserted to agree."""
+    checks = [c for c in report.checks if c[0].startswith(prefix)]
+    for name, closed, oracle in checks:
+        assert closed == oracle, f"{label} {name}: closed {closed} vs oracle {oracle}"
+    return checks
+
+
+def test_criterion_1_ghw_closed_form_vs_subspace_oracle(sweep):
+    reports, elapsed = sweep
+    checked = skipped = 0
+    for label, _, report in reports:
+        _agreeing(label, report, "ghw+zeros r=")
+        checked += len(_agreeing(label, report, "ghw r="))
+        skipped += sum(name.startswith("ghw r=") for name, _ in report.skipped)
     assert checked > 0
     assert elapsed < 300.0, f"sweep took {elapsed:.1f}s, over the 5 minute cap"
     _report(1, "ghw closed form vs subspace oracle",
             f"{checked} ranks checked, {skipped} over budget, {elapsed:.1f}s")
 
 
-def test_criterion_2_extremal_families_attain_maximum():
+def test_criterion_2_extremal_families_attain_maximum(sweep):
     checked = 0
-    for label, spec in corpus_specs():
-        polys = extremal_polynomials(spec, spec.dimension)
-        pts = points(spec)
-        evals = np.array([[f.evaluate(pt).to_int() for pt in pts] for f in polys])
-        still_zero = np.ones(spec.n, dtype=bool)
-        for r in range(1, spec.dimension + 1):
-            still_zero &= evals[r - 1] == 0
-            zeros = int(still_zero.sum())
-            expected = max_common_zeros(spec, r)
-            assert zeros == expected, f"{label} r={r}: {zeros} vs {expected}"
-            assert rank(evals[:r], spec.field) == r, f"{label} r={r}: rank deficit"
-            checked += 1
+    for label, spec, report in sweep[0]:
+        # the zero counts of every prefix, and the rank of the whole family,
+        # which is full only if every prefix's rank is too
+        checks = _agreeing(label, report, "extremal ")
+        assert len(checks) == spec.dimension + 1, label
+        checked += spec.dimension
     _report(2, "extremal polynomial families", f"{checked} family prefixes checked")
 
 
-def test_criterion_3_min_distance_vs_codeword_sweep():
+def test_criterion_3_min_distance_vs_codeword_sweep(sweep):
     checked = 0
-    for label, spec in corpus_specs():
-        assert spec.field.q ** spec.dimension <= CODEWORD_BUDGET, label
-        code = generator_matrix(spec)
-        closed = min_distance_closed_form(spec)
-        oracle = brute_min_weight(code, budget=CODEWORD_BUDGET)
-        assert closed == oracle, f"{label}: closed {closed} vs oracle {oracle}"
-        assert closed == hierarchy(spec)[0], label
+    for label, spec, report in sweep[0]:
+        (check,) = _agreeing(label, report, "min_distance")
+        assert check[1] == hierarchy(spec)[0], label
         checked += 1
     _report(3, "minimum distance vs codeword sweep", f"{checked} specs checked")
 
 
-def test_criterion_4_duality():
-    checked = 0
-    oracle_ranks = 0
-    for label, spec in corpus_specs():
-        code = generator_matrix(spec)
-        dual = dual_code(spec)
-        assert code.dimension + dual.dimension == spec.n, label
-        if dual.dimension == 0:
+def test_criterion_4_duality(sweep):
+    checked = oracle_ranks = 0
+    for label, spec, report in sweep[0]:
+        ((_, _, dimension),) = _agreeing(label, report, "dual dimension")
+        if dimension == 0:
             continue
-        product = matmul(code.matrix, dual.matrix.T, spec.field)
-        assert np.count_nonzero(product) == 0, f"{label}: dual not orthogonal"
-        dh = dual_hierarchy(spec)
-        assert len(dh) == dual.dimension, label
-        q = spec.field.q
-        for r in range(1, dual.dimension + 1):
-            if gaussian_binomial(dual.dimension, r, q) > SUBSPACE_BUDGET:
-                continue
-            oracle = brute_ghw(dual, r, budget=SUBSPACE_BUDGET)
-            assert dh[r - 1] == oracle, f"{label} dual r={r}: {dh[r - 1]} vs {oracle}"
-            oracle_ranks += 1
+        assert len(dual_hierarchy(spec)) == dimension, label
+        assert _agreeing(label, report, "orthogonality"), f"{label}: dual not orthogonal"
+        oracle_ranks += len(_agreeing(label, report, "dual ghw r="))
         checked += 1
     _report(4, "dual code identities",
             f"{checked} duals orthogonal, {oracle_ranks} dual ranks vs oracle")
 
 
-def test_criterion_5_wei_duality_partition():
+def test_criterion_5_wei_duality_partition(sweep):
     checked = 0
-    for label, spec in corpus_specs():
+    for label, spec, report in sweep[0]:
         if spec.d <= spec.k - 1:
-            report = wei_duality_check(spec)
-            assert report.ok, f"{label}: overlap {report.overlap} missing {report.missing}"
+            assert _agreeing(label, report, "wei duality"), label
         else:
             assert hierarchy(spec) == tuple(range(1, spec.n + 1)), label
         checked += 1

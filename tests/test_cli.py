@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ccodes import codes, verify
 from ccodes.cli import main
 
 
@@ -261,3 +262,49 @@ def test_huge_grid_maxzeros_exact_and_hierarchy_refused(capsys):
                                "--d", "1")
     assert status == 2
     assert out == "" and "exceeds" in err
+
+
+def test_verify_longer_than_64_skips_the_subspace_oracle(capsys):
+    nine = ",".join(str(x) for x in range(9))
+    args = ("verify", "--field", "3^2", "--sets", f"{nine};{nine}", "--d", "1")
+    status, text, err = run_cli(capsys, *args)
+    assert status == 0
+    assert text.splitlines()[-1] == "VERIFY OK"
+    assert err.startswith("verify: skipped ")
+    status, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert status == 0
+    payload = json.loads(out)
+    reasons = {s["name"]: s["reason"] for s in payload["skipped"]}
+    for r in (1, 2, 3):
+        assert reasons[f"ghw r={r}"] == "support masks limited to length 64, code has 81"
+    # 9^3 = 729 codewords fit the budget, so the codeword oracle still runs
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["min_distance"]["ok"] and checks["min_distance"]["oracle"] == 72
+
+
+def test_verify_reports_mismatch(capsys, monkeypatch):
+    exact = codes.min_distance_closed_form
+    monkeypatch.setattr(codes, "min_distance_closed_form", lambda spec: exact(spec) + 1)
+    spec = codes.spec_from_parts("3^1", "0,1,2", 1)
+    assert verify(spec).ok is False
+    args = ("verify", "--field", "3^1", "--sets", "0,1,2", "--d", "1")
+    status, text, _ = run_cli(capsys, *args)
+    assert status == 1
+    lines = text.splitlines()
+    assert [line for line in lines if line.endswith("MISMATCH")] == [
+        "min_distance: closed=3 oracle=2 MISMATCH"]
+    assert lines[-1] == "VERIFY FAILED"
+    status, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert status == 1
+    assert json.loads(out)["ok"] is False
+
+
+@pytest.mark.parametrize("command", [
+    ("hierarchy", "--field", "2^1", "--sets", "0,1", "--d", "1"),
+    ("footprint", "--grid", "2x3", "--lts", "1,1"),
+])
+def test_budget_only_on_oracle_commands(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--budget", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 3" in capsys.readouterr().err
