@@ -158,9 +158,24 @@ def _cmd_verify(args) -> int:
     _emit(args, {"checks": checks, "skipped": skipped, "ok": report.ok}, lines)
     if skipped and args.format != "json":
         print(f"verify: skipped {len(skipped)} of {len(skipped) + len(checks)} checks "
-              f"over budget {budget}: " + ", ".join(s["name"] for s in skipped),
+              "by their oracles: " + ", ".join(_rank_runs(s["name"] for s in skipped)),
               file=sys.stderr)
     return 0 if report.ok else 1
+
+
+def _rank_runs(names) -> list:
+    """Check names with runs of consecutive ranks joined, as in "ghw r=2..8"."""
+    runs = []  # [head, first rank, last rank]; ranks are None for names without one
+    for name in names:
+        head, sep, rank = name.rpartition(" r=")
+        if not sep:
+            runs.append([name, None, None])
+        elif runs and runs[-1][0] == head and runs[-1][2] == int(rank) - 1:
+            runs[-1][2] = int(rank)
+        else:
+            runs.append([head, int(rank), int(rank)])
+    return [head if first is None else f"{head} r={first}" + (f"..{last}" if last > first else "")
+            for head, first, last in runs]
 
 
 def _cmd_shadow(args) -> int:

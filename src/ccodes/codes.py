@@ -15,7 +15,8 @@ field's lookup tables.  An evaluation matrix is the row-wise Kronecker
 product of per-coordinate power ladders; the dual's column scalars are
 the Kronecker product of the per-set derivatives g_i'; row reduction
 clears a pivot column in all other rows with one table lookup; and the
-exhaustive oracles sweep subspaces and codewords a few lookups at a time.
+exhaustive oracles sweep subspaces and codewords in chunks of fixed size,
+whatever their budget.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ from .hilbert import Polynomial
 
 # Support bitmasks in the subspace oracle live in uint64 words.
 _MAX_ORACLE_LENGTH = 64
+
+# Most subspaces or codewords an exhaustive oracle holds at once.
+_ORACLE_CHUNK = 1 << 14
 
 # A hierarchy is held as a tuple of Python ints; refuse ones past this length.
 _MAX_HIERARCHY_LENGTH = DEFAULT_BUDGET
@@ -460,11 +464,58 @@ def wei_duality_check(spec: CartesianCodeSpec) -> WeiDualityReport:
 # Exhaustive oracles
 # --------------------------------------------------------------------------
 
-def _support_masks(variants: np.ndarray) -> np.ndarray:
-    n = variants.shape[1]
-    bits = (variants != 0).astype(np.uint64)
-    pow2 = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-    return (bits * pow2[None, :]).sum(axis=1, dtype=np.uint64)
+def _support_masks(variants: np.ndarray, zeros) -> np.ndarray:
+    """One uint64 per row: bit j is set where variants[:, j] != zeros[j].
+
+    With zeros the codes of -v, the bits are the support of v + variants.
+    Rows have at most 64 entries; they are packed one bit per entry.
+    """
+    packed = np.packbits(variants != zeros, axis=1, bitorder="little")
+    words = np.zeros((packed.shape[0], 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view("<u8").ravel()
+
+
+def _fast_digits(q: int) -> int:
+    """Most base-q digits whose combinations fit one chunk of the oracles."""
+    digits = 0
+    while q ** (digits + 1) <= _ORACLE_CHUNK:
+        digits += 1
+    return digits
+
+
+def _subspace_supports(code: LinearCode, pivots):
+    """Support masks of the subspaces with these echelon pivots, in chunks.
+
+    Basis row i is G[pivots[i]] plus any combination of the rows G[c] with
+    c > pivots[i] not a pivot (its free entries).  The free entries of all
+    rows form one mixed-radix counter.  Its fastest digits, at most
+    _ORACLE_CHUNK combinations, are swept at once: each row's span over
+    its fast free rows is built once and shifted by the combination its
+    slow digits pick.  The slow digits step one prefix per chunk.
+    """
+    G, field = code.matrix, code.field
+    K, q = G.shape[0], field.q
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    free = [(i, c) for i, p in enumerate(pivots)
+            for c in range(p + 1, K) if c not in pivots]
+    cut = max(0, len(free) - _fast_digits(q))
+    slow, fast = free[:cut], free[cut:]
+    spans = [_span_words(G[[c for k, c in fast if k == i]], field)
+             for i in range(len(pivots))]
+    stepped = sorted({i for i, _ in slow})
+    masks = [_support_masks(span, neg[G[p]]) for p, span in zip(pivots, spans)]
+    for digits in itertools.product(range(q), repeat=len(slow)):
+        rows = {i: G[pivots[i]] for i in stepped}
+        for (i, c), a in zip(slow, digits):
+            if a:
+                rows[i] = add[rows[i], mul[a, G[c]]]
+        for i in stepped:
+            masks[i] = _support_masks(spans[i], neg[rows[i]])
+        acc = masks[0]
+        for m in masks[1:]:
+            acc = np.bitwise_or.outer(acc, m).ravel()
+        yield acc
 
 
 def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -473,40 +524,25 @@ def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
     Subspaces are enumerated once each through their reduced-echelon
     canonical bases (pivot columns, then free entries).  The support of a
     subspace is the union of its basis rows' supports, tracked as bit
-    masks, so the whole sweep is a few vectorized table lookups per
-    pivot-column choice.
+    masks.  They are swept in chunks of at most _ORACLE_CHUNK subspaces,
+    so memory does not grow with the budget.
     """
     K, n = code.dimension, code.length
     q = code.field.q
     if not 1 <= r <= K:
         raise RankRangeError(f"rank {r} outside [1, {K}]")
-    total = gaussian_binomial(K, r, q)
-    if total > budget:
-        raise BudgetExceededError(f"{total} subspaces exceed budget {budget}")
     if n > _MAX_ORACLE_LENGTH:
         raise BudgetExceededError(
             f"support masks limited to length {_MAX_ORACLE_LENGTH}, code has {n}")
-    G = code.matrix
-    add, mul = code.field.add_table, code.field.mul_table
+    total = gaussian_binomial(K, r, q)
+    if total > budget:
+        raise BudgetExceededError(f"{total} subspaces exceed budget {budget}")
     best = n
     enumerated = 0
     for pivots in itertools.combinations(range(K), r):
-        pivot_set = set(pivots)
-        row_masks = []
-        for i, p in enumerate(pivots):
-            variants = G[p][None, :]
-            for c in range(p + 1, K):
-                if c in pivot_set:
-                    continue
-                scaled = mul[:, G[c]]
-                variants = add[variants[:, None, :], scaled[None, :, :]]
-                variants = variants.reshape(-1, n)
-            row_masks.append(_support_masks(variants))
-        acc = row_masks[0]
-        for masks in row_masks[1:]:
-            acc = np.bitwise_or.outer(acc, masks).ravel()
-        enumerated += acc.size
-        best = min(best, int(np.bitwise_count(acc).min()))
+        for acc in _subspace_supports(code, pivots):
+            enumerated += acc.size
+            best = min(best, int(np.bitwise_count(acc).min()))
     if enumerated != total:
         raise InvariantError(f"enumerated {enumerated} subspaces, expected {total}")
     return best
@@ -526,22 +562,32 @@ def _span_words(rows, field: Field) -> np.ndarray:
 def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum weight over every nonzero codeword, by full enumeration.
 
-    The generator rows are split in half and only one half's span is held
-    per step, so memory stays near the square root of the codeword count.
+    The span of the last generator rows, at most _ORACLE_CHUNK words, is
+    held once.  Blocks of combinations of the other rows are added to it,
+    so one block covers at most _ORACLE_CHUNK codewords.
     """
     K, n = code.dimension, code.length
-    q = code.field.q
+    field = code.field
+    q = field.q
     if K == 0:
         raise ValueError("the zero code has no nonzero codewords")
     total = q ** K
     if total > budget:
         raise BudgetExceededError(f"{total} codewords exceed budget {budget}")
-    add = code.field.add_table
-    outer = _span_words(code.matrix[: K // 2], code.field)
-    inner = _span_words(code.matrix[K // 2:], code.field)
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    cut = max(0, K - _fast_digits(q))
+    inner = _span_words(code.matrix[cut:], field)
+    block = max(1, _ORACLE_CHUNK // inner.shape[0])
     best = n
-    for w in outer:
-        weights = np.count_nonzero(add[inner, w[None, :]], axis=1)
+    for start in range(0, q ** cut, block):
+        # outer words start, start + 1, ...: base-q digits, first row slowest
+        index = np.arange(start, min(start + block, q ** cut))
+        outer = np.zeros((index.size, n), dtype=field.int_dtype)
+        for t, row in enumerate(code.matrix[:cut]):
+            digit = index // q ** (cut - 1 - t) % q
+            outer = add[outer, mul[digit[:, None], row[None, :]]]
+        # a word w + v is zero exactly where v == -w
+        weights = np.count_nonzero(inner[None, :, :] != neg[outer][:, None, :], axis=2)
         nonzero = weights[weights > 0]
         if nonzero.size:
             best = min(best, int(nonzero.min()))

@@ -113,7 +113,8 @@ def test_verify_records_over_budget_skips(capsys):
     lines = [f"{c['name']}: closed={c['closed']} oracle={c['oracle']} ok" for c in checks]
     assert text.splitlines() == lines + ["VERIFY OK"]
     assert err.count("\n") == 1
-    assert err.startswith(f"verify: skipped 15 of {15 + len(checks)} checks over budget 10: ")
+    assert err == (f"verify: skipped 15 of {15 + len(checks)} checks by their oracles: "
+                   "ghw r=1..9, min_distance, dual ghw r=1..5\n")
     assert json_err == ""
 
 
@@ -280,6 +281,18 @@ def test_verify_longer_than_64_skips_the_subspace_oracle(capsys):
     # 9^3 = 729 codewords fit the budget, so the codeword oracle still runs
     checks = {c["name"]: c for c in payload["checks"]}
     assert checks["min_distance"]["ok"] and checks["min_distance"]["oracle"] == 72
+
+
+def test_verify_counts_no_subspaces_past_the_length_cap(capsys):
+    # GF(16) 16x16 at d=7: n = 256, K = 36.  Counting the dual's 220-dimensional
+    # subspaces used to overflow int-to-str conversion before the length check.
+    sixteen = ",".join(str(x) for x in range(16))
+    status, text, err = run_cli(capsys, "verify", "--field", "2^4",
+                                "--sets", f"{sixteen};{sixteen}", "--d", "7")
+    assert status == 0
+    assert text.splitlines()[-1] == "VERIFY OK"
+    assert err == ("verify: skipped 257 of 333 checks by their oracles: "
+                   "ghw r=1..36, min_distance, dual ghw r=1..220\n")
 
 
 def test_verify_reports_mismatch(capsys, monkeypatch):

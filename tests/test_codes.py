@@ -1,12 +1,14 @@
 """Code construction, closed forms, duals, and the exhaustive oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ccodes import codes
 from ccodes.codes import (
     CartesianCodeSpec,
     LinearCode,
@@ -528,6 +530,97 @@ def test_brute_min_weight_matches_codeword_scan():
     code = generator_matrix(spec)
     weights = [sum(1 for x in w if x) for w in all_codewords(code) if any(w)]
     assert brute_min_weight(code) == min(weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 20), st.sampled_from([2, 3, 4]),
+       st.integers(0, 2 ** 32 - 1))
+def test_support_masks_match_power_of_two_sum(n, rows, q, seed):
+    rng = np.random.default_rng(seed)
+    # mostly zeros, so that sparse and empty supports come up
+    variants = (rng.integers(0, q, (rows, n)) * (rng.random((rows, n)) < 0.3)).astype(np.uint8)
+    offset = rng.integers(0, q, n).astype(np.uint8)
+    field = field_create(2, 2) if q == 4 else field_create(q)
+
+    def weighted_sum(bits):
+        # bit j of a mask is coordinate j
+        pow2 = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+        return (bits.astype(np.uint64) * pow2[None, :]).sum(axis=1, dtype=np.uint64)
+
+    masks = codes._support_masks(variants, 0)
+    assert masks.dtype == np.uint64 and masks.shape == (rows,)
+    assert masks.tolist() == weighted_sum(variants != 0).tolist()
+    # with the codes of -offset as zeros, the masks are the supports of offset + variants
+    shifted = field.add_table[offset[None, :], variants]
+    assert (codes._support_masks(variants, field.neg_table[offset]).tolist()
+            == weighted_sum(shifted != 0).tolist())
+
+
+def random_code(data, q):
+    """A full-rank code of dimension <= 4 and length <= 7 drawn over GF(q)."""
+    field = field_create(2, 2) if q == 4 else field_create(q)
+    k = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(k, 7))
+    matrix = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                                min_size=k, max_size=k))
+    assume(rank(np.array(matrix), field) == k)
+    return LinearCode(field, matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.data())
+def test_chunked_oracles_match_default_chunk(q, data):
+    code = random_code(data, q)
+    r = data.draw(st.integers(1, code.dimension))
+    ghw, weight = brute_ghw(code, r), brute_min_weight(code)
+    if r == 1:
+        assert ghw == weight == min(sum(1 for x in w if x)
+                                    for w in all_codewords(code) if any(w))
+    with pytest.MonkeyPatch.context() as patch:
+        for chunk in (1, 3, 7):
+            patch.setattr(codes, "_ORACLE_CHUNK", chunk)
+            assert brute_ghw(code, r) == ghw
+            assert brute_min_weight(code) == weight
+
+
+def test_truncated_subspace_sweep_trips_the_count_invariant(monkeypatch):
+    spec = spec_from_parts("3^1", "0,1,2;0,1,2", 2)
+    code = generator_matrix(spec)
+    sweep = codes._subspace_supports
+    # one free entry per chunk: pivot 0 alone has 3^5 subspaces in 81 chunks
+    monkeypatch.setattr(codes, "_ORACLE_CHUNK", 3)
+    monkeypatch.setattr(codes, "_subspace_supports",
+                        lambda code, pivots: list(sweep(code, pivots)))
+    assert brute_ghw(code, 1) == ghw_closed_form(spec, 1)
+
+    def truncated(code, pivots):
+        chunks = list(sweep(code, pivots))
+        return chunks[:-1] if len(chunks) > 1 else chunks
+
+    monkeypatch.setattr(codes, "_subspace_supports", truncated)
+    with pytest.raises(InvariantError, match="subspaces, expected"):
+        brute_ghw(code, 1)
+
+
+def test_oracle_memory_does_not_grow_with_the_budget():
+    # a [26, 13] ternary code: (3^13 - 1) / 2 = 797161 one-dimensional
+    # subcodes and 3^13 = 1594323 codewords
+    f3 = field_create(3)
+    tail = [[(i * j + i + 1) % 3 for j in range(13)] for i in range(13)]
+    code = LinearCode(f3, np.hstack([np.eye(13, dtype=np.uint8), tail]))
+    results = []
+    for budget in (10 ** 6, 10 ** 7):
+        for oracle in (lambda: brute_ghw(code, 1, budget=budget),
+                       lambda: brute_min_weight(code, budget=10 * budget)):
+            tracemalloc.start()
+            try:
+                value = oracle()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2 ** 20, (budget, peak)
+            results.append(value)
+    assert len(set(results)) == 1
 
 
 def test_ghw_oracle_on_length_16_grid():

@@ -26,7 +26,8 @@ CLOSED_FORM_NAMES = {
 }
 
 ORACLES = {
-    "codes.py": ("brute_ghw", "brute_min_weight", "_span_words", "_support_masks"),
+    "codes.py": ("brute_ghw", "brute_min_weight", "_span_words", "_support_masks",
+                 "_subspace_supports", "_fast_digits"),
     "grid.py": ("brute_min_shadow", "shadow"),
 }
 
