@@ -35,7 +35,6 @@ from .grid import (
     brute_min_shadow,
     check_clements_lindstrom,
     lex_segment,
-    lex_segment_shadow_size,
     min_shadow_size,
     rth_of_deg_ge,
     rth_of_deg_le,

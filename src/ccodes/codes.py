@@ -117,11 +117,6 @@ class CartesianCodeSpec:
         """Number of degree-<=d exponent tuples, i.e. the code dimension."""
         return count_deg_le(self.shape, self.d)
 
-    @classmethod
-    def from_ints(cls, field: Field, sets_of_ints, d: int) -> CartesianCodeSpec:
-        sets = [[field.from_int(v) for v in s] for s in sets_of_ints]
-        return cls(field, sets, d)
-
     def __repr__(self):
         sets = ";".join(",".join(str(x.to_int()) for x in s) for s in self.sets)
         return f"CartesianCodeSpec({self.field!r}, [{sets}], d={self.d})"

@@ -12,7 +12,8 @@ The modulus is always the lexicographically smallest monic irreducible
 polynomial of degree e, comparing coefficient vectors from the constant
 term upward, so fields and everything derived from them are reproducible
 across runs and machines.  For e = 1 the modulus is x and arithmetic is
-plain arithmetic mod p.
+plain arithmetic mod p.  Candidates are tested by one Rabin test on
+coefficient tuples, the same for every characteristic.
 
 FieldElement is the reference arithmetic: division goes through the
 extended Euclidean algorithm on representative polynomials rather than
@@ -39,23 +40,11 @@ MAX_EXTENSION_DEGREE = 16
 TABLE_ORDER_LIMIT = 1024
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(n):
+    """Distinct prime factors of n, ascending, by trial division.
+
+    n is prime exactly when the result is [n].
+    """
     out = []
     f = 2
     while f * f <= n:
@@ -79,13 +68,6 @@ def _trim(coeffs):
     while i > 0 and coeffs[i - 1] == 0:
         i -= 1
     return tuple(coeffs[:i])
-
-
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return _trim([(x + y) % p for x, y in zip(a, b)])
 
 
 def _poly_sub(a, b, p):
@@ -153,58 +135,6 @@ def _poly_invmod(a, mod, p):
     return _poly_divmod(_poly_mul(old_t, (scale,), p), mod, p)[1]
 
 
-# Packed GF(2) polynomials (bit i = coefficient of x^i) make the degree-16
-# Frobenius test cheap; other characteristics stay on the tuple path.
-
-def _gf2_mod(a: int, b: int) -> int:
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
-
-
-def _gf2_mulmod(a: int, b: int, mod: int, e: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a >> e:
-            a ^= mod
-    return r
-
-
-def _gf2_powmod(a: int, n: int, mod: int, e: int) -> int:
-    r = 1
-    a = _gf2_mod(a, mod)
-    while n:
-        if n & 1:
-            r = _gf2_mulmod(r, a, mod, e)
-        a = _gf2_mulmod(a, a, mod, e)
-        n >>= 1
-    return r
-
-
-def _gf2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _gf2_mod(a, b)
-    return a
-
-
-def _gf2_irreducible(poly) -> bool:
-    e = len(poly) - 1
-    mod = sum(c << i for i, c in enumerate(poly))
-    x = 2
-    if _gf2_powmod(x, 2 ** e, mod, e) != x:
-        return False
-    for r in _prime_factors(e):
-        h = _gf2_powmod(x, 2 ** (e // r), mod, e) ^ x
-        if _gf2_gcd(h, mod).bit_length() > 1:
-            return False
-    return True
-
-
 def is_irreducible(poly, p: int) -> bool:
     """Rabin's test: q-power Frobenius fixed points plus gcd conditions.
 
@@ -224,8 +154,6 @@ def is_irreducible(poly, p: int) -> bool:
             value = (value * a + c) % p
         if value == 0:
             return False
-    if p == 2:
-        return _gf2_irreducible(poly)
     x = (0, 1)
     if _poly_powmod(x, p ** e, poly, p) != x:
         return False
@@ -264,7 +192,7 @@ class Field:
     """
 
     def __init__(self, p: int, e: int = 1):
-        if not is_prime(p):
+        if _prime_factors(p) != [p]:
             raise NotPrimeError(f"{p} is not prime")
         if not 1 <= e <= MAX_EXTENSION_DEGREE:
             raise DegreeRangeError(

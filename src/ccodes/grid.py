@@ -17,10 +17,10 @@ and values_deg_ge lists a whole band of K tuples in O(K * m * d_m)
 without touching the tuples outside it.
 
 The shadow of a subset S is every box tuple that dominates some element
-of S coordinatewise.  Shadows, and the all_tuples / tuples_deg_* lists,
-are plain scans of the box.  They are the oracle side: brute_min_shadow,
-the harnesses, generator matrices and the tests use them, and no closed
-form does.
+of S coordinatewise (divides, which hilbert's monomial ideals share).
+Shadows, and the all_tuples / tuples_deg_* lists, are plain scans of the
+box.  They are the oracle side: brute_min_shadow, the harnesses,
+generator matrices and the tests use them, and no closed form does.
 """
 
 from __future__ import annotations
@@ -296,8 +296,9 @@ def lex_segment_level(shape: GridShape, u: int, r: int) -> list:
     return level[:r]
 
 
-def _dominates(t, s) -> bool:
-    return all(x >= y for x, y in zip(t, s))
+def divides(a, b) -> bool:
+    """Whether x^a divides x^b, i.e. a <= b coordinatewise."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def shadow(shape: GridShape, pts) -> set:
@@ -308,7 +309,7 @@ def shadow(shape: GridShape, pts) -> set:
             raise ValueError(f"{s} outside box {shape}")
     if not pts:
         return set()
-    return {t for t in all_tuples(shape) if any(_dominates(t, s) for s in pts)}
+    return {t for t in all_tuples(shape) if any(divides(s, t) for s in pts)}
 
 
 def shadow_level(shape: GridShape, pts, v: int) -> set:
@@ -317,14 +318,14 @@ def shadow_level(shape: GridShape, pts, v: int) -> set:
     return {t for t in shadow(shape, pts) if sum(t) == v}
 
 
-def lex_segment_shadow_size(shape: GridShape, d: int, r: int) -> int:
-    """Size of the shadow of the first r tuples of degree <= d, closed form.
+def min_shadow_size(shape: GridShape, v: int, r: int) -> int:
+    """Shadow size of the first r tuples of degree <= v (the minimizer).
 
     The shadow of that segment is exactly the set of tuples lex-above its
     last element a_r, so its size is the descending rank of a_r within the
     whole box: n - sum(a_{r,i} * place_value_i).
     """
-    a = rth_of_deg_le(shape, d, r)
+    a = rth_of_deg_le(shape, v, r)
     return shape.n - mixed_radix_value(shape, a)
 
 
@@ -361,11 +362,6 @@ def check_clements_lindstrom(shape: GridShape, u: int, pts) -> InclusionReport:
         lhs=tuple(sorted(lhs)),
         rhs=tuple(sorted(rhs)),
     )
-
-
-def min_shadow_size(shape: GridShape, v: int, r: int) -> int:
-    """Shadow size of the first r tuples of degree <= v (the minimizer)."""
-    return lex_segment_shadow_size(shape, v, r)
 
 
 def brute_min_shadow(shape: GridShape, v: int, r: int,

@@ -3,7 +3,11 @@
 Monomials are plain exponent tuples (non-negative, unbounded entries,
 unlike box tuples).  The affine Hilbert function of a monomial ideal is
 computed by direct enumeration of the degree-<=u simplex and divisibility
-tests; at desk scale this is small and auditable.
+tests (grid.divides); at desk scale this is small and auditable.
+
+footprint_upper_bound is a closed form: it counts the box tuples outside
+the leading terms' up-sets coordinate by coordinate and never lists the
+box.  hilbert_fn over box_ideal and grid.shadow are its oracles.
 
 Leading terms are taken under graded lexicographic order: compare total
 degree first, ties broken lexicographically with x1 most significant.
@@ -14,6 +18,8 @@ semicolon-joined monomials, e.g. "2,0;0,3".
 
 from __future__ import annotations
 
+import math
+
 from .errors import (
     DimensionMismatchError,
     DuplicateLeadingTermError,
@@ -21,12 +27,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .gf import FieldElement
-from .grid import GridShape, parse_tuple, shadow
-
-
-def divides(a, b) -> bool:
-    """Whether x^a divides x^b, i.e. a <= b coordinatewise."""
-    return all(x <= y for x, y in zip(a, b))
+from .grid import GridShape, divides, parse_tuple
 
 
 def monomials_deg_eq(nvars: int, total: int):
@@ -94,10 +95,6 @@ class MonomialIdeal:
         return f"MonomialIdeal({self.format()!r})"
 
 
-def ideal_contains(ideal: MonomialIdeal, mono) -> bool:
-    return ideal.contains(mono)
-
-
 def hilbert_fn(ideal: MonomialIdeal, u: int) -> int:
     """Number of monomials of degree <= u outside the ideal."""
     if u < 0:
@@ -140,10 +137,6 @@ class Polynomial:
         self.terms = clean
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, field, nvars: int) -> Polynomial:
-        return cls(field, nvars)
 
     @classmethod
     def constant(cls, field, nvars: int, value) -> Polynomial:
@@ -267,19 +260,40 @@ def leading_term(f: Polynomial):
 def footprint_upper_bound(shape: GridShape, leading_terms) -> int:
     """Upper bound on common zeros in the grid from leading terms alone.
 
-    Counts the box tuples outside the shadow of the given leading terms.
-    A term with some exponent >= d_i is absorbed by the per-variable box
-    generators x_i^{d_i} and contributes nothing extra.
+    Counts the box tuples that dominate no leading term, one coordinate
+    at a time: a first coordinate x leaves the tuples of the remaining
+    dims that dominate none of the terms with t[0] <= x.  Those terms
+    change only where x passes some t[0], so each run of x between two
+    such values is counted once, and counts are memoised per (coordinate,
+    remaining terms) within the call.  A term with some exponent >= d_i
+    is dominated by no box tuple: the box generators x_i^{d_i} absorb it.
     """
     lts = [tuple(int(x) for x in lt) for lt in leading_terms]
     for lt in lts:
         if len(lt) != shape.m:
             raise DimensionMismatchError(
                 f"leading term {lt} has {len(lt)} variables, expected {shape.m}")
+        if any(x < 0 for x in lt):
+            raise ValueError(f"negative exponent in leading term {lt}")
     if len(set(lts)) != len(lts):
         raise DuplicateLeadingTermError(f"duplicate leading terms in {lts}")
-    inside = {lt for lt in lts if shape.contains(lt)}
-    return shape.n - len(shadow(shape, inside))
+    memo = {}
+
+    def free(i, terms):
+        """Tuples of dims[i:] dominating none of terms (suffixes from i)."""
+        if not terms:
+            return math.prod(shape.dims[i:])
+        if i == shape.m:
+            return 0
+        if (i, terms) not in memo:
+            d = shape.dims[i]
+            starts = sorted({t[0] for t in terms if t[0] < d})
+            memo[i, terms] = sum(
+                (hi - lo) * free(i + 1, frozenset(t[1:] for t in terms if t[0] <= lo))
+                for lo, hi in zip([0] + starts, starts + [d]) if hi > lo)
+        return memo[i, terms]
+
+    return free(0, frozenset(lts))
 
 
 def box_ideal(shape: GridShape, leading_terms=()) -> MonomialIdeal:

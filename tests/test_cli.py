@@ -135,6 +135,14 @@ def test_footprint_command(capsys):
     assert json.loads(out)["bound"] == 4
 
 
+@pytest.mark.parametrize("lts", ["-1,0", "1,-5"])
+def test_footprint_negative_exponent_exits_two(capsys, lts):
+    status, out, err = run_cli(capsys, "footprint", "--grid", "2x3", f"--lts={lts}")
+    assert status == 2
+    assert not out
+    assert err.startswith("error: negative exponent")
+
+
 def test_maxzeros_command(capsys):
     status, out, _ = run_cli(capsys, "maxzeros", "--field", "3^1",
                              "--sets", "0,1,2", "--d", "2", "--r", "1",

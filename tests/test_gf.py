@@ -59,6 +59,20 @@ def test_modulus_matches_bruteforce(p, e):
     assert smallest_irreducible(p, e) == oracle_smallest_irreducible(p, e)
 
 
+# Exponents of the nonzero terms of the binary moduli beyond the brute-force
+# range.  Every table and every output over GF(2^e) depends on them.
+BINARY_MODULI = {
+    9: (0, 8, 9), 10: (0, 7, 10), 11: (0, 9, 11), 12: (0, 9, 12),
+    13: (0, 9, 10, 12, 13), 14: (0, 9, 14), 15: (0, 14, 15), 16: (0, 11, 13, 15, 16),
+}
+
+
+@pytest.mark.parametrize("e", sorted(BINARY_MODULI))
+def test_binary_moduli_are_pinned(e):
+    modulus = smallest_irreducible(2, e)
+    assert tuple(i for i, c in enumerate(modulus) if c) == BINARY_MODULI[e]
+
+
 @pytest.mark.parametrize("p,e", [(2, 5), (2, 6), (2, 8), (3, 4)])
 def test_irreducibility_test_matches_bruteforce(p, e):
     composite = set()

@@ -22,7 +22,6 @@ from ccodes.grid import (
     level_counts,
     lex_segment,
     lex_segment_level,
-    lex_segment_shadow_size,
     min_shadow_size,
     mixed_radix_value,
     parse_tuple,
@@ -239,11 +238,11 @@ def test_levelwise_shadow_composition():
 
 def test_lex_segment_shadow_size_examples():
     s23 = GridShape((2, 3))
-    assert lex_segment_shadow_size(s23, 2, 2) == 3
+    assert min_shadow_size(s23, 2, 2) == 3
     assert shadow(s23, [(1, 1), (1, 0)]) == {(1, 0), (1, 1), (1, 2)}
-    assert lex_segment_shadow_size(s23, 3, 1) == 1
+    assert min_shadow_size(s23, 3, 1) == 1
     s22 = GridShape((2, 2))
-    assert lex_segment_shadow_size(s22, 1, 3) == 4
+    assert min_shadow_size(s22, 1, 3) == 4
 
 
 def test_lex_segment_shadow_closed_form_matches_scan():
@@ -252,7 +251,7 @@ def test_lex_segment_shadow_closed_form_matches_scan():
             size = count_deg_le(shape, d)
             for r in range(1, size + 1):
                 direct = len(shadow(shape, lex_segment(shape, d, r)))
-                assert lex_segment_shadow_size(shape, d, r) == direct
+                assert min_shadow_size(shape, d, r) == direct
 
 
 def test_segment_shadow_is_lex_upper_set():
@@ -395,4 +394,4 @@ def test_unranking_matches_product_filter(shape, data):
     r = data.draw(st.integers(1, len(le)), label="r")
     assert lex_segment(shape, d, r) == le[:r]
     dominates = (np.array(box)[:, None, :] >= np.array(le[:r])[None, :, :]).all(axis=2)
-    assert lex_segment_shadow_size(shape, d, r) == int(dominates.any(axis=1).sum())
+    assert min_shadow_size(shape, d, r) == int(dominates.any(axis=1).sum())

@@ -1,6 +1,8 @@
 """Properties of the library source itself."""
 
 import ast
+import collections
+import fnmatch
 from pathlib import Path
 
 import ccodes
@@ -17,29 +19,45 @@ def test_no_assert_statements():
     assert SOURCES and not found
 
 
-# The closed forms' machinery, which no exhaustive oracle may call.
-CLOSED_FORM_NAMES = {
-    "rth_of_deg_le", "rth_of_deg_ge", "values_deg_ge", "_suffix_counts",
-    "count_deg_le", "count_deg_ge", "level_counts", "min_shadow_size",
-    "ghw_closed_form", "max_common_zeros", "hierarchy", "dual_hierarchy",
-    "_hierarchy_at_degree", "min_distance_closed_form",
-}
+# The closed forms, which no exhaustive oracle may call, and the oracle-side
+# scans and oracles, which no closed form may call.
+CLOSED_FORMS = (
+    "rth_of_deg_*", "values_deg_ge", "lex_segment", "min_shadow_size", "count_deg_*",
+    "level_counts", "_suffix_counts", "ghw_closed_form", "max_common_zeros",
+    "hierarchy", "dual_hierarchy", "_hierarchy_at_degree", "min_distance_closed_form",
+    "footprint_upper_bound",
+)
+
+ORACLE_SIDE = (
+    "shadow*", "all_tuples", "tuples_deg_*", "brute_*", "hilbert_fn", "box_ideal",
+    "_span_words", "_support_masks", "_subspace_supports",
+)
 
 ORACLES = {
     "codes.py": ("brute_ghw", "brute_min_weight", "_span_words", "_support_masks",
                  "_subspace_supports", "_fast_digits"),
     "grid.py": ("brute_min_shadow", "shadow"),
+    "hilbert.py": ("hilbert_fn", "box_ideal"),
 }
+
+
+def _mentions(node) -> list:
+    """Every Name and Attribute in node's subtree, with repeats."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
 
 
 def _names(node) -> set:
     """Every name and attribute that node's subtree mentions."""
-    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+    return set(_mentions(node))
+
+
+def _matches(name: str, patterns) -> bool:
+    return any(fnmatch.fnmatchcase(name, pattern) for pattern in patterns)
 
 
 def _is_closed_form(name: str) -> bool:
-    return name in CLOSED_FORM_NAMES or name.startswith("lex_segment")
+    return _matches(name, CLOSED_FORMS) or name.startswith("lex_segment")
 
 
 def test_oracles_share_no_code_with_closed_forms():
@@ -58,3 +76,39 @@ def test_cli_leaves_the_oracles_to_verification():
     tree = ast.parse((Path(ccodes.__file__).parent / "cli.py").read_text(encoding="utf-8"))
     used = _names(tree) & {"brute_ghw", "brute_min_weight", "gaussian_binomial"}
     assert not used
+
+
+def _module_functions() -> dict:
+    """Module-level function definitions of the library, by name."""
+    return {node.name: node
+            for path in SOURCES
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_closed_forms_name_no_oracle_side_scan():
+    functions = _module_functions()
+    closed = {name for name in functions if _matches(name, CLOSED_FORMS)}
+    assert all(fnmatch.filter(closed, pattern) for pattern in CLOSED_FORMS)
+    for name in sorted(closed):
+        # follow the library functions a closed form calls, transitively
+        seen, todo = set(), [name]
+        while todo:
+            current = todo.pop()
+            if current in seen:
+                continue
+            seen.add(current)
+            todo += [n for n in _names(functions[current]) if n in functions]
+        used = sorted(n for node in seen for n in _names(functions[node])
+                      if _matches(n, ORACLE_SIDE))
+        assert not used, f"{name} reaches oracle-side names {used}"
+
+
+def test_every_private_function_is_used():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    mentions = collections.Counter(n for tree in trees for n in _mentions(tree))
+    # a function named only inside its own body has no caller
+    unused = sorted(node.name for tree in trees for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and mentions[node.name] == _mentions(node).count(node.name))
+    assert not unused
