@@ -29,7 +29,7 @@ from .codes import (
     spec_from_parts,
     wei_duality_check,
 )
-from .gf import Field, FieldElement, field_create, parse_field
+from .gf import Field, field_create, parse_field
 from .grid import (
     GridShape,
     brute_min_shadow,

@@ -210,9 +210,9 @@ def _cmd_footprint(args) -> int:
 def _cmd_maxzeros(args) -> int:
     spec = _spec_from_args(args)
     value = codes.max_common_zeros(spec, args.r)
-    polys = codes.extremal_polynomials(spec, args.r)
-    payload = {"value": value, "polynomials": [repr(f) for f in polys]}
-    lines = [str(value)] + [f"f{i}: {f!r}" for i, f in enumerate(polys, start=1)]
+    polys = [repr(f) for f in codes.extremal_polynomials(spec, args.r)]
+    payload = {"value": value, "polynomials": polys}
+    lines = [str(value)] + [f"f{i}: {f}" for i, f in enumerate(polys, start=1)]
     _emit(args, payload, lines)
     return 0
 

@@ -8,7 +8,8 @@ and per-variable degree < d_i under evaluation at every grid point.
 Everything that matters is deterministic and bit-reproducible: points
 are enumerated with the leftmost coordinate slowest, the generator rows
 follow the degree-<=d exponent tuples in descending lex order, and field
-elements appear in matrices through their canonical integer codes.
+elements are their canonical integer codes throughout: in the sets, the
+points, the matrices and the polynomial coefficients.
 
 All matrix work runs on numpy arrays of integer codes indexed through the
 field's lookup tables.  An evaluation matrix is the row-wise Kronecker
@@ -16,7 +17,8 @@ product of per-coordinate power ladders; the dual's column scalars are
 the Kronecker product of the per-set derivatives g_i'; row reduction
 clears a pivot column in all other rows with one table lookup; and the
 exhaustive oracles sweep subspaces and codewords in chunks of fixed size,
-whatever their budget.
+whatever their budget.  The extremal families are expanded with the Field
+methods, so they need no tables and work over every field.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     DegreeRangeError,
-    FieldMismatchError,
     InvariantError,
     RankDeficiencyError,
     RankRangeError,
 )
-from .gf import Field, FieldElement, parse_field
+from .gf import Field, parse_field
 from .grid import (
     DEFAULT_BUDGET,
     GridShape,
@@ -68,15 +69,12 @@ class CartesianCodeSpec:
     """
 
     def __init__(self, field: Field, sets, d: int):
-        sets = tuple(tuple(s) for s in sets)
+        sets = tuple(tuple(field.code(x) for x in s) for s in sets)
         if not sets:
             raise ValueError("at least one evaluation set required")
         for s in sets:
             if not s:
                 raise ValueError("evaluation sets must be nonempty")
-            for x in s:
-                if not isinstance(x, FieldElement) or x.field != field:
-                    raise FieldMismatchError(f"{x!r} is not an element of {field}")
             if len(set(s)) != len(s):
                 raise ValueError(f"evaluation set {s} has repeated elements")
         dims = tuple(len(s) for s in sets)
@@ -118,12 +116,12 @@ class CartesianCodeSpec:
         return count_deg_le(self.shape, self.d)
 
     def __repr__(self):
-        sets = ";".join(",".join(str(x.to_int()) for x in s) for s in self.sets)
+        sets = ";".join(",".join(str(x) for x in s) for s in self.sets)
         return f"CartesianCodeSpec({self.field!r}, [{sets}], d={self.d})"
 
 
 def parse_sets(field: Field, text: str) -> list:
-    """Parse "0,1;0,1,2" into lists of field elements by integer code."""
+    """Parse "0,1;0,1,2" into lists of element codes, each checked in [0, q)."""
     sets = []
     for part in text.split(";"):
         part = part.strip()
@@ -133,7 +131,7 @@ def parse_sets(field: Field, text: str) -> list:
             codes = [int(x) for x in part.split(",")]
         except ValueError:
             raise ValueError(f"bad evaluation set {part!r}") from None
-        sets.append([field.from_int(v) for v in codes])
+        sets.append([field.code(v) for v in codes])
     return sets
 
 
@@ -269,7 +267,7 @@ def monomial_evaluations(field: Field, sets, monos) -> np.ndarray:
     monos = np.array(monos, dtype=np.intp).reshape(len(monos), len(sets))
     factors = []
     for i, s in enumerate(sets):
-        codes = np.array([x.to_int() for x in s], dtype=field.int_dtype)
+        codes = np.array(s, dtype=field.int_dtype)
         ladder = [np.ones_like(codes)]
         for _ in range(monos[:, i].max(initial=0)):
             ladder.append(mul[ladder[-1], codes])
@@ -364,6 +362,34 @@ def min_distance_closed_form(spec: CartesianCodeSpec) -> int:
 # Extremal polynomial families
 # --------------------------------------------------------------------------
 
+def _extremal_family(spec: CartesianCodeSpec, tuples) -> list:
+    """f_b for each box tuple b, expanded from per-coordinate rows.
+
+    rows[s][t] holds the coefficients, degree 0 first, of the product of
+    (x - gamma) over the first t elements gamma of A_s; each row is built
+    once, from the one before.  The coefficients of f_b are the Kronecker
+    product of the rows rows[s][b_s], leftmost coordinate slowest as in
+    _kron_rows, on the exponent tuples below b.
+    """
+    field = spec.field
+    rows = []
+    for s, gammas in enumerate(spec.sets):
+        ladder = [[1]]
+        for gamma in gammas[:max(b[s] for b in tuples)]:
+            minus, prev = field.neg(gamma), ladder[-1]
+            ladder.append([field.add(lo, field.mul(minus, hi))
+                           for lo, hi in zip([0] + prev, prev + [0])])
+        rows.append(ladder)
+    family = []
+    for b in tuples:
+        coeffs = [1]
+        for s, b_s in enumerate(b):
+            coeffs = [field.mul(c, x) for c in coeffs for x in rows[s][b_s]]
+        monos = itertools.product(*(range(b_s + 1) for b_s in b))
+        family.append(Polynomial(field, spec.m, dict(zip(monos, coeffs))))
+    return family
+
+
 def extremal_polynomial(spec: CartesianCodeSpec, b) -> Polynomial:
     """Product of (x_s - gamma) over the first b_s elements of each set.
 
@@ -373,21 +399,14 @@ def extremal_polynomial(spec: CartesianCodeSpec, b) -> Polynomial:
     b = tuple(int(x) for x in b)
     if not spec.shape.contains(b) or sum(b) > spec.d:
         raise ValueError(f"{b} is not a degree-<={spec.d} box tuple")
-    f = Polynomial.constant(spec.field, spec.m, spec.field.one)
-    for s, b_s in enumerate(b):
-        x_s = Polynomial.variable(spec.field, spec.m, s)
-        for t in range(b_s):
-            gamma = Polynomial.constant(spec.field, spec.m, spec.sets[s][t])
-            f = f * (x_s - gamma)
-    return f
+    return _extremal_family(spec, [b])[0]
 
 
 def extremal_polynomials(spec: CartesianCodeSpec, r: int) -> list:
     """The r independent polynomials attaining max_common_zeros(spec, r)."""
     if not 1 <= r <= spec.dimension:
         raise RankRangeError(f"rank {r} outside [1, {spec.dimension}]")
-    return [extremal_polynomial(spec, b)
-            for b in lex_segment(spec.shape, spec.d, r)]
+    return _extremal_family(spec, lex_segment(spec.shape, spec.d, r))
 
 
 # --------------------------------------------------------------------------
@@ -405,7 +424,7 @@ def dual_point_weights(spec: CartesianCodeSpec) -> np.ndarray:
     add, mul = f.add_table, f.mul_table
     derivs = []
     for s in spec.sets:
-        codes = np.array([x.to_int() for x in s], dtype=f.int_dtype)
+        codes = np.array(s, dtype=f.int_dtype)
         diffs = add[codes[:, None], f.neg_table[codes][None, :]]
         np.fill_diagonal(diffs, 1)
         deriv = diffs[:, 0]

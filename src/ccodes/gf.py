@@ -1,34 +1,36 @@
-"""Exact arithmetic in small finite fields GF(p^e).
+"""Exact arithmetic in finite fields GF(p^e) on integer codes.
 
-Elements are residue classes of polynomials over GF(p) modulo a fixed
-monic irreducible polynomial of degree e, stored as coefficient tuples
-(lowest degree first).  Every element also has a canonical integer form
+An element is the residue class of a polynomial over GF(p) modulo a
+fixed monic irreducible polynomial of degree e, held as its integer code
 
     c0 + c1*p + ... + c_{e-1}*p^(e-1)
 
-which is the representation used in all text and JSON serialization.
+(coefficients lowest degree first), which is also its text and JSON form.
 
 The modulus is always the lexicographically smallest monic irreducible
 polynomial of degree e, comparing coefficient vectors from the constant
 term upward, so fields and everything derived from them are reproducible
 across runs and machines.  For e = 1 the modulus is x and arithmetic is
 plain arithmetic mod p.  Candidates are tested by one Rabin test on
-coefficient tuples, the same for every characteristic.
+coefficient tuples, the same for every characteristic.  p is proved prime
+by a deterministic Miller-Rabin test, exact below MAX_CHARACTERISTIC.
 
-FieldElement is the reference arithmetic: division goes through the
-extended Euclidean algorithm on representative polynomials rather than
-through a^(q-2).  Matrix work uses the dense tables of a Field instead
-(orders up to TABLE_ORDER_LIMIT).  They are built in numpy on integer
-codes: add digit by digit in base p (XOR for p = 2), mul and inv from the
-discrete log and antilog tables of the least primitive element, whose
-q - 1 powers are the only FieldElement products involved, and neg as the
-products with -1.  The tests check every table against FieldElement.
+Field arithmetic is defined once, as the Field methods add and mul (neg,
+pow and inv derive from mul).  They take int codes or numpy arrays of
+codes and compute digit by digit in base p, reducing products by the
+modulus; arrays are widened to a signed dtype no step can overflow, or to
+Python ints (dtype object) when int64 has no room.  The dense tables that
+matrix work indexes (orders up to TABLE_ORDER_LIMIT) are add and mul on
+every pair of codes, the row of -1 in the products, and the position of 1
+in each row.  FieldElement is a (field, code) view whose operators call
+the same methods; the tests check all of them against tuple long division.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -39,28 +41,27 @@ MAX_EXTENSION_DEGREE = 16
 # Largest field order for which dense lookup tables may be materialized.
 TABLE_ORDER_LIMIT = 1024
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster 2015); larger characteristics are refused.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3317044064679887385961981
 
-def _prime_factors(n):
-    """Distinct prime factors of n, ascending, by trial division.
 
-    n is prime exactly when the result is [n].
-    """
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test for n < MAX_CHARACTERISTIC."""
+    if n < 2 or any(n % a == 0 for a in _MILLER_RABIN_BASES):
+        return n in _MILLER_RABIN_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n - 1 = d * 2^s: a witness has a^d != 1 and a^(d 2^i) != -1 for i < s
+    return not any(pow(a, d, n) != 1 and all(pow(a, d << i, n) != n - 1 for i in range(s))
+                   for a in _MILLER_RABIN_BASES)
 
 
 # --------------------------------------------------------------------------
-# Dense polynomials over GF(p): coefficient tuples, lowest degree first,
-# no trailing zeros.  () is the zero polynomial.
+# Dense polynomials over GF(p) for the modulus search: coefficient tuples,
+# lowest degree first, no trailing zeros.  () is the zero polynomial.
 # --------------------------------------------------------------------------
 
 def _trim(coeffs):
@@ -120,21 +121,6 @@ def _poly_gcd(a, b, p):
     return a
 
 
-def _poly_invmod(a, mod, p):
-    """Inverse of a modulo mod via the extended Euclidean algorithm."""
-    old_r, r = a, mod
-    old_t, t = (1,), ()
-    while r:
-        q, rem = _poly_divmod(old_r, r, p)
-        old_r, r = r, rem
-        old_t, t = t, _poly_sub(old_t, _poly_mul(q, t, p), p)
-    # old_r is a nonzero constant when mod is irreducible and a is nonzero
-    if len(old_r) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    scale = pow(old_r[0], -1, p)
-    return _poly_divmod(_poly_mul(old_t, (scale,), p), mod, p)[1]
-
-
 def is_irreducible(poly, p: int) -> bool:
     """Rabin's test: q-power Frobenius fixed points plus gcd conditions.
 
@@ -157,7 +143,7 @@ def is_irreducible(poly, p: int) -> bool:
     x = (0, 1)
     if _poly_powmod(x, p ** e, poly, p) != x:
         return False
-    for r in _prime_factors(e):
+    for r in [f for f in range(2, e + 1) if e % f == 0 and _is_prime(f)]:
         h = _poly_sub(_poly_powmod(x, p ** (e // r), poly, p), x, p)
         g = _poly_gcd(h, poly, p)
         if len(g) != 1:
@@ -181,7 +167,7 @@ def smallest_irreducible(p: int, e: int):
 
 
 # --------------------------------------------------------------------------
-# Field and element types
+# Field and element view
 # --------------------------------------------------------------------------
 
 class Field:
@@ -192,7 +178,10 @@ class Field:
     """
 
     def __init__(self, p: int, e: int = 1):
-        if _prime_factors(p) != [p]:
+        if p >= MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic {p} is too large: primality is "
+                             f"decided only below {MAX_CHARACTERISTIC}")
+        if not _is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         if not 1 <= e <= MAX_EXTENSION_DEGREE:
             raise DegreeRangeError(
@@ -201,8 +190,13 @@ class Field:
         self.e = e
         self.q = p ** e
         self.modulus = smallest_irreducible(p, e)
-        self.zero = FieldElement(self, (0,) * e)
-        self.one = FieldElement(self, (1,) + (0,) * (e - 1))
+        # the narrowest dtype for the arithmetic's intermediates: digit
+        # convolutions stay below 2e * p^2 in size and digit sums below 2q
+        bound = 2 * max(e * p * p, self.q)
+        self._wide_dtype = next((t for t in (np.int16, np.int32, np.int64)
+                                 if bound <= np.iinfo(t).max), object)
+        self.zero = FieldElement(self, 0)
+        self.one = FieldElement(self, 1)
 
     def __eq__(self, other):
         if not isinstance(other, Field):
@@ -215,85 +209,100 @@ class Field:
     def __repr__(self):
         return f"GF({self.q})"
 
-    # -- construction ------------------------------------------------------
+    # -- integer codes -----------------------------------------------------
+
+    def code(self, value) -> int:
+        """value as an element code of this field, checked to lie in [0, q)."""
+        value = operator.index(value)
+        if not 0 <= value < self.q:
+            raise FieldMismatchError(f"element code {value} outside [0, {self.q})")
+        return value
+
+    def _wide(self, a):
+        """Codes as a Python int, or as an array whose steps cannot wrap."""
+        if isinstance(a, np.ndarray):
+            return a.astype(self._wide_dtype)
+        return operator.index(a)
+
+    def add(self, a, b):
+        """a + b: base-p digits added mod p."""
+        a, b = self._wide(a), self._wide(b)
+        out = 0
+        for k in range(self.e):
+            w = self.p ** k  # a // w is digit k of a plus a multiple of p
+            out = out + (a // w + b // w) % self.p * w
+        return out
+
+    def neg(self, a):
+        """-a as the product with -1, whose code is p - 1."""
+        return self.mul(self.p - 1, a)
+
+    def mul(self, a, b):
+        """a * b: digit convolution, reduced by the monic modulus from the top."""
+        a, b = self._wide(a), self._wide(b)
+        p, e = self.p, self.e
+        if e == 1:
+            return a * b % p
+        da = [a // p ** k % p for k in range(e)]
+        db = [b // p ** k % p for k in range(e)]
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(da):
+            for j, y in enumerate(db):
+                prod[i + j] = prod[i + j] + x * y
+        # x^e = -(m_0 + m_1 x + ... + m_{e-1} x^{e-1})
+        for k in range(2 * e - 2, e - 1, -1):
+            top = prod[k] % p
+            for j, c in enumerate(self.modulus[:-1]):
+                if c:
+                    prod[k - e + j] = prod[k - e + j] - top * c
+        out = 0
+        for k in range(e):
+            out = out + prod[k] % p * p ** k
+        return out
+
+    def pow(self, a, n: int):
+        """a^n for n >= 0 by square and multiply; 0^0 is 1."""
+        result = self._wide(a) * 0 + 1
+        while n:
+            if n & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            n >>= 1
+        return result
+
+    def inv(self, a):
+        """1/a as a^(2q - 3), which equals a^(q - 2) on units and maps 0 to 0."""
+        return self.pow(a, 2 * self.q - 3)
 
     def from_int(self, value: int) -> FieldElement:
-        """Element with integer code value (base-p digits -> coefficients)."""
-        if not 0 <= value < self.q:
-            raise ValueError(f"element code {value} outside [0, {self.q})")
-        coeffs = []
-        for _ in range(self.e):
-            coeffs.append(value % self.p)
-            value //= self.p
-        return FieldElement(self, tuple(coeffs))
-
-    def element(self, coeffs) -> FieldElement:
-        """Element from a coefficient sequence (low degree first, mod p)."""
-        coeffs = [c % self.p for c in coeffs]
-        if len(coeffs) > self.e:
-            raise ValueError(f"expected at most {self.e} coefficients")
-        coeffs += [0] * (self.e - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+        """The element view of an integer code."""
+        return FieldElement(self, self.code(value))
 
     def elements(self) -> list[FieldElement]:
-        """All q elements, ascending by integer code (zero first)."""
-        return [self.from_int(i) for i in range(self.q)]
+        """All q element views, ascending by integer code (zero first)."""
+        return [FieldElement(self, i) for i in range(self.q)]
 
-    # -- dense lookup tables (integer-coded arithmetic for matrix work) ----
+    # -- dense lookup tables: add and mul on every pair of codes ------------
 
-    def _require_tables(self):
+    def _table(self, compute) -> np.ndarray:
         if self.q > TABLE_ORDER_LIMIT:
             raise ValueError(
                 f"lookup tables limited to order {TABLE_ORDER_LIMIT}, field has {self.q}")
+        t = compute(np.arange(self.q)).astype(self.int_dtype)
+        t.flags.writeable = False
+        return t
 
     @functools.cached_property
     def int_dtype(self):
         return np.min_scalar_type(self.q - 1)
 
     @functools.cached_property
-    def _log_antilog(self):
-        """(log, antilog) over the least primitive element g.
-
-        antilog[k] is the code of g^k for 0 <= k < 2(q - 1), doubled so a
-        sum of two logs needs no reduction; log[0] is a 0 sentinel.
-        """
-        self._require_tables()
-        q = self.q
-        factors = _prime_factors(q - 1)
-        g = next(x for x in self.elements()[1:]
-                 if all(x ** ((q - 1) // f) != self.one for f in factors))
-        antilog = np.empty(q - 1, dtype=self.int_dtype)
-        power = self.one
-        for k in range(q - 1):
-            antilog[k] = power.to_int()
-            power = power * g
-        log = np.zeros(q, dtype=np.intp)
-        log[antilog] = np.arange(q - 1)
-        return log, np.concatenate([antilog, antilog])
-
-    @functools.cached_property
     def add_table(self) -> np.ndarray:
-        self._require_tables()
-        codes = np.arange(self.q)
-        if self.p == 2:
-            t = codes[:, None] ^ codes[None, :]
-        else:  # digit by digit in base p
-            t = np.zeros((self.q, self.q), dtype=np.intp)
-            for k in range(self.e):
-                digit = codes // self.p ** k % self.p
-                t += (digit[:, None] + digit[None, :]) % self.p * self.p ** k
-        t = t.astype(self.int_dtype)
-        t.flags.writeable = False
-        return t
+        return self._table(lambda c: self.add(c[:, None], c[None, :]))
 
     @functools.cached_property
     def mul_table(self) -> np.ndarray:
-        self._require_tables()
-        log, antilog = self._log_antilog
-        t = np.zeros((self.q, self.q), dtype=self.int_dtype)
-        t[1:, 1:] = antilog[log[1:, None] + log[None, 1:]]
-        t.flags.writeable = False
-        return t
+        return self._table(lambda c: self.mul(c[:, None], c[None, :]))
 
     @functools.cached_property
     def neg_table(self) -> np.ndarray:
@@ -302,106 +311,71 @@ class Field:
 
     @functools.cached_property
     def inv_table(self) -> np.ndarray:
-        """Inverses by integer code; slot 0 is a 0 sentinel, never valid."""
-        self._require_tables()
-        log, antilog = self._log_antilog
-        t = np.zeros(self.q, dtype=self.int_dtype)
-        t[1:] = antilog[self.q - 1 - log[1:]]
-        t.flags.writeable = False
-        return t
+        """Inverses by integer code, where a row of mul_table holds 1.
+
+        Slot 0, whose row holds no 1, is a 0 sentinel, never valid.
+        """
+        return self._table(lambda _: np.argmax(self.mul_table == 1, axis=1))
 
 
 class FieldElement:
-    """Immutable element of a Field; supports +, -, *, /, ** and == ."""
+    """A (field, code) view; its operators +, -, *, /, ** call the Field methods."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "code")
 
-    def __init__(self, field: Field, coeffs):
+    def __init__(self, field: Field, code: int):
         self.field = field
-        self.coeffs = coeffs
+        self.code = code
 
-    def _coerce(self, other):
+    def _apply(self, op, other):
+        """The element op(self, other) on codes; NotImplemented for a non-element."""
         if not isinstance(other, FieldElement):
-            return None
+            return NotImplemented
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
-        return other
+        return FieldElement(self.field, op(self.code, other.code))
 
     def to_int(self) -> int:
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * self.field.p + c
-        return value
+        return self.code
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.code != 0
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and self.code == other.code
 
     def __hash__(self):
-        return hash((self.field.p, self.field.e, self.coeffs))
+        return hash((self.field.p, self.field.e, self.code))
 
     def __repr__(self):
-        return f"GF({self.field.q})[{self.to_int()}]"
+        return f"GF({self.field.q})[{self.code}]"
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((x - y) % p for x, y in zip(self.coeffs, other.coeffs)))
+        return self._apply(self.field.add, other)
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-x) % p for x in self.coeffs))
+        return FieldElement(self.field, self.field.neg(self.code))
+
+    def __sub__(self, other):
+        return self + -other if isinstance(other, FieldElement) else NotImplemented
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        f = self.field
-        prod = _poly_mul(_trim(self.coeffs), _trim(other.coeffs), f.p)
-        rem = _poly_divmod(prod, f.modulus, f.p)[1]
-        return FieldElement(f, rem + (0,) * (f.e - len(rem)))
+        return self._apply(self.field.mul, other)
 
     def inverse(self) -> FieldElement:
         if not self:
             raise ZeroDivisionError(f"division by zero in {self.field}")
-        f = self.field
-        if f.e == 1:
-            return FieldElement(f, (pow(self.coeffs[0], -1, f.p),))
-        inv = _poly_invmod(_trim(self.coeffs), f.modulus, f.p)
-        return FieldElement(f, inv + (0,) * (f.e - len(inv)))
+        return FieldElement(self.field, self.field.inv(self.code))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
+        return self * other.inverse() if isinstance(other, FieldElement) else NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return FieldElement(self.field, self.field.pow(self.code, n))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,9 +1,11 @@
 """Monomial ideals, sparse multivariate polynomials, footprint counting.
 
 Monomials are plain exponent tuples (non-negative, unbounded entries,
-unlike box tuples).  The affine Hilbert function of a monomial ideal is
-computed by direct enumeration of the degree-<=u simplex and divisibility
-tests (grid.divides); at desk scale this is small and auditable.
+unlike box tuples).  Polynomial coefficients are integer codes of a Field,
+combined by its add, neg and mul.  The affine Hilbert function of a
+monomial ideal is computed by direct enumeration of the degree-<=u simplex
+and divisibility tests (grid.divides); at desk scale this is small and
+auditable.
 
 footprint_upper_bound is a closed form: it counts the box tuples outside
 the leading terms' up-sets coordinate by coordinate and never lists the
@@ -26,7 +28,6 @@ from .errors import (
     FieldMismatchError,
     ZeroPolynomialError,
 )
-from .gf import FieldElement
 from .grid import GridShape, divides, parse_tuple
 
 
@@ -111,8 +112,8 @@ def graded_lex_key(mono):
 class Polynomial:
     """Sparse multivariate polynomial over a Field.
 
-    terms maps exponent tuples to nonzero field elements; zero
-    coefficients are never stored.  Instances are immutable.
+    terms maps exponent tuples to nonzero integer codes of the field, and
+    arithmetic goes through the Field methods.  Instances are immutable.
     """
 
     __slots__ = ("field", "nvars", "terms")
@@ -120,16 +121,13 @@ class Polynomial:
     def __init__(self, field, nvars: int, terms=None):
         clean = {}
         for mono, coeff in (terms or {}).items():
-            mono = tuple(int(x) for x in mono)
+            mono = tuple(map(int, mono))
             if len(mono) != nvars:
                 raise DimensionMismatchError(
                     f"monomial {mono} has {len(mono)} variables, expected {nvars}")
-            if any(x < 0 for x in mono):
+            if min(mono, default=0) < 0:
                 raise ValueError(f"negative exponent in {mono}")
-            if isinstance(coeff, int):
-                coeff = field.from_int(coeff)
-            if coeff.field != field:
-                raise FieldMismatchError(f"{coeff.field} coefficient in {field} polynomial")
+            coeff = field.code(coeff)
             if coeff:
                 clean[mono] = coeff
         self.field = field
@@ -139,7 +137,7 @@ class Polynomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, field, nvars: int, value) -> Polynomial:
+    def constant(cls, field, nvars: int, value: int) -> Polynomial:
         return cls(field, nvars, {(0,) * nvars: value})
 
     @classmethod
@@ -148,7 +146,7 @@ class Polynomial:
         if not 0 <= index < nvars:
             raise IndexError(f"variable index {index} outside [0, {nvars})")
         mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(field, nvars, {mono: field.one})
+        return cls(field, nvars, {mono: 1})
 
     # -- structure -----------------------------------------------------------
 
@@ -186,13 +184,12 @@ class Polynomial:
         self._check_compatible(other)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc = terms.get(mono)
-            terms[mono] = coeff if acc is None else acc + coeff
+            terms[mono] = self.field.add(terms.get(mono, 0), coeff)
         return Polynomial(self.field, self.nvars, terms)
 
     def __neg__(self):
         return Polynomial(self.field, self.nvars,
-                          {m: -c for m, c in self.terms.items()})
+                          {m: self.field.neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -200,37 +197,38 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
+        if isinstance(other, int):
             return self.scaled(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
+        add, mul = self.field.add, self.field.mul
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
-                prod = c1 * c2
-                acc = terms.get(mono)
-                terms[mono] = prod if acc is None else acc + prod
+                terms[mono] = add(terms.get(mono, 0), mul(c1, c2))
         return Polynomial(self.field, self.nvars, terms)
 
-    def scaled(self, scalar) -> Polynomial:
+    def scaled(self, scalar: int) -> Polynomial:
+        scalar = self.field.code(scalar)
         return Polynomial(self.field, self.nvars,
-                          {m: c * scalar for m, c in self.terms.items()})
+                          {m: self.field.mul(c, scalar) for m, c in self.terms.items()})
 
-    def evaluate(self, point):
-        """Value at a point given as a sequence of field elements."""
-        point = tuple(point)
+    def evaluate(self, point) -> int:
+        """Code of the value at a point given as a sequence of codes."""
+        f = self.field
+        point = tuple(f.code(x) for x in point)
         if len(point) != self.nvars:
             raise DimensionMismatchError(
                 f"point has {len(point)} coordinates, expected {self.nvars}")
-        total = self.field.zero
+        total = 0
         for mono, coeff in self.terms.items():
             value = coeff
             for x, e in zip(point, mono):
                 if e:
-                    value = value * x ** e
-            total = total + value
+                    value = f.mul(value, f.pow(x, e))
+            total = f.add(total, value)
         return total
 
     def __repr__(self):
@@ -238,7 +236,7 @@ class Polynomial:
             return "0"
         parts = []
         for mono in sorted(self.terms, key=graded_lex_key, reverse=True):
-            coeff = self.terms[mono].to_int()
+            coeff = self.terms[mono]
             factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "")
                        for i, e in enumerate(mono) if e]
             if not factors:

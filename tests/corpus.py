@@ -20,7 +20,7 @@ FIELDS = [field_create(2), field_create(3), field_create(2, 2), field_create(5)]
 
 
 def variant_sets(field, dims, variant):
-    els = field.elements()
+    els = list(range(field.q))
     sets = []
     for d in dims:
         if variant == "prefix":

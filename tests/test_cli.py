@@ -1,6 +1,7 @@
 """Command-line interface behavior and output stability."""
 
 import json
+import time
 
 import pytest
 
@@ -295,8 +296,11 @@ def test_verify_counts_no_subspaces_past_the_length_cap(capsys):
     # GF(16) 16x16 at d=7: n = 256, K = 36.  Counting the dual's 220-dimensional
     # subspaces used to overflow int-to-str conversion before the length check.
     sixteen = ",".join(str(x) for x in range(16))
+    start = time.process_time()
     status, text, err = run_cli(capsys, "verify", "--field", "2^4",
                                 "--sets", f"{sixteen};{sixteen}", "--d", "7")
+    # the 36 extremal polynomials are evaluated by one matmul (about 0.09 s in all)
+    assert time.process_time() - start < 0.3
     assert status == 0
     assert text.splitlines()[-1] == "VERIFY OK"
     assert err == ("verify: skipped 257 of 333 checks by their oracles: "
@@ -329,3 +333,38 @@ def test_budget_only_on_oracle_commands(capsys, command):
         main([*command, "--budget", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --budget 3" in capsys.readouterr().err
+
+
+def test_large_prime_characteristic_is_decided_at_once(capsys):
+    # 2^61 - 1 is prime; trial division up to its square root never finished
+    start = time.process_time()
+    status, out, _ = run_cli(capsys, "hierarchy", "--field", "2305843009213693951",
+                             "--sets", "0,1;0,1", "--d", "1")
+    assert time.process_time() - start < 1.0
+    assert status == 0 and "hierarchy   2 3 4" in out
+    status, out, err = run_cli(capsys, "hierarchy", "--field", "2305843009213693953",
+                               "--sets", "0,1;0,1", "--d", "1")  # 2^61 + 1, divisible by 3
+    assert (status, out, err) == (2, "", "error: 2305843009213693953 is not prime\n")
+    status, out, err = run_cli(capsys, "hierarchy", "--field", str(10 ** 25),
+                               "--sets", "0,1;0,1", "--d", "1")
+    assert status == 2 and out == "" and err.startswith(f"error: characteristic {10 ** 25} ")
+
+
+def test_maxzeros_past_the_table_limit(capsys):
+    # no lookup tables above order 1024; an int64 wrap would change the coefficients
+    status, out, err = run_cli(capsys, "maxzeros", "--field", "2^11",
+                               "--sets", "0,1,2047;5,6,2000", "--d", "2", "--r", "3")
+    assert (status, err) == (0, "")
+    assert out == "3\nf1: x1^2 + x1\nf2: x1*x2 + 5*x1\nf3: x1\n"
+    status, out, err = run_cli(capsys, "maxzeros", "--field", "4294967291",
+                               "--sets", "0,1,4294967290;5,4294967290,7", "--d", "2",
+                               "--r", "3", "--format", "json")
+    assert (status, err) == (0, "")
+    assert out == ('{"value":3,"polynomials":["x1^2 + 4294967290*x1",'
+                   '"x1*x2 + 4294967286*x1","x1"]}\n')
+
+
+def test_dual_past_the_table_limit_exits_two(capsys):
+    status, out, err = run_cli(capsys, "dual", "--field", "2^11", "--sets", "0,1;0,1", "--d", "1")
+    assert (status, out) == (2, "")
+    assert err == "error: lookup tables limited to order 1024, field has 2048\n"

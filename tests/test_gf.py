@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccodes import gf
 from ccodes.errors import DegreeRangeError, FieldMismatchError, NotPrimeError
 from ccodes.gf import Field, field_create, is_irreducible, parse_field, smallest_irreducible
 
@@ -113,6 +114,29 @@ def test_not_prime_rejected():
         field_create(4, 1)
     with pytest.raises(NotPrimeError):
         Field(1)
+
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+def test_miller_rabin_matches_trial_division():
+    assert all(gf._is_prime(n) == _trial_division_prime(n) for n in range(20000))
+
+
+def test_miller_rabin_on_large_numbers():
+    # the least strong pseudoprimes to the first 1, 2, 3, 4, 7, 9 and 12 prime bases
+    for n in (2047, 1373653, 25326001, 3215031751, 341550071728321,
+              3825123056546413051, 318665857834031151167461):
+        assert not gf._is_prime(n)
+        with pytest.raises(NotPrimeError, match=f"^{n} is not prime$"):
+            Field(n)
+    for p in (4294967291, 2 ** 61 - 1, 2 ** 31 - 1):
+        assert gf._is_prime(p) and not gf._is_prime(p * 4294967291)
+    assert Field(2 ** 61 - 1).q == 2 ** 61 - 1
+    for too_large in (gf.MAX_CHARACTERISTIC, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            Field(too_large)
 
 
 def test_degree_out_of_range_rejected():
@@ -247,33 +271,105 @@ def test_negative_powers():
     assert a ** (-2) == (a * a).inverse()
 
 
-# -- lookup tables -----------------------------------------------------------
+# -- the arithmetic core against tuple long division ---------------------------
+#
+# The tables and FieldElement both derive from the Field methods, so the
+# reference is written here: codes split into base-p digit polynomials,
+# multiplied and divided by the modulus with the gf polynomial helpers.
+
+def _digits(f, code):
+    """The e base-p digits of a code, lowest first: its coefficient vector."""
+    return [code // f.p ** k % f.p for k in range(f.e)]
+
+
+def _poly(f, code):
+    return gf._trim(_digits(f, code))
+
+
+def _code(f, coeffs):
+    return sum(c * f.p ** k for k, c in enumerate(coeffs))
+
+
+def ref_add(f, a, b):
+    return _code(f, [(x + y) % f.p for x, y in zip(_digits(f, a), _digits(f, b))])
+
+
+def ref_neg(f, a):
+    return _code(f, [-x % f.p for x in _digits(f, a)])
+
+
+def ref_mul(f, a, b):
+    prod = gf._poly_mul(_poly(f, a), _poly(f, b), f.p)
+    return _code(f, gf._poly_divmod(prod, f.modulus, f.p)[1])
+
+
+def ref_inv(f, a):
+    """Inverse of a nonzero code by the extended Euclidean algorithm."""
+    old_r, r = _poly(f, a), f.modulus
+    old_t, t = (1,), ()
+    while r:
+        quo, rem = gf._poly_divmod(old_r, r, f.p)
+        old_r, r = r, rem
+        old_t, t = t, gf._poly_sub(old_t, gf._poly_mul(quo, t, f.p), f.p)
+    scale = pow(old_r[0], -1, f.p)  # old_r is a nonzero constant
+    return _code(f, gf._poly_divmod(gf._poly_mul(old_t, (scale,), f.p), f.modulus, f.p)[1])
+
+
+def test_reference_arithmetic_examples():
+    f4 = field_create(2, 2)
+    assert ref_mul(f4, 2, 2) == 3 and ref_inv(f4, 2) == 3  # alpha^2 = alpha + 1
+    f9 = field_create(3, 2)
+    assert ref_add(f9, 5, 7) == 0 and ref_neg(f9, 5) == 7
+    assert ref_mul(f9, 3, ref_inv(f9, 3)) == 1
+
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1),
                                  (3, 2), (2, 3), (2, 4), (5, 2), (7, 2)])
 def test_tables_match_element_arithmetic(p, e):
     f = field_create(p, e)
-    els = f.elements()
-    for i, a in enumerate(els):
-        assert f.neg_table[i] == (-a).to_int()
-        if i:
-            assert f.inv_table[i] == a.inverse().to_int()
-        for j, b in enumerate(els):
-            assert f.add_table[i, j] == (a + b).to_int()
-            assert f.mul_table[i, j] == (a * b).to_int()
+    codes = range(f.q)
+    add = [[ref_add(f, a, b) for b in codes] for a in codes]
+    mul = [[ref_mul(f, a, b) for b in codes] for a in codes]
+    neg = [ref_neg(f, a) for a in codes]
+    inv = [0] + [ref_inv(f, a) for a in codes[1:]]
+    assert f.add_table.tolist() == add and f.mul_table.tolist() == mul
+    assert f.neg_table.tolist() == neg and f.inv_table.tolist() == inv
+    assert [[f.add(a, b) for b in codes] for a in codes] == add
+    assert [[f.mul(a, b) for b in codes] for a in codes] == mul
+    assert [f.neg(a) for a in codes] == neg
+    assert [f.inv(a) for a in codes] == inv
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([(2, 10), (3, 6)]), st.data())
+@given(st.sampled_from([(2, 10), (3, 6), (2, 16), (4294967291, 1)]), st.data())
 def test_large_tables_match_element_arithmetic(pe, data):
+    # 4294967291^2 exceeds int64, so arrays over it are held as Python ints
     f = field_create(*pe)
-    i, j = (data.draw(st.integers(0, f.q - 1), label=label) for label in ("i", "j"))
-    a, b = f.from_int(i), f.from_int(j)
-    assert f.add_table[i, j] == (a + b).to_int()
-    assert f.mul_table[i, j] == (a * b).to_int()
-    assert f.neg_table[i] == (-a).to_int()
-    if i:
-        assert f.inv_table[i] == a.inverse().to_int()
+    code = st.integers(0, f.q - 1)
+    i, j = (data.draw(code, label=label) for label in ("i", "j"))
+    assert f.add(i, j) == ref_add(f, i, j)
+    assert f.mul(i, j) == ref_mul(f, i, j)
+    assert f.neg(i) == ref_neg(f, i)
+    assert f.inv(i) == (ref_inv(f, i) if i else 0)
+    pairs = data.draw(st.lists(st.tuples(code, code), min_size=1, max_size=8), label="pairs")
+    xs, ys = (np.array(column) for column in zip(*pairs))
+    assert f.mul(xs, ys).tolist() == [ref_mul(f, x, y) for x, y in pairs]
+    assert f.add(xs, ys).tolist() == [ref_add(f, x, y) for x, y in pairs]
+    if f.q <= gf.TABLE_ORDER_LIMIT:
+        assert f.add_table[i, j] == ref_add(f, i, j)
+        assert f.mul_table[i, j] == ref_mul(f, i, j)
+        assert f.neg_table[i] == ref_neg(f, i)
+        assert f.inv_table[i] == (ref_inv(f, i) if i else 0)
+
+
+def test_arrays_past_int64_stay_exact():
+    # products of GF(4294967291) codes overflow int64, so its arrays hold Python ints
+    f = field_create(4294967291)
+    pairs = [(f.q - 1, f.q - 1), (f.q - 2, f.q - 4), (2 ** 31 + 7, f.q - 3), (0, f.q - 1)]
+    xs, ys = (np.array(column) for column in zip(*pairs))
+    assert f.mul(xs, ys).tolist() == [ref_mul(f, x, y) for x, y in pairs]
+    assert f.add(xs, ys).tolist() == [ref_add(f, x, y) for x, y in pairs]
+    assert f.neg(xs).tolist() == [ref_neg(f, x) for x, _ in pairs]
 
 
 def test_largest_tables_are_fast_read_only_and_compact():
@@ -289,11 +385,3 @@ def test_largest_tables_are_fast_read_only_and_compact():
 
 def test_field_create_is_cached():
     assert field_create(3, 2) is field_create(3, 2)
-
-
-def test_element_from_coefficients():
-    f9 = field_create(3, 2)
-    assert f9.element([1, 2]) == f9.from_int(7)
-    assert f9.element([4]) == f9.from_int(1)  # reduced mod p, padded
-    with pytest.raises(ValueError):
-        f9.element([1, 1, 1])

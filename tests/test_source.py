@@ -78,6 +78,18 @@ def test_cli_leaves_the_oracles_to_verification():
     assert not used
 
 
+def test_integer_codes_are_the_only_element_form():
+    # FieldElement is gf's view for notation; the rest of the library holds codes
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        used = (_names(tree) & {"FieldElement", "from_int", "to_int"}
+                | attributes & {"one", "zero"})
+        if path.name == "verification.py":
+            used |= attributes & {"evaluate"}  # the family is evaluated by one matmul
+        assert path.name == "gf.py" or not used, f"{path.name} names {sorted(used)}"
+
+
 def _module_functions() -> dict:
     """Module-level function definitions of the library, by name."""
     return {node.name: node
