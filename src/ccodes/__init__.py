@@ -36,7 +36,6 @@ from .grid import (
     check_clements_lindstrom,
     lex_segment,
     min_shadow_size,
-    rth_of_deg_ge,
     rth_of_deg_le,
     shadow,
     shadow_level,

@@ -104,25 +104,28 @@ def _add_common_flags(parser, budget: bool = False):
 
 
 def _emit(args, payload: dict, table_lines) -> None:
+    """Print payload as JSON, or the lines that table_lines() returns.
+
+    The table is built only when it is printed, so JSON formats no lines.
+    """
     if args.format == "json":
         print(json.dumps(payload, separators=(",", ":")))
     else:
-        for line in table_lines:
+        for line in table_lines():
             print(line)
 
 
 def _cmd_hierarchy(args) -> int:
     spec = _spec_from_args(args)
     summary = codes.code_summary(spec)
-    lines = [
+    _emit(args, summary, lambda: [
         f"length      {summary['length']}",
         f"dimension   {summary['dimension']}",
         f"degree      {summary['degree']}",
         f"min_distance {summary['min_distance']}",
         "hierarchy   " + " ".join(str(w) for w in summary["hierarchy"]),
         "dual_hierarchy " + " ".join(str(w) for w in summary["dual_hierarchy"]),
-    ]
-    _emit(args, summary, lines)
+    ])
     return 0
 
 
@@ -136,12 +139,11 @@ def _cmd_dual(args) -> int:
         "matrix": rows,
         "hierarchy": list(codes.dual_hierarchy(spec)),
     }
-    lines = []
-    if args.format == "table":  # one str() per matrix entry; JSON needs none
-        lines = [f"length    {dual.length}", f"dimension {dual.dimension}", "matrix"]
-        lines += ["  " + " ".join(str(x) for x in row) for row in rows]
-        lines.append("hierarchy " + " ".join(str(w) for w in payload["hierarchy"]))
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [
+        f"length    {dual.length}", f"dimension {dual.dimension}", "matrix",
+        *("  " + " ".join(str(x) for x in row) for row in rows),
+        "hierarchy " + " ".join(str(w) for w in payload["hierarchy"]),
+    ])
     return 0
 
 
@@ -152,10 +154,11 @@ def _cmd_verify(args) -> int:
     checks = [{"name": name, "closed": closed, "oracle": oracle, "ok": bool(closed == oracle)}
               for name, closed, oracle in report.checks]
     skipped = [{"name": name, "reason": reason} for name, reason in report.skipped]
-    lines = [f"{c['name']}: closed={c['closed']} oracle={c['oracle']} "
-             f"{'ok' if c['ok'] else 'MISMATCH'}" for c in checks]
-    lines.append("VERIFY " + ("OK" if report.ok else "FAILED"))
-    _emit(args, {"checks": checks, "skipped": skipped, "ok": report.ok}, lines)
+    _emit(args, {"checks": checks, "skipped": skipped, "ok": report.ok}, lambda: [
+        *(f"{c['name']}: closed={c['closed']} oracle={c['oracle']} "
+          f"{'ok' if c['ok'] else 'MISMATCH'}" for c in checks),
+        "VERIFY " + ("OK" if report.ok else "FAILED"),
+    ])
     if skipped and args.format != "json":
         print(f"verify: skipped {len(skipped)} of {len(skipped) + len(checks)} checks "
               "by their oracles: " + ", ".join(_rank_runs(s["name"] for s in skipped)),
@@ -183,17 +186,21 @@ def _cmd_shadow(args) -> int:
     budget = args.budget if args.budget is not None else _default_budget()
     value = grid.min_shadow_size(shape, args.v, args.r)
     payload = {"grid": str(shape), "v": args.v, "r": args.r, "min_shadow": value}
-    lines = [str(value)]
-    status = 0
+    brute = None
     if args.brute:
         brute = grid.brute_min_shadow(shape, args.v, args.r, budget=budget)
         payload["brute_min_shadow"] = brute
-        lines.append(f"brute {brute}")
-        if brute != value:
-            lines.append("MISMATCH")
-            status = 1
+    mismatch = args.brute and brute != value
+
+    def lines():
+        yield str(value)
+        if args.brute:
+            yield f"brute {brute}"
+        if mismatch:
+            yield "MISMATCH"
+
     _emit(args, payload, lines)
-    return status
+    return 1 if mismatch else 0
 
 
 def _cmd_footprint(args) -> int:
@@ -203,7 +210,7 @@ def _cmd_footprint(args) -> int:
     payload = {"grid": str(shape),
                "leading_terms": [list(lt) for lt in lts],
                "bound": bound}
-    _emit(args, payload, [str(bound)])
+    _emit(args, payload, lambda: [str(bound)])
     return 0
 
 
@@ -212,8 +219,8 @@ def _cmd_maxzeros(args) -> int:
     value = codes.max_common_zeros(spec, args.r)
     polys = [repr(f) for f in codes.extremal_polynomials(spec, args.r)]
     payload = {"value": value, "polynomials": polys}
-    lines = [str(value)] + [f"f{i}: {f}" for i, f in enumerate(polys, start=1)]
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [str(value)]
+          + [f"f{i}: {f}" for i, f in enumerate(polys, start=1)])
     return 0
 
 

@@ -43,8 +43,8 @@ from .grid import (
     count_deg_ge,
     count_deg_le,
     lex_segment,
+    min_shadow_size,
     mixed_radix_value,
-    rth_of_deg_ge,
     rth_of_deg_le,
     tuples_deg_le,
     values_deg_ge,
@@ -295,11 +295,10 @@ def generator_matrix(spec: CartesianCodeSpec) -> LinearCode:
 # --------------------------------------------------------------------------
 
 def ghw_closed_form(spec: CartesianCodeSpec, r: int) -> int:
-    """r-th generalized Hamming weight, closed form."""
+    """r-th generalized Hamming weight: the least shadow of r degree-<=d tuples."""
     if not 1 <= r <= spec.dimension:
         raise RankRangeError(f"rank {r} outside [1, {spec.dimension}]")
-    a = rth_of_deg_ge(spec.shape, spec.k - spec.d, r)
-    return 1 + mixed_radix_value(spec.shape, a)
+    return min_shadow_size(spec.shape, spec.d, r)
 
 
 def max_common_zeros(spec: CartesianCodeSpec, r: int) -> int:

@@ -11,9 +11,11 @@ The modulus is always the lexicographically smallest monic irreducible
 polynomial of degree e, comparing coefficient vectors from the constant
 term upward, so fields and everything derived from them are reproducible
 across runs and machines.  For e = 1 the modulus is x and arithmetic is
-plain arithmetic mod p.  Candidates are tested by one Rabin test on
-coefficient tuples, the same for every characteristic.  p is proved prime
-by a deterministic Miller-Rabin test, exact below MAX_CHARACTERISTIC.
+plain arithmetic mod p.  Candidates are counted up lazily from constant
+term 1 (a constant term 0 means a factor x), and each is decided by one
+Rabin test on coefficient tuples, so the search never scans GF(p).  p is
+proved prime by a deterministic Miller-Rabin test, exact below
+MAX_CHARACTERISTIC.
 
 Field arithmetic is defined once, as the Field methods add and mul (neg,
 pow and inv derive from mul).  They take int codes or numpy arrays of
@@ -29,7 +31,6 @@ the same methods; the tests check all of them against tuple long division.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 
 import numpy as np
@@ -124,22 +125,13 @@ def _poly_gcd(a, b, p):
 def is_irreducible(poly, p: int) -> bool:
     """Rabin's test: q-power Frobenius fixed points plus gcd conditions.
 
-    Cheap rejections first: a zero constant term or a root in GF(p) means
-    a linear factor, which settles every degree >= 2 candidate at O(p*e).
+    It takes O(e * log p) products modulo poly, so it never scans GF(p).
     """
     e = len(poly) - 1
     if e < 1:
         return False
     if e == 1:
         return True
-    if poly[0] == 0:
-        return False
-    for a in range(p):
-        value = 0
-        for c in reversed(poly):
-            value = (value * a + c) % p
-        if value == 0:
-            return False
     x = (0, 1)
     if _poly_powmod(x, p ** e, poly, p) != x:
         return False
@@ -155,15 +147,19 @@ def smallest_irreducible(p: int, e: int):
     """Lexicographically smallest monic irreducible of degree e over GF(p).
 
     Candidate coefficient vectors are compared from the constant term
-    upward, so the result is the same on every run.
+    upward, so the result is the same on every run.  They are counted up
+    lazily from constant term 1; an irreducible exists, so the count ends.
     """
     if e == 1:
         return (0, 1)
-    for tail in itertools.product(range(p), repeat=e):
-        poly = tail + (1,)
-        if is_irreducible(poly, p):
-            return poly
-    raise RuntimeError(f"no irreducible of degree {e} over GF({p})")  # unreachable
+    tail = [1] + [0] * (e - 1)  # c_0, ..., c_{e-1}, c_{e-1} counting fastest
+    while not is_irreducible((*tail, 1), p):
+        i = e - 1
+        while tail[i] == p - 1:
+            tail[i] = 0
+            i -= 1
+        tail[i] += 1
+    return (*tail, 1)
 
 
 # --------------------------------------------------------------------------

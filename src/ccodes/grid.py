@@ -14,7 +14,9 @@ the suffix level counts: the number of tuples of dims[i:] of each total
 degree, cumulated over degrees (_suffix_counts).  From it rth_of_deg_le
 unranks a degree band digit by digit in O(m * d_m) exact integer steps,
 and values_deg_ge lists a whole band of K tuples in O(K * m * d_m)
-without touching the tuples outside it.
+without touching the tuples outside it.  rth_of_deg_le is the one
+unrank: min_shadow_size, and the single GHW d_r = min_shadow_size(d, r),
+read its r-th tuple, while whole hierarchies come from values_deg_ge.
 
 The shadow of a subset S is every box tuple that dominates some element
 of S coordinatewise (divides, which hilbert's monomial ideals share).
@@ -35,8 +37,6 @@ import numpy as np
 from .errors import BudgetExceededError, DegreeRangeError, RankRangeError
 
 DEFAULT_BUDGET = 10_000_000
-
-ExpTuple = tuple
 
 
 @dataclass(frozen=True)
@@ -93,21 +93,12 @@ class GridShape:
         return len(t) == self.m and all(0 <= x < d for x, d in zip(t, self.dims))
 
 
-def degree(t) -> int:
-    """Total degree of an exponent tuple: the sum of its coordinates."""
-    return sum(t)
-
-
 def parse_tuple(text: str) -> tuple:
     """Parse a comma-joined exponent tuple, e.g. "1,2"."""
     try:
         return tuple(int(part) for part in text.strip().split(","))
     except ValueError:
         raise ValueError(f"bad tuple {text!r}, expected comma-joined integers") from None
-
-
-def format_tuple(t) -> str:
-    return ",".join(str(x) for x in t)
 
 
 def _check_deg(shape, u):
@@ -167,12 +158,6 @@ def _suffix_counts(shape: GridShape) -> tuple:
     return tuple(reversed(table))
 
 
-def level_counts(shape: GridShape) -> tuple:
-    """Number of box tuples of each total degree 0..k (by convolution)."""
-    le = _suffix_counts(shape)[0]
-    return (le[0],) + tuple(b - a for a, b in zip(le, le[1:]))
-
-
 def count_deg_le(shape: GridShape, u: int) -> int:
     _check_deg(shape, u)
     return _suffix_counts(shape)[0][u]
@@ -186,11 +171,6 @@ def count_deg_ge(shape: GridShape, u: int) -> int:
 def mixed_radix_value(shape: GridShape, t) -> int:
     """Order-preserving integer form sum(t_i * place_value_i)."""
     return sum(x * pv for x, pv in zip(t, shape.place_values))
-
-
-def complement(shape: GridShape, t) -> tuple:
-    """Coordinatewise reflection (d_i - 1 - t_i); reverses lex order."""
-    return tuple(d - 1 - x for x, d in zip(t, shape.dims))
 
 
 def tuple_at_rank_desc(shape: GridShape, r: int) -> tuple:
@@ -241,19 +221,6 @@ def rth_of_deg_le(shape: GridShape, d: int, r: int) -> tuple:
         digits.append(x)
         budget -= x
     return tuple(digits)
-
-
-def rth_of_deg_ge(shape: GridShape, u: int, r: int) -> tuple:
-    """The r-th tuple of degree >= u in ascending lex order.
-
-    Coordinatewise reflection maps the descending degree-<= segment onto
-    the ascending degree->= one, so this reuses rth_of_deg_le.
-    """
-    _check_deg(shape, u)
-    if not 1 <= r <= count_deg_ge(shape, u):
-        raise RankRangeError(
-            f"rank {r} outside [1, {count_deg_ge(shape, u)}] for degree >= {u}")
-    return complement(shape, rth_of_deg_le(shape, shape.k - u, r))
 
 
 def lex_segment(shape: GridShape, d: int, r: int) -> list:

@@ -1,8 +1,9 @@
 """Monomial ideals, sparse multivariate polynomials, footprint counting.
 
 Monomials are plain exponent tuples (non-negative, unbounded entries,
-unlike box tuples).  Polynomial coefficients are integer codes of a Field,
-combined by its add, neg and mul.  The affine Hilbert function of a
+unlike box tuples).  A Polynomial is a map from monomials to nonzero
+integer codes of a Field: it is built from its terms, evaluated with the
+Field's add, mul and pow, and has no arithmetic of its own.  The affine Hilbert function of a
 monomial ideal is computed by direct enumeration of the degree-<=u simplex
 and divisibility tests (grid.divides); at desk scale this is small and
 auditable.
@@ -25,7 +26,6 @@ import math
 from .errors import (
     DimensionMismatchError,
     DuplicateLeadingTermError,
-    FieldMismatchError,
     ZeroPolynomialError,
 )
 from .grid import GridShape, divides, parse_tuple
@@ -112,8 +112,8 @@ def graded_lex_key(mono):
 class Polynomial:
     """Sparse multivariate polynomial over a Field.
 
-    terms maps exponent tuples to nonzero integer codes of the field, and
-    arithmetic goes through the Field methods.  Instances are immutable.
+    terms maps exponent tuples to nonzero integer codes of the field;
+    zero coefficients are dropped.  Instances are immutable.
     """
 
     __slots__ = ("field", "nvars", "terms")
@@ -134,22 +134,6 @@ class Polynomial:
         self.nvars = nvars
         self.terms = clean
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def constant(cls, field, nvars: int, value: int) -> Polynomial:
-        return cls(field, nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, field, nvars: int, index: int) -> Polynomial:
-        """The polynomial x_{index+1} (0-based index)."""
-        if not 0 <= index < nvars:
-            raise IndexError(f"variable index {index} outside [0, {nvars})")
-        mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(field, nvars, {mono: 1})
-
-    # -- structure -----------------------------------------------------------
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -169,51 +153,6 @@ class Polynomial:
     def degree_in(self, index: int) -> int:
         """Maximal exponent of one variable; -1 for the zero polynomial."""
         return max((m[index] for m in self.terms), default=-1)
-
-    def _check_compatible(self, other):
-        if self.field != other.field:
-            raise FieldMismatchError(f"{self.field} vs {other.field}")
-        if self.nvars != other.nvars:
-            raise DimensionMismatchError(f"{self.nvars} vs {other.nvars} variables")
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = self.field.add(terms.get(mono, 0), coeff)
-        return Polynomial(self.field, self.nvars, terms)
-
-    def __neg__(self):
-        return Polynomial(self.field, self.nvars,
-                          {m: self.field.neg(c) for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        add, mul = self.field.add, self.field.mul
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                terms[mono] = add(terms.get(mono, 0), mul(c1, c2))
-        return Polynomial(self.field, self.nvars, terms)
-
-    def scaled(self, scalar: int) -> Polynomial:
-        scalar = self.field.code(scalar)
-        return Polynomial(self.field, self.nvars,
-                          {m: self.field.mul(c, scalar) for m, c in self.terms.items()})
 
     def evaluate(self, point) -> int:
         """Code of the value at a point given as a sequence of codes."""

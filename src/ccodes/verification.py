@@ -2,6 +2,9 @@
 
 The oracles decide whether they fit the budget; a check whose oracle
 raises BudgetExceededError is skipped, with the message as its reason.
+The GHWs checked are the hierarchy that `ccodes hierarchy` prints (one
+values_deg_ge listing): against the subspace oracle, and against n minus
+max_common_zeros, which unranks each rank with rth_of_deg_le instead.
 The extremal family is checked in its expanded form: its coefficient
 codes times the evaluations of its monomials, in one matmul.
 Library calls go through the `codes` module, so patches there apply.
@@ -43,7 +46,7 @@ def verify(spec: codes.CartesianCodeSpec, budget: int = DEFAULT_BUDGET) -> Verif
     K, n = spec.dimension, spec.n
     ranks = range(1, K + 1)
     code = codes.generator_matrix(spec)
-    ghw = [codes.ghw_closed_form(spec, r) for r in ranks]
+    ghw = codes.hierarchy(spec)
     zeros = [codes.max_common_zeros(spec, r) for r in ranks]
     for r in ranks:
         against_oracle(f"ghw r={r}", ghw[r - 1], codes.brute_ghw, code, r)

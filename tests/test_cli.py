@@ -324,6 +324,23 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
+def test_verify_checks_the_printed_hierarchy(capsys, monkeypatch):
+    # d_2 one too large in the hierarchy `ccodes hierarchy` prints: both GHW
+    # checks of rank 2 must catch it, and wei duality, which lists it too
+    exact = codes.hierarchy
+    monkeypatch.setattr(codes, "hierarchy", lambda spec: tuple(
+        w + (r == 2) for r, w in enumerate(exact(spec), start=1)))
+    status, text, _ = run_cli(capsys, "verify", "--field", "3^1",
+                              "--sets", "0,1;0,1,2", "--d", "2")
+    assert status == 1
+    lines = text.splitlines()
+    assert [line for line in lines if line.endswith("MISMATCH")] == [
+        "ghw r=2: closed=4 oracle=3 MISMATCH",
+        "ghw+zeros r=2: closed=4 oracle=3 MISMATCH",
+        "wei duality: closed=True oracle=False MISMATCH"]
+    assert lines[-1] == "VERIFY FAILED"
+
+
 @pytest.mark.parametrize("command", [
     ("hierarchy", "--field", "2^1", "--sets", "0,1", "--d", "1"),
     ("footprint", "--grid", "2x3", "--lts", "1,1"),
@@ -348,6 +365,16 @@ def test_large_prime_characteristic_is_decided_at_once(capsys):
     status, out, err = run_cli(capsys, "hierarchy", "--field", str(10 ** 25),
                                "--sets", "0,1;0,1", "--d", "1")
     assert status == 2 and out == "" and err.startswith(f"error: characteristic {10 ** 25} ")
+
+
+def test_large_characteristic_extension_field_is_found_at_once(capsys):
+    # the modulus search counts candidates up lazily and never scans GF(p)
+    start = time.process_time()
+    status, out, err = run_cli(capsys, "hierarchy", "--field", "2305843009213693951^2",
+                               "--sets", "0,1;0,1", "--d", "1")
+    assert time.process_time() - start < 1.0
+    assert (status, err) == (0, "")
+    assert "hierarchy   2 3 4" in out
 
 
 def test_maxzeros_past_the_table_limit(capsys):

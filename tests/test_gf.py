@@ -85,6 +85,19 @@ def test_irreducibility_test_matches_bruteforce(p, e):
         assert is_irreducible(cand, p) == (cand not in composite)
 
 
+def test_modulus_search_matches_trial_division_up_to_1024():
+    # the first monic candidate, in the documented order, that no monic
+    # polynomial of degree 1..e/2 divides
+    powers = [(p, e) for p in range(2, 32) if gf._is_prime(p)
+              for e in range(2, 11) if p ** e <= 1024]
+    assert len(powers) == 26
+    for p, e in powers:
+        divisors = [g for a in range(1, e // 2 + 1) for g in _monics(p, a)]
+        first = next(cand for cand in _monics(p, e)
+                     if all(gf._poly_divmod(cand, g, p)[1] for g in divisors))
+        assert smallest_irreducible(p, e) == first, (p, e)
+
+
 def test_irreducibility_matches_sympy_at_degree_cap():
     sympy = pytest.importorskip("sympy")
     import random

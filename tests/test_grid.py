@@ -14,19 +14,14 @@ from ccodes.grid import (
     all_tuples,
     brute_min_shadow,
     check_clements_lindstrom,
-    complement,
     count_deg_ge,
     count_deg_le,
-    degree,
-    format_tuple,
-    level_counts,
     lex_segment,
     lex_segment_level,
     min_shadow_size,
     mixed_radix_value,
     parse_tuple,
     rank_desc,
-    rth_of_deg_ge,
     rth_of_deg_le,
     shadow,
     shadow_level,
@@ -74,24 +69,15 @@ def test_shape_validation():
 
 def test_tuple_serialization():
     assert parse_tuple("1,2") == (1, 2)
-    assert format_tuple((0, 3, 1)) == "0,3,1"
+    assert parse_tuple(" 0,3,1") == (0, 3, 1)
     with pytest.raises(ValueError):
         parse_tuple("1,a")
 
 
-def test_degree():
-    assert degree((0, 0, 0)) == 0
-    assert degree((1, 2)) == 3
-    assert degree((2, 1)) == 3
-
-
 def test_level_counts_match_enumeration():
     for shape in SMALL_SHAPES:
-        counts = level_counts(shape)
-        assert sum(counts) == shape.n
-        assert len(counts) == shape.k + 1
+        assert count_deg_le(shape, shape.k) == count_deg_ge(shape, 0) == shape.n
         for u in range(shape.k + 1):
-            assert counts[u] == len(tuples_deg_eq(shape, u))
             assert count_deg_le(shape, u) == len(tuples_deg_le(shape, u))
             assert count_deg_ge(shape, u) == len(tuples_deg_ge(shape, u))
 
@@ -152,8 +138,9 @@ def test_rth_of_deg_le_examples():
     s23 = GridShape((2, 3))
     assert rth_of_deg_le(s23, 2, 2) == (1, 0)
     s22 = GridShape((2, 2))
-    assert rth_of_deg_ge(s22, 1, 1) == (0, 1)
-    assert complement(s22, rth_of_deg_le(s22, 1, 1)) == rth_of_deg_ge(s22, 1, 1)
+    # the first tuple of degree >= 1 ascending is (0, 1): d_1 = 1 + value
+    assert tuples_deg_ge(s22, 1)[0] == (0, 1)
+    assert 1 + mixed_radix_value(s22, (0, 1)) == min_shadow_size(s22, 2 - 1, 1) == 2
 
 
 def test_rth_matches_filtered_enumeration():
@@ -164,11 +151,13 @@ def test_rth_matches_filtered_enumeration():
                 assert rth_of_deg_le(shape, d, r) == expected
             with pytest.raises(RankRangeError):
                 rth_of_deg_le(shape, d, len(le) + 1)
+            # 1 + value of the r-th tuple of degree >= d ascending is the
+            # least shadow of r tuples of degree <= k - d
             ge = tuples_deg_ge(shape, d)
-            for r, expected in enumerate(ge, start=1):
-                assert rth_of_deg_ge(shape, d, r) == expected
+            for r, t in enumerate(ge, start=1):
+                assert 1 + mixed_radix_value(shape, t) == min_shadow_size(shape, shape.k - d, r)
             with pytest.raises(RankRangeError):
-                rth_of_deg_ge(shape, d, len(ge) + 1)
+                min_shadow_size(shape, shape.k - d, len(ge) + 1)
 
 
 def test_lex_segment_is_prefix_of_walk():
@@ -384,9 +373,10 @@ def test_unranking_matches_product_filter(shape, data):
     box = list(itertools.product(*(range(x) for x in shape.dims)))
     for d in range(shape.k + 1):
         le = [t for t in reversed(box) if sum(t) <= d]
-        ge = [t for t in box if sum(t) >= d]
+        ge = [v for v, t in enumerate(box) if sum(t) >= d]  # values, ascending
         assert [rth_of_deg_le(shape, d, r) for r in range(1, len(le) + 1)] == le
-        assert [rth_of_deg_ge(shape, d, r) for r in range(1, len(ge) + 1)] == ge
+        assert [min_shadow_size(shape, shape.k - d, r) for r in range(1, len(ge) + 1)] == \
+            [1 + v for v in ge]
         weights = tuple(1 + v for v, t in enumerate(box) if sum(t) >= shape.k - d)
         assert _hierarchy_at_degree(shape, d) == weights
     d = data.draw(st.integers(0, shape.k), label="d")

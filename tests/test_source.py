@@ -23,7 +23,7 @@ def test_no_assert_statements():
 # scans and oracles, which no closed form may call.
 CLOSED_FORMS = (
     "rth_of_deg_*", "values_deg_ge", "lex_segment", "min_shadow_size", "count_deg_*",
-    "level_counts", "_suffix_counts", "ghw_closed_form", "max_common_zeros",
+    "_suffix_counts", "ghw_closed_form", "max_common_zeros",
     "hierarchy", "dual_hierarchy", "_hierarchy_at_degree", "min_distance_closed_form",
     "footprint_upper_bound",
 )
@@ -76,6 +76,14 @@ def test_cli_leaves_the_oracles_to_verification():
     tree = ast.parse((Path(ccodes.__file__).parent / "cli.py").read_text(encoding="utf-8"))
     used = _names(tree) & {"brute_ghw", "brute_min_weight", "gaussian_binomial"}
     assert not used
+
+
+def test_verify_checks_the_printed_hierarchy():
+    # the GHWs verify checks are the list `ccodes hierarchy` prints, not the
+    # per-rank unrank that max_common_zeros, its other comparand, shares
+    tree = ast.parse((Path(ccodes.__file__).parent / "verification.py").read_text(encoding="utf-8"))
+    names = _names(tree)
+    assert "hierarchy" in names and "ghw_closed_form" not in names
 
 
 def test_integer_codes_are_the_only_element_form():
