@@ -14,7 +14,6 @@ from .codes import (
     code_summary,
     dual_code,
     dual_hierarchy,
-    extremal_polynomial,
     extremal_polynomials,
     gaussian_binomial,
     generator_matrix,
@@ -39,14 +38,11 @@ from .grid import (
     rth_of_deg_le,
     shadow,
     shadow_level,
-    tuple_at_rank_desc,
 )
 from .hilbert import (
     MonomialIdeal,
-    Polynomial,
     footprint_upper_bound,
     hilbert_fn,
-    leading_term,
 )
 
 from .verification import VerifyReport, verify

@@ -10,8 +10,10 @@ Subcommands:
 
 Code specs are given inline (--field p^e --sets "a,b;c,d,e" --d D) or via
 --spec-file pointing at JSON or key=value text with the same three parts.
-Only verify and shadow take --budget, the oracle work cap (default 10^7 or
-$CCODES_BUDGET); verify reports a check whose oracle refuses it as skipped.
+Only verify and shadow take --budget, the oracle work cap: a non-negative
+integer, 10^7 by default, where 0 runs no oracle.  verify reports a check
+whose oracle refuses it as skipped.  hierarchy summarises a dual hierarchy
+too long to list by its length and its first and last weights.
 Exit codes: 0 ok, 1 verification mismatch, 2 parse or validation error.
 """
 
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import codes, grid, hilbert
@@ -27,14 +28,15 @@ from .grid import DEFAULT_BUDGET
 from .verification import verify
 
 
-def _default_budget() -> int:
-    env = os.environ.get("CCODES_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"CCODES_BUDGET must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGET
+def _budget(text: str) -> int:
+    """The --budget value: a non-negative integer."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = None
+    if budget is None or budget < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return budget
 
 
 def _load_spec_file(path: str) -> dict:
@@ -99,8 +101,8 @@ def _add_spec_flags(parser):
 def _add_common_flags(parser, budget: bool = False):
     parser.add_argument("--format", choices=("table", "json"), default="table")
     if budget:  # only the subcommands that run an exhaustive oracle
-        parser.add_argument("--budget", type=int, default=None,
-                            help="oracle work cap (default 10^7 or $CCODES_BUDGET)")
+        parser.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                            help="oracle work cap, 0 for none (default 10^7)")
 
 
 def _emit(args, payload: dict, table_lines) -> None:
@@ -118,13 +120,20 @@ def _emit(args, payload: dict, table_lines) -> None:
 def _cmd_hierarchy(args) -> int:
     spec = _spec_from_args(args)
     summary = codes.code_summary(spec)
+
+    def dual_weights():
+        if summary["dual_hierarchy"] is None:  # too long to list
+            return "{first} ... {last} ({length} weights)".format(
+                **summary["dual_hierarchy_summary"])
+        return " ".join(str(w) for w in summary["dual_hierarchy"])
+
     _emit(args, summary, lambda: [
         f"length      {summary['length']}",
         f"dimension   {summary['dimension']}",
         f"degree      {summary['degree']}",
         f"min_distance {summary['min_distance']}",
         "hierarchy   " + " ".join(str(w) for w in summary["hierarchy"]),
-        "dual_hierarchy " + " ".join(str(w) for w in summary["dual_hierarchy"]),
+        "dual_hierarchy " + dual_weights(),
     ])
     return 0
 
@@ -149,8 +158,7 @@ def _cmd_dual(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
-    budget = args.budget if args.budget is not None else _default_budget()
-    report = verify(spec, budget)
+    report = verify(spec, args.budget)
     checks = [{"name": name, "closed": closed, "oracle": oracle, "ok": bool(closed == oracle)}
               for name, closed, oracle in report.checks]
     skipped = [{"name": name, "reason": reason} for name, reason in report.skipped]
@@ -183,12 +191,11 @@ def _rank_runs(names) -> list:
 
 def _cmd_shadow(args) -> int:
     shape = grid.GridShape.parse(args.grid)
-    budget = args.budget if args.budget is not None else _default_budget()
     value = grid.min_shadow_size(shape, args.v, args.r)
     payload = {"grid": str(shape), "v": args.v, "r": args.r, "min_shadow": value}
     brute = None
     if args.brute:
-        brute = grid.brute_min_shadow(shape, args.v, args.r, budget=budget)
+        brute = grid.brute_min_shadow(shape, args.v, args.r, budget=args.budget)
         payload["brute_min_shadow"] = brute
     mismatch = args.brute and brute != value
 
@@ -217,7 +224,7 @@ def _cmd_footprint(args) -> int:
 def _cmd_maxzeros(args) -> int:
     spec = _spec_from_args(args)
     value = codes.max_common_zeros(spec, args.r)
-    polys = [repr(f) for f in codes.extremal_polynomials(spec, args.r)]
+    polys = [hilbert.format_polynomial(f) for f in codes.extremal_polynomials(spec, args.r)]
     payload = {"value": value, "polynomials": polys}
     _emit(args, payload, lambda: [str(value)]
           + [f"f{i}: {f}" for i, f in enumerate(polys, start=1)])

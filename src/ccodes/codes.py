@@ -7,7 +7,7 @@ and per-variable degree < d_i under evaluation at every grid point.
 
 Everything that matters is deterministic and bit-reproducible: points
 are enumerated with the leftmost coordinate slowest, the generator rows
-follow the degree-<=d exponent tuples in descending lex order, and field
+follow the degree-<=d exponent tuples in decreasing lex order, and field
 elements are their canonical integer codes throughout: in the sets, the
 points, the matrices and the polynomial coefficients.
 
@@ -18,7 +18,8 @@ the Kronecker product of the per-set derivatives g_i'; row reduction
 clears a pivot column in all other rows with one table lookup; and the
 exhaustive oracles sweep subspaces and codewords in chunks of fixed size,
 whatever their budget.  The extremal families are expanded with the Field
-methods, so they need no tables and work over every field.
+methods, so they need no tables and work over every field; each f_b is
+returned as its terms, a dict from exponent tuples to nonzero codes.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .grid import (
     tuples_deg_le,
     values_deg_ge,
 )
-from .hilbert import Polynomial
 
 # Support bitmasks in the subspace oracle live in uint64 words.
 _MAX_ORACLE_LENGTH = 64
@@ -276,8 +276,8 @@ def monomial_evaluations(field: Field, sets, monos) -> np.ndarray:
 
 
 def generator_matrix(spec: CartesianCodeSpec) -> LinearCode:
-    """Generator matrix: monomial basis rows in descending lex order."""
-    monos = tuples_deg_le(spec.shape, spec.d, descending=True)
+    """Generator matrix: monomial basis rows in decreasing lex order."""
+    monos = tuples_deg_le(spec.shape, spec.d)
     matrix = monomial_evaluations(spec.field, spec.sets, monos)
     try:
         code = LinearCode(spec.field, matrix)
@@ -362,7 +362,7 @@ def min_distance_closed_form(spec: CartesianCodeSpec) -> int:
 # --------------------------------------------------------------------------
 
 def _extremal_family(spec: CartesianCodeSpec, tuples) -> list:
-    """f_b for each box tuple b, expanded from per-coordinate rows.
+    """The terms of f_b for each box tuple b, from per-coordinate rows.
 
     rows[s][t] holds the coefficients, degree 0 first, of the product of
     (x - gamma) over the first t elements gamma of A_s; each row is built
@@ -385,24 +385,19 @@ def _extremal_family(spec: CartesianCodeSpec, tuples) -> list:
         for s, b_s in enumerate(b):
             coeffs = [field.mul(c, x) for c in coeffs for x in rows[s][b_s]]
         monos = itertools.product(*(range(b_s + 1) for b_s in b))
-        family.append(Polynomial(field, spec.m, dict(zip(monos, coeffs))))
+        family.append({mono: c for mono, c in zip(monos, coeffs) if c})
     return family
 
 
-def extremal_polynomial(spec: CartesianCodeSpec, b) -> Polynomial:
-    """Product of (x_s - gamma) over the first b_s elements of each set.
-
-    Vanishes exactly where some coordinate s hits one of the first b_s
-    elements of A_s; its leading term is x^b under any graded order.
-    """
-    b = tuple(int(x) for x in b)
-    if not spec.shape.contains(b) or sum(b) > spec.d:
-        raise ValueError(f"{b} is not a degree-<={spec.d} box tuple")
-    return _extremal_family(spec, [b])[0]
-
-
 def extremal_polynomials(spec: CartesianCodeSpec, r: int) -> list:
-    """The r independent polynomials attaining max_common_zeros(spec, r)."""
+    """The r independent polynomials attaining max_common_zeros(spec, r).
+
+    f_b, for b the r first tuples of degree <= d, is the product of
+    (x_s - gamma) over the first b_s elements of each set A_s.  It vanishes
+    exactly where some coordinate s hits one of those elements, and its
+    leading term is x^b under any graded order.  Each is returned as its
+    terms, {exponent tuple: nonzero code}.
+    """
     if not 1 <= r <= spec.dimension:
         raise RankRangeError(f"rank {r} outside [1, {spec.dimension}]")
     return _extremal_family(spec, lex_segment(spec.shape, spec.d, r))
@@ -442,7 +437,7 @@ def dual_code(spec: CartesianCodeSpec) -> LinearCode:
     """
     if spec.d == spec.k:
         return LinearCode(spec.field, np.zeros((0, spec.n), dtype=spec.field.int_dtype))
-    monos = tuples_deg_le(spec.shape, spec.k - spec.d - 1, descending=True)
+    monos = tuples_deg_le(spec.shape, spec.k - spec.d - 1)
     rows = monomial_evaluations(spec.field, spec.sets, monos)
     w = dual_point_weights(spec)
     return LinearCode(spec.field, spec.field.mul_table[rows, w[None, :]])
@@ -612,11 +607,28 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
 # --------------------------------------------------------------------------
 
 def code_summary(spec: CartesianCodeSpec) -> dict:
-    return {
+    """Parameters and both hierarchies of the code.
+
+    A dual hierarchy longer than _MAX_HIERARCHY_LENGTH is not listed:
+    dual_hierarchy is None and dual_hierarchy_summary holds its length and
+    its first and last weights, each unranked on its own.
+    """
+    summary = {
         "length": spec.n,
         "dimension": spec.dimension,
         "degree": spec.d,
         "hierarchy": list(hierarchy(spec)),
-        "dual_hierarchy": list(dual_hierarchy(spec)),
-        "min_distance": min_distance_closed_form(spec),
     }
+    dual_degree = spec.k - spec.d - 1
+    length = count_deg_le(spec.shape, dual_degree) if dual_degree >= 0 else 0
+    if length > _MAX_HIERARCHY_LENGTH:
+        summary["dual_hierarchy"] = None
+        summary["dual_hierarchy_summary"] = {
+            "length": length,
+            "first": min_shadow_size(spec.shape, dual_degree, 1),
+            "last": min_shadow_size(spec.shape, dual_degree, length),
+        }
+    else:
+        summary["dual_hierarchy"] = list(dual_hierarchy(spec))
+    summary["min_distance"] = min_distance_closed_form(spec)
+    return summary

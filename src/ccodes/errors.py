@@ -26,10 +26,6 @@ class DimensionMismatchError(ValueError):
     """Objects disagree on their number of coordinates."""
 
 
-class ZeroPolynomialError(ValueError):
-    """The zero polynomial has no leading term."""
-
-
 class DuplicateLeadingTermError(ValueError):
     """Leading terms passed to the footprint bound must be distinct."""
 

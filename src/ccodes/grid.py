@@ -2,12 +2,14 @@
 
 The box for dims (d1, ..., dm) is {0..d1-1} x ... x {0..dm-1}, with
 d1 <= ... <= dm.  Lexicographic comparisons treat the leftmost coordinate
-as most significant, so descending lex order coincides with descending
+as most significant, so decreasing lex order coincides with decreasing
 order of the mixed-radix value
 
     value(a) = sum_i a_i * prod(dims[i+1:])
 
-and 1-based descending ranks are r = n - value(a).
+and the 1-based rank of a in that order is r = n - value(a).  Decreasing
+lex order is the one order of the library: the generator's rows, lex
+segments and every box list follow it.
 
 The closed forms never walk the box.  They rest on one table per shape,
 the suffix level counts: the number of tuples of dims[i:] of each total
@@ -15,8 +17,9 @@ degree, cumulated over degrees (_suffix_counts).  From it rth_of_deg_le
 unranks a degree band digit by digit in O(m * d_m) exact integer steps,
 and values_deg_ge lists a whole band of K tuples in O(K * m * d_m)
 without touching the tuples outside it.  rth_of_deg_le is the one
-unrank: min_shadow_size, and the single GHW d_r = min_shadow_size(d, r),
-read its r-th tuple, while whole hierarchies come from values_deg_ge.
+unrank (at d = k it ranks the whole box): min_shadow_size, and the single
+GHW d_r = min_shadow_size(d, r), read its r-th tuple, while whole
+hierarchies come from values_deg_ge.
 
 The shadow of a subset S is every box tuple that dominates some element
 of S coordinatewise (divides, which hilbert's monomial ideals share).
@@ -106,25 +109,19 @@ def _check_deg(shape, u):
         raise DegreeRangeError(f"degree {u} outside [0, {shape.k}] for {shape}")
 
 
-def all_tuples(shape: GridShape, descending: bool = False) -> list:
-    """Every box tuple in ascending (or descending) lex order."""
-    ts = list(itertools.product(*(range(d) for d in shape.dims)))
-    return ts[::-1] if descending else ts
+def all_tuples(shape: GridShape) -> list:
+    """Every box tuple in decreasing lex order."""
+    return list(itertools.product(*(range(d - 1, -1, -1) for d in shape.dims)))
 
 
-def tuples_deg_eq(shape: GridShape, u: int, descending: bool = False) -> list:
+def tuples_deg_eq(shape: GridShape, u: int) -> list:
     _check_deg(shape, u)
-    return [t for t in all_tuples(shape, descending) if sum(t) == u]
+    return [t for t in all_tuples(shape) if sum(t) == u]
 
 
-def tuples_deg_le(shape: GridShape, u: int, descending: bool = False) -> list:
+def tuples_deg_le(shape: GridShape, u: int) -> list:
     _check_deg(shape, u)
-    return [t for t in all_tuples(shape, descending) if sum(t) <= u]
-
-
-def tuples_deg_ge(shape: GridShape, u: int, descending: bool = False) -> list:
-    _check_deg(shape, u)
-    return [t for t in all_tuples(shape, descending) if sum(t) >= u]
+    return [t for t in all_tuples(shape) if sum(t) <= u]
 
 
 def _convolve_side(counts: tuple, d: int) -> tuple:
@@ -173,28 +170,6 @@ def mixed_radix_value(shape: GridShape, t) -> int:
     return sum(x * pv for x, pv in zip(t, shape.place_values))
 
 
-def tuple_at_rank_desc(shape: GridShape, r: int) -> tuple:
-    """The r-th box tuple (1-based) in descending lex order, in O(m).
-
-    Extracts the mixed-radix digits of n - r; no enumeration involved.
-    """
-    if not 1 <= r <= shape.n:
-        raise RankRangeError(f"rank {r} outside [1, {shape.n}] for {shape}")
-    v = shape.n - r
-    digits = []
-    for pv in shape.place_values:
-        digits.append(v // pv)
-        v %= pv
-    return tuple(digits)
-
-
-def rank_desc(shape: GridShape, t) -> int:
-    """1-based position of t in descending lex order; inverse of unrank."""
-    if not shape.contains(t):
-        raise ValueError(f"{t} outside box {shape}")
-    return shape.n - mixed_radix_value(shape, t)
-
-
 def _check_rank_le(shape, d, r):
     count = count_deg_le(shape, d)
     if not 1 <= r <= count:
@@ -202,7 +177,7 @@ def _check_rank_le(shape, d, r):
 
 
 def rth_of_deg_le(shape: GridShape, d: int, r: int) -> tuple:
-    """The r-th tuple of degree <= d in descending lex order, in O(m * d_m).
+    """The r-th tuple of degree <= d in decreasing lex order, in O(m * d_m).
 
     Picks digits left to right.  With budget b left at coordinate i, the
     candidate x (largest first) heads le[i+1][b - x] tuples of the band,
@@ -224,7 +199,7 @@ def rth_of_deg_le(shape: GridShape, d: int, r: int) -> tuple:
 
 
 def lex_segment(shape: GridShape, d: int, r: int) -> list:
-    """First r tuples of degree <= d in descending lex order."""
+    """First r tuples of degree <= d in decreasing lex order."""
     _check_rank_le(shape, d, r)
     return [rth_of_deg_le(shape, d, j) for j in range(1, r + 1)]
 
@@ -256,8 +231,8 @@ def values_deg_ge(shape: GridShape, u: int) -> np.ndarray:
 
 
 def lex_segment_level(shape: GridShape, u: int, r: int) -> list:
-    """First r tuples of degree exactly u in descending lex order."""
-    level = tuples_deg_eq(shape, u, descending=True)
+    """First r tuples of degree exactly u in decreasing lex order."""
+    level = tuples_deg_eq(shape, u)
     if not 0 <= r <= len(level):
         raise RankRangeError(f"rank {r} outside [0, {len(level)}] for level {u}")
     return level[:r]
@@ -289,7 +264,7 @@ def min_shadow_size(shape: GridShape, v: int, r: int) -> int:
     """Shadow size of the first r tuples of degree <= v (the minimizer).
 
     The shadow of that segment is exactly the set of tuples lex-above its
-    last element a_r, so its size is the descending rank of a_r within the
+    last element a_r, so its size is the rank of a_r within the
     whole box: n - sum(a_{r,i} * place_value_i).
     """
     a = rth_of_deg_le(shape, v, r)
@@ -334,7 +309,7 @@ def check_clements_lindstrom(shape: GridShape, u: int, pts) -> InclusionReport:
 def brute_min_shadow(shape: GridShape, v: int, r: int,
                      budget: int = DEFAULT_BUDGET) -> int:
     """Minimum shadow size over every r-subset of degree <= v (oracle)."""
-    pool = tuples_deg_le(shape, v, descending=True)
+    pool = tuples_deg_le(shape, v)
     if not 1 <= r <= len(pool):
         raise RankRangeError(f"rank {r} outside [1, {len(pool)}] for degree <= {v}")
     if math.comb(len(pool), r) > budget:

@@ -1,12 +1,11 @@
-"""Monomial ideals, sparse multivariate polynomials, footprint counting.
+"""Monomial ideals, polynomial notation, footprint counting.
 
 Monomials are plain exponent tuples (non-negative, unbounded entries,
-unlike box tuples).  A Polynomial is a map from monomials to nonzero
-integer codes of a Field: it is built from its terms, evaluated with the
-Field's add, mul and pow, and has no arithmetic of its own.  The affine Hilbert function of a
-monomial ideal is computed by direct enumeration of the degree-<=u simplex
-and divisibility tests (grid.divides); at desk scale this is small and
-auditable.
+unlike box tuples).  A polynomial is a plain dict from monomials to
+nonzero integer codes of a field, its terms; format_polynomial prints
+one.  The affine Hilbert function of a monomial ideal is computed by
+direct enumeration of the degree-<=u simplex and divisibility tests
+(grid.divides); at desk scale this is small and auditable.
 
 footprint_upper_bound is a closed form: it counts the box tuples outside
 the leading terms' up-sets coordinate by coordinate and never lists the
@@ -14,6 +13,7 @@ box.  hilbert_fn over box_ideal and grid.shadow are its oracles.
 
 Leading terms are taken under graded lexicographic order: compare total
 degree first, ties broken lexicographically with x1 most significant.
+The leading term of terms is max(terms, key=graded_lex_key).
 
 Serialization: a monomial is comma-joined exponents, an ideal is
 semicolon-joined monomials, e.g. "2,0;0,3".
@@ -23,11 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import (
-    DimensionMismatchError,
-    DuplicateLeadingTermError,
-    ZeroPolynomialError,
-)
+from .errors import DimensionMismatchError, DuplicateLeadingTermError
 from .grid import GridShape, divides, parse_tuple
 
 
@@ -109,89 +105,20 @@ def graded_lex_key(mono):
     return (sum(mono), tuple(mono))
 
 
-class Polynomial:
-    """Sparse multivariate polynomial over a Field.
-
-    terms maps exponent tuples to nonzero integer codes of the field;
-    zero coefficients are dropped.  Instances are immutable.
-    """
-
-    __slots__ = ("field", "nvars", "terms")
-
-    def __init__(self, field, nvars: int, terms=None):
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            mono = tuple(map(int, mono))
-            if len(mono) != nvars:
-                raise DimensionMismatchError(
-                    f"monomial {mono} has {len(mono)} variables, expected {nvars}")
-            if min(mono, default=0) < 0:
-                raise ValueError(f"negative exponent in {mono}")
-            coeff = field.code(coeff)
-            if coeff:
-                clean[mono] = coeff
-        self.field = field
-        self.nvars = nvars
-        self.terms = clean
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return (self.field, self.nvars, self.terms) == (
-            other.field, other.nvars, other.terms)
-
-    def __hash__(self):
-        return hash((self.field, self.nvars, frozenset(self.terms.items())))
-
-    def total_degree(self) -> int:
-        """Maximal coordinate sum over terms; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
-
-    def degree_in(self, index: int) -> int:
-        """Maximal exponent of one variable; -1 for the zero polynomial."""
-        return max((m[index] for m in self.terms), default=-1)
-
-    def evaluate(self, point) -> int:
-        """Code of the value at a point given as a sequence of codes."""
-        f = self.field
-        point = tuple(f.code(x) for x in point)
-        if len(point) != self.nvars:
-            raise DimensionMismatchError(
-                f"point has {len(point)} coordinates, expected {self.nvars}")
-        total = 0
-        for mono, coeff in self.terms.items():
-            value = coeff
-            for x, e in zip(point, mono):
-                if e:
-                    value = f.mul(value, f.pow(x, e))
-            total = f.add(total, value)
-        return total
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=graded_lex_key, reverse=True):
-            coeff = self.terms[mono]
-            factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                       for i, e in enumerate(mono) if e]
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([str(coeff)] + factors))
-        return " + ".join(parts)
-
-
-def leading_term(f: Polynomial):
-    """Graded-lex maximal monomial of a nonzero polynomial."""
-    if not f.terms:
-        raise ZeroPolynomialError("the zero polynomial has no leading term")
-    return max(f.terms, key=graded_lex_key)
+def format_polynomial(terms) -> str:
+    """Terms as a sum, graded lex largest first, e.g. "x1^2 + 2*x1"; "0" if none."""
+    parts = []
+    for mono in sorted(terms, key=graded_lex_key, reverse=True):
+        coeff = terms[mono]
+        factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "")
+                   for i, e in enumerate(mono) if e]
+        if not factors:
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append("*".join(factors))
+        else:
+            parts.append("*".join([str(coeff)] + factors))
+    return " + ".join(parts) or "0"
 
 
 def footprint_upper_bound(shape: GridShape, leading_terms) -> int:

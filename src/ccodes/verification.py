@@ -5,8 +5,8 @@ raises BudgetExceededError is skipped, with the message as its reason.
 The GHWs checked are the hierarchy that `ccodes hierarchy` prints (one
 values_deg_ge listing): against the subspace oracle, and against n minus
 max_common_zeros, which unranks each rank with rth_of_deg_le instead.
-The extremal family is checked in its expanded form: its coefficient
-codes times the evaluations of its monomials, in one matmul.
+The extremal family is checked in its expanded form: the codes of its
+terms dicts times the evaluations of their monomials, in one matmul.
 Library calls go through the `codes` module, so patches there apply.
 """
 
@@ -57,8 +57,8 @@ def verify(spec: codes.CartesianCodeSpec, budget: int = DEFAULT_BUDGET) -> Verif
     # extremal families, evaluated from their expanded terms, attain the
     # closed-form zero counts
     family = codes.extremal_polynomials(spec, K)
-    monos = sorted({mono for f in family for mono in f.terms})
-    coeffs = [[f.terms.get(mono, 0) for mono in monos] for f in family]
+    monos = sorted({mono for terms in family for mono in terms})
+    coeffs = [[terms.get(mono, 0) for mono in monos] for terms in family]
     evals = codes.matmul(coeffs, codes.monomial_evaluations(spec.field, spec.sets, monos),
                          spec.field)
     common = np.logical_and.accumulate(evals == 0, axis=0).sum(axis=1)

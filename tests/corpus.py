@@ -9,6 +9,10 @@ has, are skipped.  Every feasible pair contributes two set variants:
     offset  the last d_i field elements (the reversed field when d_i = q)
 
 and every admissible degree 1..k.
+
+evaluate is the tests' pointwise reference for a polynomial given as its
+terms, a dict from exponent tuples to codes, built on Field.add, Field.mul
+and Field.pow alone.
 """
 
 from ccodes.codes import CartesianCodeSpec
@@ -48,3 +52,14 @@ def corpus_specs():
                         field.q, "x".join(map(str, dims)), variant, d)
                     out.append((label, CartesianCodeSpec(field, sets, d)))
     return out
+
+
+def evaluate(field, terms, point):
+    """Code of the value of terms at a point given as a sequence of codes."""
+    total = 0
+    for mono, coeff in terms.items():
+        value = coeff
+        for x, e in zip(point, mono, strict=True):
+            value = field.mul(value, field.pow(x, e))
+        total = field.add(total, value)
+    return total

@@ -176,18 +176,48 @@ def test_budget_error_exits_two(capsys):
 
 
 def test_env_budget_override(capsys, monkeypatch):
+    # --budget is the one way to set the cap; the environment changes nothing
     monkeypatch.setenv("CCODES_BUDGET", "3")
     status, _, _ = run_cli(capsys, "shadow", "--grid", "3x3", "--v", "4",
                            "--r", "4", "--brute")
-    assert status == 2
-    # explicit flag wins over the environment
-    status, _, _ = run_cli(capsys, "shadow", "--grid", "3x3", "--v", "4",
-                           "--r", "4", "--brute", "--budget", "1000000")
     assert status == 0
+    status, _, _ = run_cli(capsys, "shadow", "--grid", "3x3", "--v", "4",
+                           "--r", "4", "--brute", "--budget", "3")
+    assert status == 2
     monkeypatch.setenv("CCODES_BUDGET", "notanumber")
     status, _, err = run_cli(capsys, "shadow", "--grid", "2x3", "--v", "1",
                              "--r", "1", "--brute")
-    assert status == 2
+    assert (status, err) == (0, "")
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--field", "3", "--sets", "0,1,2", "--d", "1"),
+    ("shadow", "--grid", "2x3", "--v", "1", "--r", "1", "--brute"),
+])
+def test_negative_budget_exits_two(capsys, command):
+    for budget in ("-5", "-1", "ten"):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--budget", budget])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --budget: must be a non-negative integer, got '{budget}'\n")
+
+
+def test_zero_budget_runs_no_oracle(capsys):
+    status, out, err = run_cli(capsys, "verify", "--field", "3", "--sets", "0,1,2",
+                               "--d", "1", "--budget", "0", "--format", "json")
+    assert (status, err) == (0, "")
+    skipped = [s["name"] for s in json.loads(out)["skipped"]]
+    assert skipped == ["ghw r=1", "ghw r=2", "min_distance", "dual ghw r=1"]
+    status, out, _ = run_cli(capsys, "shadow", "--grid", "2x3", "--v", "1", "--r", "1",
+                             "--budget", "0")
+    assert (status, out) == (0, "3\n")
+    status, out, err = run_cli(capsys, "shadow", "--grid", "2x3", "--v", "1", "--r", "1",
+                               "--brute", "--budget", "0")
+    assert (status, out) == (2, "")
+    assert err == "error: 3 subsets exceed budget 0\n"
 
 
 def test_spec_file_json(tmp_path, capsys):
@@ -267,11 +297,36 @@ def test_huge_grid_maxzeros_exact_and_hierarchy_refused(capsys):
                              "--d", "1", "--r", "3", "--format", "json")
     assert status == 0
     assert json.loads(out)["value"] == 2 ** 61
-    # the dual hierarchy would list 2^64 - 65 weights
+    # the code's own hierarchy would list 2^64 - 65 weights
+    status, out, err = run_cli(capsys, "hierarchy", "--field", "2^1", "--sets", sets,
+                               "--d", "62")
+    assert (status, out) == (2, "")
+    assert err == "error: hierarchy of 18446744073709551551 weights exceeds the limit 10000000\n"
+    # a dual hierarchy that long is summarised: 2^64 - 65 weights from 4 to 2^64
     status, out, err = run_cli(capsys, "hierarchy", "--field", "2^1", "--sets", sets,
                                "--d", "1")
-    assert status == 2
-    assert out == "" and "exceeds" in err
+    assert (status, err) == (0, "")
+    assert out.splitlines()[-1] == \
+        f"dual_hierarchy 4 ... {2 ** 64} ({2 ** 64 - 65} weights)"
+
+
+def test_hierarchy_summarises_a_dual_past_the_limit(capsys):
+    # RM(3, 30): 4526 weights of its own, 2^30 - 4526 in the dual
+    args = ("hierarchy", "--field", "2^1", "--sets", ";".join(["0,1"] * 30), "--d", "3")
+    start = time.process_time()
+    status, text, err = run_cli(capsys, *args)
+    json_status, out, json_err = run_cli(capsys, *args, "--format", "json")
+    assert time.process_time() - start < 1.0
+    assert (status, err, json_status, json_err) == (0, "", 0, "")
+    payload = json.loads(out)
+    assert len(payload["hierarchy"]) == payload["dimension"] == 4526
+    assert payload["dual_hierarchy"] is None
+    assert payload["dual_hierarchy_summary"] == {
+        "length": 1073737298, "first": 16, "last": 2 ** 30}
+    assert list(payload).index("dual_hierarchy_summary") == 5
+    lines = text.splitlines()
+    assert lines[-2] == "hierarchy   " + " ".join(map(str, payload["hierarchy"]))
+    assert lines[-1] == "dual_hierarchy 16 ... 1073741824 (1073737298 weights)"
 
 
 def test_verify_longer_than_64_skips_the_subspace_oracle(capsys):

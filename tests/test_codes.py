@@ -18,7 +18,6 @@ from ccodes.codes import (
     dual_code,
     dual_hierarchy,
     dual_point_weights,
-    extremal_polynomial,
     extremal_polynomials,
     gaussian_binomial,
     generator_matrix,
@@ -43,7 +42,9 @@ from ccodes.errors import (
     RankRangeError,
 )
 from ccodes.gf import field_create
-from ccodes.hilbert import Polynomial, leading_term
+from ccodes.hilbert import graded_lex_key
+
+from corpus import evaluate
 
 
 def all_codewords(code):
@@ -284,8 +285,8 @@ def test_max_common_zeros_exhaustive_oracle():
     for coeffs in itertools.product(range(f2.q), repeat=3):
         if not any(coeffs):
             continue
-        f = Polynomial(f2, 2, dict(zip(monos, coeffs)))
-        best = max(best, sum(1 for pt in pts if not f.evaluate(pt)))
+        f = dict(zip(monos, coeffs))
+        best = max(best, sum(1 for pt in pts if not evaluate(f2, f, pt)))
     assert best == max_common_zeros(spec, 1) == 2
 
 
@@ -338,15 +339,13 @@ def test_hierarchy_strictly_increasing_ends_at_length():
 
 def test_extremal_polynomial_examples():
     spec = spec_from_parts("3^1", "0,1,2", 2)
-    f = extremal_polynomial(spec, (2,))
-    assert f.terms == {(2,): 1, (1,): 2}  # x(x-1) = x^2 + 2x
-
-    unit = extremal_polynomial(spec, (0,))
-    assert unit.terms == {(0,): 1}
+    f, _, unit = extremal_polynomials(spec, 3)  # f_b for b = (2,), (1,), (0,)
+    assert f == {(2,): 1, (1,): 2}  # x(x-1) = x^2 + 2x
+    assert unit == {(0,): 1}
 
     spec = spec_from_parts("2^1", "0,1;0,1", 1)
-    f = extremal_polynomial(spec, (1, 0))
-    zeros = sum(1 for pt in points(spec) if not f.evaluate(pt))
+    f = extremal_polynomials(spec, 1)[0]  # b = (1, 0)
+    zeros = sum(1 for pt in points(spec) if not evaluate(spec.field, f, pt))
     assert zeros == 2
 
 
@@ -357,11 +356,11 @@ def test_extremal_family_attains_bound():
         pts = points(spec)
         polys = extremal_polynomials(spec, spec.dimension)
         for f in polys:
-            assert f.total_degree() <= spec.d
-            assert all(f.degree_in(i) < spec.dims[i] for i in range(spec.m))
-        lts = [leading_term(f) for f in polys]
+            assert max(sum(mono) for mono in f) <= spec.d
+            assert all(max(mono[i] for mono in f) < spec.dims[i] for i in range(spec.m))
+        lts = [max(f, key=graded_lex_key) for f in polys]
         assert len(set(lts)) == len(lts)
-        evals = [[f.evaluate(pt) for pt in pts] for f in polys]
+        evals = [[evaluate(spec.field, f, pt) for pt in pts] for f in polys]
         for r in range(1, spec.dimension + 1):
             zeros = sum(1 for j in range(spec.n)
                         if all(evals[i][j] == 0 for i in range(r)))
@@ -374,15 +373,13 @@ def test_extremal_leading_terms_are_segment_tuples():
     from ccodes.grid import lex_segment
     segment = lex_segment(spec.shape, spec.d, spec.dimension)
     polys = extremal_polynomials(spec, spec.dimension)
-    assert [leading_term(f) for f in polys] == segment
+    assert [max(f, key=graded_lex_key) for f in polys] == segment
 
 
 def test_extremal_validation():
     spec = spec_from_parts("2^1", "0,1;0,1", 1)
     with pytest.raises(RankRangeError):
         extremal_polynomials(spec, 4)
-    with pytest.raises(ValueError):
-        extremal_polynomial(spec, (1, 1))  # degree 2 > d
 
 
 # -- duals ------------------------------------------------------------------------------

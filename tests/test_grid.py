@@ -21,14 +21,12 @@ from ccodes.grid import (
     min_shadow_size,
     mixed_radix_value,
     parse_tuple,
-    rank_desc,
     rth_of_deg_le,
     shadow,
     shadow_level,
-    tuple_at_rank_desc,
     tuples_deg_eq,
-    tuples_deg_ge,
     tuples_deg_le,
+    values_deg_ge,
 )
 
 SMALL_SHAPES = [GridShape(d) for d in [(2,), (4,), (2, 2), (2, 3), (3, 3), (2, 2, 2), (1, 3), (2, 2, 3)]]
@@ -79,23 +77,23 @@ def test_level_counts_match_enumeration():
         assert count_deg_le(shape, shape.k) == count_deg_ge(shape, 0) == shape.n
         for u in range(shape.k + 1):
             assert count_deg_le(shape, u) == len(tuples_deg_le(shape, u))
-            assert count_deg_ge(shape, u) == len(tuples_deg_ge(shape, u))
+            assert count_deg_ge(shape, u) == len([t for t in oracle_box(shape) if sum(t) >= u])
 
 
 # -- enumeration ---------------------------------------------------------------
 
 def test_enumerate_examples():
     s23 = GridShape((2, 3))
-    assert tuples_deg_le(s23, 2, descending=True) == [(1, 1), (1, 0), (0, 2), (0, 1), (0, 0)]
+    assert tuples_deg_le(s23, 2) == [(1, 1), (1, 0), (0, 2), (0, 1), (0, 0)]
     s22 = GridShape((2, 2))
-    assert tuples_deg_ge(s22, 1) == [(0, 1), (1, 0), (1, 1)]
+    # values of (0, 1), (1, 0), (1, 1): the degree >= 1 band, ascending
+    assert values_deg_ge(s22, 1).tolist() == [1, 2, 3]
     assert tuples_deg_eq(s23, 0) == [(0, 0)]
 
 
 def test_enumeration_matches_sort_oracle():
     for shape in SMALL_SHAPES:
-        assert all_tuples(shape) == oracle_box(shape)
-        assert all_tuples(shape, descending=True) == oracle_box(shape, descending=True)
+        assert all_tuples(shape) == oracle_box(shape, descending=True)
 
 
 def test_degree_filter_range():
@@ -108,30 +106,32 @@ def test_degree_filter_range():
 
 # -- ranking --------------------------------------------------------------------
 
+# At d = k the degree band is the whole box: rth_of_deg_le(shape, shape.k, r)
+# is the r-th box tuple, and n - mixed_radix_value is its rank.
+
 def test_rank_examples():
     s23 = GridShape((2, 3))
-    assert tuple_at_rank_desc(s23, 1) == (1, 2)
-    assert tuple_at_rank_desc(s23, 6) == (0, 0)
-    assert tuple_at_rank_desc(GridShape((2, 2, 2)), 2) == (1, 1, 0)
+    assert rth_of_deg_le(s23, s23.k, 1) == (1, 2)
+    assert rth_of_deg_le(s23, s23.k, 6) == (0, 0)
+    s222 = GridShape((2, 2, 2))
+    assert rth_of_deg_le(s222, s222.k, 2) == (1, 1, 0)
 
 
 def test_rank_out_of_range():
     s = GridShape((2, 3))
     with pytest.raises(RankRangeError):
-        tuple_at_rank_desc(s, 0)
+        rth_of_deg_le(s, s.k, 0)
     with pytest.raises(RankRangeError):
-        tuple_at_rank_desc(s, 7)
+        rth_of_deg_le(s, s.k, 7)
 
 
 def test_rank_unrank_inverse_and_sorted_agreement():
     for shape in SMALL_SHAPES:
         desc = oracle_box(shape, descending=True)
         for r, expected in enumerate(desc, start=1):
-            t = tuple_at_rank_desc(shape, r)
+            t = rth_of_deg_le(shape, shape.k, r)
             assert t == expected
-            assert rank_desc(shape, t) == r
-        for t in desc:
-            assert mixed_radix_value(shape, t) == shape.n - rank_desc(shape, t)
+            assert shape.n - mixed_radix_value(shape, t) == r
 
 
 def test_rth_of_deg_le_examples():
@@ -139,21 +139,21 @@ def test_rth_of_deg_le_examples():
     assert rth_of_deg_le(s23, 2, 2) == (1, 0)
     s22 = GridShape((2, 2))
     # the first tuple of degree >= 1 ascending is (0, 1): d_1 = 1 + value
-    assert tuples_deg_ge(s22, 1)[0] == (0, 1)
+    assert values_deg_ge(s22, 1)[0] == mixed_radix_value(s22, (0, 1))
     assert 1 + mixed_radix_value(s22, (0, 1)) == min_shadow_size(s22, 2 - 1, 1) == 2
 
 
 def test_rth_matches_filtered_enumeration():
     for shape in SMALL_SHAPES:
         for d in range(shape.k + 1):
-            le = tuples_deg_le(shape, d, descending=True)
+            le = tuples_deg_le(shape, d)
             for r, expected in enumerate(le, start=1):
                 assert rth_of_deg_le(shape, d, r) == expected
             with pytest.raises(RankRangeError):
                 rth_of_deg_le(shape, d, len(le) + 1)
             # 1 + value of the r-th tuple of degree >= d ascending is the
             # least shadow of r tuples of degree <= k - d
-            ge = tuples_deg_ge(shape, d)
+            ge = [t for t in oracle_box(shape) if sum(t) >= d]
             for r, t in enumerate(ge, start=1):
                 assert 1 + mixed_radix_value(shape, t) == min_shadow_size(shape, shape.k - d, r)
             with pytest.raises(RankRangeError):
@@ -163,7 +163,7 @@ def test_rth_matches_filtered_enumeration():
 def test_lex_segment_is_prefix_of_walk():
     for shape in SMALL_SHAPES:
         for d in range(shape.k + 1):
-            le = tuples_deg_le(shape, d, descending=True)
+            le = tuples_deg_le(shape, d)
             for r in range(1, len(le) + 1):
                 assert lex_segment(shape, d, r) == le[:r]
 
@@ -203,7 +203,7 @@ def test_shadow_monotone_and_idempotent():
     import random
     rng = random.Random(20240817)
     for shape in SMALL_SHAPES:
-        box = all_tuples(shape)
+        box = sorted(all_tuples(shape))
         for _ in range(20):
             s = set(rng.sample(box, rng.randint(0, min(4, len(box)))))
             t = s | set(rng.sample(box, rng.randint(0, min(3, len(box)))))
