@@ -102,7 +102,7 @@ def _add_common_flags(parser, budget: bool = False):
     parser.add_argument("--format", choices=("table", "json"), default="table")
     if budget:  # only the subcommands that run an exhaustive oracle
         parser.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
-                            help="oracle work cap, 0 for none (default 10^7)")
+                            help="oracle work cap; 0 runs no oracle (default 10^7)")
 
 
 def _emit(args, payload: dict, table_lines) -> None:

@@ -17,7 +17,12 @@ product of per-coordinate power ladders; the dual's column scalars are
 the Kronecker product of the per-set derivatives g_i'; row reduction
 clears a pivot column in all other rows with one table lookup; and the
 exhaustive oracles sweep subspaces and codewords in chunks of fixed size,
-whatever their budget.  The extremal families are expanded with the Field
+whatever their budget.  The oracles build each span of rows as the
+Kronecker sum of the spans of its two halves, one lookup in the flat
+addition table per entry.  The subspace oracle packs each word's support
+into a 64-bit mask, all words of a span in one packbits pass; the codeword
+oracle sums each word's nonzero entries over a column-major copy of its
+span.  The extremal families are expanded with the Field
 methods, so they need no tables and work over every field; each f_b is
 returned as its terms, a dict from exponent tuples to nonzero codes.
 """
@@ -476,11 +481,15 @@ def _support_masks(variants: np.ndarray, zeros) -> np.ndarray:
     """One uint64 per row: bit j is set where variants[:, j] != zeros[j].
 
     With zeros the codes of -v, the bits are the support of v + variants.
-    Rows have at most 64 entries; they are packed one bit per entry.
+    Rows have at most 64 entries.  The comparison rows are padded to whole
+    bytes and packed in one contiguous pass, then widened to 8 bytes each.
     """
-    packed = np.packbits(variants != zeros, axis=1, bitorder="little")
-    words = np.zeros((packed.shape[0], 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
+    rows, n = variants.shape
+    width = -(-n // 8)
+    bits = np.zeros((rows, 8 * width), dtype=bool)
+    np.not_equal(variants, zeros, out=bits[:, :n])
+    words = np.zeros((rows, 8), dtype=np.uint8)
+    words[:, :width] = np.packbits(bits, bitorder="little").reshape(rows, width)
     return words.view("<u8").ravel()
 
 
@@ -557,14 +566,27 @@ def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def _span_words(rows, field: Field) -> np.ndarray:
-    """All combinations of the given rows, one codeword per array row."""
-    n = rows.shape[1]
-    add, mul = field.add_table, field.mul_table
-    words = np.zeros((1, n), dtype=field.int_dtype)
-    for row in rows:
-        scaled = mul[:, row]
-        words = add[words[:, None, :], scaled[None, :, :]].reshape(-1, n)
-    return words
+    """All combinations of the given rows, one codeword per array row.
+
+    Word a_1 q^(k-1) + ... + a_k is the combination with coefficients
+    a_1, ..., a_k: the first row is slowest.  The span of two or more rows
+    is the Kronecker sum of the spans of their two halves, every word of
+    the first plus every word of the second, with one lookup per entry in
+    the flat addition table.  Its index, a * q + b, takes the smallest
+    unsigned type that holds q^2 - 1.
+    """
+    k, n = rows.shape
+    if k == 0:
+        return np.zeros((1, n), dtype=field.int_dtype)
+    if k == 1:
+        return field.mul_table[:, rows[0]]
+    first = _span_words(rows[:k // 2], field)
+    second = _span_words(rows[k // 2:], field)
+    index = np.min_scalar_type(field.q ** 2 - 1)
+    # row-major, so that each word's entries pack contiguously into a mask
+    sums = np.add(first.astype(index)[:, None, :] * field.q, second[None, :, :],
+                  dtype=index, order="C")
+    return field.add_table.ravel()[sums].reshape(-1, n)
 
 
 def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
@@ -584,7 +606,9 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
         raise BudgetExceededError(f"{total} codewords exceed budget {budget}")
     add, mul, neg = field.add_table, field.mul_table, field.neg_table
     cut = max(0, K - _fast_digits(q))
-    inner = _span_words(code.matrix[cut:], field)
+    # column-major, so that the weights sum whole columns at a time
+    inner = np.asfortranarray(_span_words(code.matrix[cut:], field))
+    count = np.min_scalar_type(n)
     block = max(1, _ORACLE_CHUNK // inner.shape[0])
     best = n
     for start in range(0, q ** cut, block):
@@ -595,7 +619,7 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
             digit = index // q ** (cut - 1 - t) % q
             outer = add[outer, mul[digit[:, None], row[None, :]]]
         # a word w + v is zero exactly where v == -w
-        weights = np.count_nonzero(inner[None, :, :] != neg[outer][:, None, :], axis=2)
+        weights = (inner[None, :, :] != neg[outer][:, None, :]).sum(axis=2, dtype=count)
         nonzero = weights[weights > 0]
         if nonzero.size:
             best = min(best, int(nonzero.min()))

@@ -220,6 +220,14 @@ def test_zero_budget_runs_no_oracle(capsys):
     assert err == "error: 3 subsets exceed budget 0\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "shadow"])
+def test_budget_help_says_zero_runs_no_oracle(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert "0 runs no oracle" in " ".join(capsys.readouterr().out.split())
+
+
 def test_spec_file_json(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"field": "2^1", "sets": "0,1;0,1", "d": 1}))

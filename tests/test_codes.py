@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ccodes import codes
@@ -551,6 +551,34 @@ def test_support_masks_match_power_of_two_sum(n, rows, q, seed):
             == weighted_sum(shifted != 0).tolist())
 
 
+def span_reference(rows, field):
+    """Every combination of rows, coefficients from itertools.product."""
+    k, n = rows.shape
+    combos = itertools.product(range(field.q), repeat=k)
+    coeffs = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp,
+                         count=field.q ** k * k).reshape(field.q ** k, k)
+    words = np.zeros((coeffs.shape[0], n), dtype=np.intp)
+    for i, row in enumerate(rows):
+        words = field.add_table[words, field.mul_table[coeffs[:, i:i + 1], row[None, :]]]
+    return words
+
+
+# GF(1024) needs index 1024 * a + b up to 2^20 - 1, past any uint16
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (2, 10)]),
+       st.integers(0, 8), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+@example((2, 10), 2, 2, 0)
+def test_span_words_list_combinations_first_row_slowest(pe, k, n, seed):
+    field = field_create(*pe)
+    # at most 2^16 words, but two rows over GF(1024), of length <= 2
+    k = min(k, max(2, max(j for j in range(9) if field.q ** j <= 2 ** 16)))
+    n = min(n, 2) if field.q ** k > 2 ** 16 else n
+    rows = np.random.default_rng(seed).integers(0, field.q, (k, n)).astype(field.int_dtype)
+    words = codes._span_words(rows, field)
+    assert words.shape == (field.q ** k, n) and words.dtype == field.int_dtype
+    assert np.array_equal(words, span_reference(rows, field))
+
+
 def random_code(data, q):
     """A full-rank code of dimension <= 4 and length <= 7 drawn over GF(q)."""
     field = field_create(2, 2) if q == 4 else field_create(q)
@@ -599,23 +627,26 @@ def test_truncated_subspace_sweep_trips_the_count_invariant(monkeypatch):
 
 def test_oracle_memory_does_not_grow_with_the_budget():
     # a [26, 13] ternary code: (3^13 - 1) / 2 = 797161 one-dimensional
-    # subcodes and 3^13 = 1594323 codewords
-    f3 = field_create(3)
-    tail = [[(i * j + i + 1) % 3 for j in range(13)] for i in range(13)]
-    code = LinearCode(f3, np.hstack([np.eye(13, dtype=np.uint8), tail]))
-    results = []
-    for budget in (10 ** 6, 10 ** 7):
-        for oracle in (lambda: brute_ghw(code, 1, budget=budget),
-                       lambda: brute_min_weight(code, budget=10 * budget)):
-            tracemalloc.start()
-            try:
-                value = oracle()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 4 * 2 ** 20, (budget, peak)
-            results.append(value)
-    assert len(set(results)) == 1
+    # subcodes and 3^13 = 1594323 codewords; and a [64, 16] binary code,
+    # whose spans of 2^14 words of length 64 are the widest the oracles build
+    f2, f3 = field_create(2), field_create(3)
+    ternary = [[(i * j + i + 1) % 3 for j in range(13)] for i in range(13)]
+    binary = [[(i * j + i + j) // 3 % 2 for j in range(48)] for i in range(16)]
+    for code in (LinearCode(f3, np.hstack([np.eye(13, dtype=np.uint8), ternary])),
+                 LinearCode(f2, np.hstack([np.eye(16, dtype=np.uint8), binary]))):
+        results = []
+        for budget in (10 ** 6, 10 ** 7):
+            for oracle in (lambda: brute_ghw(code, 1, budget=budget),
+                           lambda: brute_min_weight(code, budget=10 * budget)):
+                tracemalloc.start()
+                try:
+                    value = oracle()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 4 * 2 ** 20, (code, budget, peak)
+                results.append(value)
+        assert len(set(results)) == 1, code
 
 
 def test_ghw_oracle_on_length_16_grid():

@@ -5,6 +5,8 @@ import collections
 import fnmatch
 from pathlib import Path
 
+import pytest
+
 import ccodes
 
 SOURCES = sorted(Path(ccodes.__file__).parent.glob("*.py"))
@@ -60,16 +62,33 @@ def _is_closed_form(name: str) -> bool:
     return _matches(name, CLOSED_FORMS) or name.startswith("lex_segment")
 
 
+def _oracle_bodies(filename: str) -> dict:
+    """The module-level definitions of the oracles listed for filename."""
+    tree = ast.parse((Path(ccodes.__file__).parent / filename).read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in ORACLES[filename]}
+
+
+def _closed_forms_used(node) -> list:
+    return sorted(n for n in _names(node) if _is_closed_form(n))
+
+
 def test_oracles_share_no_code_with_closed_forms():
-    root = Path(ccodes.__file__).parent
     for filename, oracles in ORACLES.items():
-        tree = ast.parse((root / filename).read_text(encoding="utf-8"))
-        bodies = {node.name: node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name in oracles}
+        bodies = _oracle_bodies(filename)
         assert set(bodies) == set(oracles), filename
         for name, node in bodies.items():
-            used = sorted(n for n in _names(node) if _is_closed_form(n))
+            used = _closed_forms_used(node)
             assert not used, f"{filename}:{name} calls closed-form machinery {used}"
+
+
+@pytest.mark.parametrize("filename,oracle", [(filename, oracle)
+                                             for filename, oracles in ORACLES.items()
+                                             for oracle in oracles])
+def test_closed_form_planted_in_an_oracle_is_caught(filename, oracle):
+    node = _oracle_bodies(filename)[oracle]
+    node.body.insert(0, ast.parse("min_shadow_size(shape, d, r)").body[0])
+    assert _closed_forms_used(node) == ["min_shadow_size"]
 
 
 def test_cli_leaves_the_oracles_to_verification():
