@@ -8,7 +8,6 @@ and cross-check every closed form against exhaustive oracles.
 from .codes import (
     CartesianCodeSpec,
     LinearCode,
-    WeiDualityReport,
     brute_ghw,
     brute_min_weight,
     code_summary,
@@ -39,11 +38,7 @@ from .grid import (
     shadow,
     shadow_level,
 )
-from .hilbert import (
-    MonomialIdeal,
-    footprint_upper_bound,
-    hilbert_fn,
-)
+from .hilbert import footprint_upper_bound, hilbert_fn
 
 from .verification import VerifyReport, verify
 

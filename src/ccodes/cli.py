@@ -23,8 +23,9 @@ import argparse
 import json
 import sys
 
-from . import codes, grid, hilbert
-from .grid import DEFAULT_BUDGET
+from . import codes
+from .grid import DEFAULT_BUDGET, GridShape, brute_min_shadow, min_shadow_size, parse_tuple
+from .hilbert import footprint_upper_bound, format_polynomial
 from .verification import verify
 
 
@@ -190,12 +191,12 @@ def _rank_runs(names) -> list:
 
 
 def _cmd_shadow(args) -> int:
-    shape = grid.GridShape.parse(args.grid)
-    value = grid.min_shadow_size(shape, args.v, args.r)
+    shape = GridShape.parse(args.grid)
+    value = min_shadow_size(shape, args.v, args.r)
     payload = {"grid": str(shape), "v": args.v, "r": args.r, "min_shadow": value}
     brute = None
     if args.brute:
-        brute = grid.brute_min_shadow(shape, args.v, args.r, budget=args.budget)
+        brute = brute_min_shadow(shape, args.v, args.r, budget=args.budget)
         payload["brute_min_shadow"] = brute
     mismatch = args.brute and brute != value
 
@@ -211,9 +212,9 @@ def _cmd_shadow(args) -> int:
 
 
 def _cmd_footprint(args) -> int:
-    shape = grid.GridShape.parse(args.grid)
-    lts = [grid.parse_tuple(part) for part in args.lts.split(";") if part.strip()]
-    bound = hilbert.footprint_upper_bound(shape, lts)
+    shape = GridShape.parse(args.grid)
+    lts = [parse_tuple(part) for part in args.lts.split(";") if part.strip()]
+    bound = footprint_upper_bound(shape, lts)
     payload = {"grid": str(shape),
                "leading_terms": [list(lt) for lt in lts],
                "bound": bound}
@@ -224,7 +225,7 @@ def _cmd_footprint(args) -> int:
 def _cmd_maxzeros(args) -> int:
     spec = _spec_from_args(args)
     value = codes.max_common_zeros(spec, args.r)
-    polys = [hilbert.format_polynomial(f) for f in codes.extremal_polynomials(spec, args.r)]
+    polys = [format_polynomial(f) for f in codes.extremal_polynomials(spec, args.r)]
     payload = {"value": value, "polynomials": polys}
     _emit(args, payload, lambda: [str(value)]
           + [f"f{i}: {f}" for i, f in enumerate(polys, start=1)])

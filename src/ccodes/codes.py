@@ -25,23 +25,21 @@ oracle sums each word's nonzero entries over a column-major copy of its
 span.  The extremal families are expanded with the Field
 methods, so they need no tables and work over every field; each f_b is
 returned as its terms, a dict from exponent tuples to nonzero codes.
+wei_duality_check returns a bool: whether the hierarchy and the reflected
+dual hierarchy partition {1, ..., n}, as Wei's duality theorem requires.
+Bad input raises ValueError.  Its one subclass, BudgetExceededError,
+marks work past a limit (an oracle's budget, the hierarchy length), so
+verify can tell a check its oracle refused from an error.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    DegreeRangeError,
-    InvariantError,
-    RankDeficiencyError,
-    RankRangeError,
-)
+from .errors import BudgetExceededError, InvariantError, RankDeficiencyError
 from .gf import Field, parse_field
 from .grid import (
     DEFAULT_BUDGET,
@@ -87,9 +85,9 @@ class CartesianCodeSpec:
             raise ValueError(f"set sizes must be ascending, got {dims}")
         shape = GridShape(dims)
         if shape.k < 1:
-            raise DegreeRangeError("all sets are singletons; no degrees available")
+            raise ValueError("all sets are singletons; no degrees available")
         if not 1 <= d <= shape.k:
-            raise DegreeRangeError(f"degree {d} outside [1, {shape.k}]")
+            raise ValueError(f"degree {d} outside [1, {shape.k}]")
         # mixed-radix self check: n - 1 must decompose on the top tuple
         top = tuple(x - 1 for x in dims)
         if shape.n - 1 != mixed_radix_value(shape, top):
@@ -302,14 +300,14 @@ def generator_matrix(spec: CartesianCodeSpec) -> LinearCode:
 def ghw_closed_form(spec: CartesianCodeSpec, r: int) -> int:
     """r-th generalized Hamming weight: the least shadow of r degree-<=d tuples."""
     if not 1 <= r <= spec.dimension:
-        raise RankRangeError(f"rank {r} outside [1, {spec.dimension}]")
+        raise ValueError(f"rank {r} outside [1, {spec.dimension}]")
     return min_shadow_size(spec.shape, spec.d, r)
 
 
 def max_common_zeros(spec: CartesianCodeSpec, r: int) -> int:
     """Maximum number of common grid zeros of r independent polynomials."""
     if not 1 <= r <= spec.dimension:
-        raise RankRangeError(f"rank {r} outside [1, {spec.dimension}]")
+        raise ValueError(f"rank {r} outside [1, {spec.dimension}]")
     b = rth_of_deg_le(spec.shape, spec.d, r)
     return mixed_radix_value(spec.shape, b)
 
@@ -320,7 +318,7 @@ def _hierarchy_at_degree(shape: GridShape, d: int) -> tuple:
     d_r is 1 + the value of the r-th tuple of degree >= k - d, ascending.
     """
     if not 0 <= d <= shape.k:
-        raise DegreeRangeError(f"degree {d} outside [0, {shape.k}]")
+        raise ValueError(f"degree {d} outside [0, {shape.k}]")
     length = count_deg_ge(shape, shape.k - d)
     if length > _MAX_HIERARCHY_LENGTH:
         raise BudgetExceededError(
@@ -404,7 +402,7 @@ def extremal_polynomials(spec: CartesianCodeSpec, r: int) -> list:
     terms, {exponent tuple: nonzero code}.
     """
     if not 1 <= r <= spec.dimension:
-        raise RankRangeError(f"rank {r} outside [1, {spec.dimension}]")
+        raise ValueError(f"rank {r} outside [1, {spec.dimension}]")
     return _extremal_family(spec, lex_segment(spec.shape, spec.d, r))
 
 
@@ -448,29 +446,15 @@ def dual_code(spec: CartesianCodeSpec) -> LinearCode:
     return LinearCode(spec.field, spec.field.mul_table[rows, w[None, :]])
 
 
-@dataclass(frozen=True)
-class WeiDualityReport:
-    """Partition check of {1..n} by the hierarchy and the reflected dual."""
+def wei_duality_check(spec: CartesianCodeSpec) -> bool:
+    """Whether hierarchy and reflected dual hierarchy partition {1, ..., n}.
 
-    ok: bool
-    hierarchy: tuple
-    dual_hierarchy: tuple
-    reflected_dual: tuple
-    overlap: tuple
-    missing: tuple
-
-
-def wei_duality_check(spec: CartesianCodeSpec) -> WeiDualityReport:
-    """Verify the two closed-form hierarchies partition {1, ..., n}."""
+    Wei's duality: {d_r(C)} = {1..n} minus {n + 1 - d_s(C-dual)}.
+    """
     if spec.d > spec.k - 1:
-        raise DegreeRangeError("duality check needs degree <= k - 1")
-    h = hierarchy(spec)
-    hd = dual_hierarchy(spec)
-    reflected = tuple(spec.n + 1 - w for w in reversed(hd))
-    overlap = tuple(sorted(set(h) & set(reflected)))
-    missing = tuple(sorted(set(range(1, spec.n + 1)) - set(h) - set(reflected)))
-    ok = not overlap and not missing and len(h) + len(hd) == spec.n
-    return WeiDualityReport(ok, h, hd, reflected, overlap, missing)
+        raise ValueError("duality check needs degree <= k - 1")
+    reflected = tuple(spec.n + 1 - w for w in dual_hierarchy(spec))
+    return sorted(hierarchy(spec) + reflected) == list(range(1, spec.n + 1))
 
 
 # --------------------------------------------------------------------------
@@ -547,7 +531,7 @@ def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
     K, n = code.dimension, code.length
     q = code.field.q
     if not 1 <= r <= K:
-        raise RankRangeError(f"rank {r} outside [1, {K}]")
+        raise ValueError(f"rank {r} outside [1, {K}]")
     if n > _MAX_ORACLE_LENGTH:
         raise BudgetExceededError(
             f"support masks limited to length {_MAX_ORACLE_LENGTH}, code has {n}")

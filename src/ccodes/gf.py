@@ -35,8 +35,6 @@ import operator
 
 import numpy as np
 
-from .errors import DegreeRangeError, FieldMismatchError, NotPrimeError
-
 MAX_EXTENSION_DEGREE = 16
 
 # Largest field order for which dense lookup tables may be materialized.
@@ -178,9 +176,9 @@ class Field:
             raise ValueError(f"characteristic {p} is too large: primality is "
                              f"decided only below {MAX_CHARACTERISTIC}")
         if not _is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
+            raise ValueError(f"{p} is not prime")
         if not 1 <= e <= MAX_EXTENSION_DEGREE:
-            raise DegreeRangeError(
+            raise ValueError(
                 f"extension degree must be in [1, {MAX_EXTENSION_DEGREE}], got {e}")
         self.p = p
         self.e = e
@@ -191,8 +189,6 @@ class Field:
         bound = 2 * max(e * p * p, self.q)
         self._wide_dtype = next((t for t in (np.int16, np.int32, np.int64)
                                  if bound <= np.iinfo(t).max), object)
-        self.zero = FieldElement(self, 0)
-        self.one = FieldElement(self, 1)
 
     def __eq__(self, other):
         if not isinstance(other, Field):
@@ -211,7 +207,7 @@ class Field:
         """value as an element code of this field, checked to lie in [0, q)."""
         value = operator.index(value)
         if not 0 <= value < self.q:
-            raise FieldMismatchError(f"element code {value} outside [0, {self.q})")
+            raise ValueError(f"element code {value} outside [0, {self.q})")
         return value
 
     def _wide(self, a):
@@ -270,14 +266,6 @@ class Field:
         """1/a as a^(2q - 3), which equals a^(q - 2) on units and maps 0 to 0."""
         return self.pow(a, 2 * self.q - 3)
 
-    def from_int(self, value: int) -> FieldElement:
-        """The element view of an integer code."""
-        return FieldElement(self, self.code(value))
-
-    def elements(self) -> list[FieldElement]:
-        """All q element views, ascending by integer code (zero first)."""
-        return [FieldElement(self, i) for i in range(self.q)]
-
     # -- dense lookup tables: add and mul on every pair of codes ------------
 
     def _table(self, compute) -> np.ndarray:
@@ -315,7 +303,10 @@ class Field:
 
 
 class FieldElement:
-    """A (field, code) view; its operators +, -, *, /, ** call the Field methods."""
+    """A (field, code) view; its operators +, -, *, /, ** call the Field methods.
+
+    The code is taken as given: FieldElement(f, f.code(c)) checks it first.
+    """
 
     __slots__ = ("field", "code")
 
@@ -328,7 +319,7 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         if self.field is not other.field and self.field != other.field:
-            raise FieldMismatchError(f"{self.field} vs {other.field}")
+            raise ValueError(f"{self.field} vs {other.field}")
         return FieldElement(self.field, op(self.code, other.code))
 
     def to_int(self) -> int:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, DegreeRangeError, RankRangeError
+from .errors import BudgetExceededError
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -106,7 +106,7 @@ def parse_tuple(text: str) -> tuple:
 
 def _check_deg(shape, u):
     if not 0 <= u <= shape.k:
-        raise DegreeRangeError(f"degree {u} outside [0, {shape.k}] for {shape}")
+        raise ValueError(f"degree {u} outside [0, {shape.k}] for {shape}")
 
 
 def all_tuples(shape: GridShape) -> list:
@@ -173,7 +173,7 @@ def mixed_radix_value(shape: GridShape, t) -> int:
 def _check_rank_le(shape, d, r):
     count = count_deg_le(shape, d)
     if not 1 <= r <= count:
-        raise RankRangeError(f"rank {r} outside [1, {count}] for degree <= {d}")
+        raise ValueError(f"rank {r} outside [1, {count}] for degree <= {d}")
 
 
 def rth_of_deg_le(shape: GridShape, d: int, r: int) -> tuple:
@@ -234,7 +234,7 @@ def lex_segment_level(shape: GridShape, u: int, r: int) -> list:
     """First r tuples of degree exactly u in decreasing lex order."""
     level = tuples_deg_eq(shape, u)
     if not 0 <= r <= len(level):
-        raise RankRangeError(f"rank {r} outside [0, {len(level)}] for level {u}")
+        raise ValueError(f"rank {r} outside [0, {len(level)}] for level {u}")
     return level[:r]
 
 
@@ -289,7 +289,7 @@ def check_clements_lindstrom(shape: GridShape, u: int, pts) -> InclusionReport:
     the inclusion is a theorem, so a counterexample means a bug.
     """
     if not 0 <= u < shape.k:
-        raise DegreeRangeError(f"level {u} outside [0, {shape.k}) for {shape}")
+        raise ValueError(f"level {u} outside [0, {shape.k}) for {shape}")
     pts = set(pts)
     for s in pts:
         if not (shape.contains(s) and sum(s) == u):
@@ -311,7 +311,7 @@ def brute_min_shadow(shape: GridShape, v: int, r: int,
     """Minimum shadow size over every r-subset of degree <= v (oracle)."""
     pool = tuples_deg_le(shape, v)
     if not 1 <= r <= len(pool):
-        raise RankRangeError(f"rank {r} outside [1, {len(pool)}] for degree <= {v}")
+        raise ValueError(f"rank {r} outside [1, {len(pool)}] for degree <= {v}")
     if math.comb(len(pool), r) > budget:
         raise BudgetExceededError(
             f"{math.comb(len(pool), r)} subsets exceed budget {budget}")

@@ -1,11 +1,13 @@
-"""Monomial ideals, polynomial notation, footprint counting.
+"""Hilbert counts of monomial ideals, polynomial notation, footprint counting.
 
 Monomials are plain exponent tuples (non-negative, unbounded entries,
-unlike box tuples).  A polynomial is a plain dict from monomials to
-nonzero integer codes of a field, its terms; format_polynomial prints
-one.  The affine Hilbert function of a monomial ideal is computed by
-direct enumeration of the degree-<=u simplex and divisibility tests
-(grid.divides); at desk scale this is small and auditable.
+unlike box tuples).  A monomial ideal is given by its generators, a
+sequence of monomials of one length.  A polynomial is a plain dict from
+monomials to nonzero integer codes of a field, its terms;
+format_polynomial prints one.  The affine Hilbert function of a monomial
+ideal (hilbert_fn) is computed by direct enumeration of the degree-<=u
+simplex and divisibility tests (grid.divides); at desk scale this is
+small and auditable.
 
 footprint_upper_bound is a closed form: it counts the box tuples outside
 the leading terms' up-sets coordinate by coordinate and never lists the
@@ -14,17 +16,13 @@ box.  hilbert_fn over box_ideal and grid.shadow are its oracles.
 Leading terms are taken under graded lexicographic order: compare total
 degree first, ties broken lexicographically with x1 most significant.
 The leading term of terms is max(terms, key=graded_lex_key).
-
-Serialization: a monomial is comma-joined exponents, an ideal is
-semicolon-joined monomials, e.g. "2,0;0,3".
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DimensionMismatchError, DuplicateLeadingTermError
-from .grid import GridShape, divides, parse_tuple
+from .grid import GridShape, divides
 
 
 def monomials_deg_eq(nvars: int, total: int):
@@ -43,61 +41,25 @@ def monomials_deg_le(nvars: int, max_degree: int):
         yield from monomials_deg_eq(nvars, total)
 
 
-class MonomialIdeal:
-    """Ideal generated by monomials, kept as a minimal generator set."""
+def hilbert_fn(generators, u: int) -> int:
+    """Number of monomials of degree <= u that no generator divides.
 
-    def __init__(self, generators, nvars: int | None = None):
-        gens = {tuple(int(x) for x in g) for g in generators}
-        if nvars is None:
-            if not gens:
-                raise ValueError("nvars required for an empty generator set")
-            nvars = len(next(iter(gens)))
-        for g in gens:
-            if len(g) != nvars:
-                raise DimensionMismatchError(
-                    f"generator {g} has {len(g)} variables, expected {nvars}")
-            if any(x < 0 for x in g):
-                raise ValueError(f"negative exponent in generator {g}")
-        self.nvars = nvars
-        # drop generators divisible by another one
-        self.generators = tuple(sorted(
-            g for g in gens
-            if not any(h != g and divides(h, g) for h in gens)))
-
-    @classmethod
-    def parse(cls, text: str, nvars: int | None = None) -> MonomialIdeal:
-        gens = [parse_tuple(part) for part in text.split(";") if part.strip()]
-        return cls(gens, nvars=nvars)
-
-    def format(self) -> str:
-        return ";".join(",".join(str(x) for x in g) for g in self.generators)
-
-    def contains(self, mono) -> bool:
-        """Monomial membership: some generator divides it coordinatewise."""
-        mono = tuple(mono)
-        if len(mono) != self.nvars:
-            raise DimensionMismatchError(
-                f"monomial {mono} has {len(mono)} variables, expected {self.nvars}")
-        return any(divides(g, mono) for g in self.generators)
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialIdeal):
-            return NotImplemented
-        return self.nvars == other.nvars and self.generators == other.generators
-
-    def __hash__(self):
-        return hash((self.nvars, self.generators))
-
-    def __repr__(self):
-        return f"MonomialIdeal({self.format()!r})"
-
-
-def hilbert_fn(ideal: MonomialIdeal, u: int) -> int:
-    """Number of monomials of degree <= u outside the ideal."""
+    This is the affine Hilbert function of the monomial ideal with these
+    generators, which must all have the same number of variables.
+    """
+    gens = [tuple(int(x) for x in g) for g in generators]
+    if not gens:
+        raise ValueError("at least one generator required")
+    nvars = len(gens[0])
+    for g in gens:
+        if len(g) != nvars:
+            raise ValueError(f"generator {g} has {len(g)} variables, expected {nvars}")
+        if any(x < 0 for x in g):
+            raise ValueError(f"negative exponent in generator {g}")
     if u < 0:
         return 0
-    return sum(1 for mono in monomials_deg_le(ideal.nvars, u)
-               if not ideal.contains(mono))
+    return sum(1 for mono in monomials_deg_le(nvars, u)
+               if not any(divides(g, mono) for g in gens))
 
 
 def graded_lex_key(mono):
@@ -135,12 +97,12 @@ def footprint_upper_bound(shape: GridShape, leading_terms) -> int:
     lts = [tuple(int(x) for x in lt) for lt in leading_terms]
     for lt in lts:
         if len(lt) != shape.m:
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"leading term {lt} has {len(lt)} variables, expected {shape.m}")
         if any(x < 0 for x in lt):
             raise ValueError(f"negative exponent in leading term {lt}")
     if len(set(lts)) != len(lts):
-        raise DuplicateLeadingTermError(f"duplicate leading terms in {lts}")
+        raise ValueError(f"duplicate leading terms in {lts}")
     memo = {}
 
     def free(i, terms):
@@ -160,9 +122,8 @@ def footprint_upper_bound(shape: GridShape, leading_terms) -> int:
     return free(0, frozenset(lts))
 
 
-def box_ideal(shape: GridShape, leading_terms=()) -> MonomialIdeal:
-    """Ideal generated by given terms plus the box generators x_i^{d_i}."""
-    gens = [tuple(int(x) for x in lt) for lt in leading_terms]
-    for i, d in enumerate(shape.dims):
-        gens.append(tuple(d if j == i else 0 for j in range(shape.m)))
-    return MonomialIdeal(gens, nvars=shape.m)
+def box_ideal(shape: GridShape, leading_terms=()) -> tuple:
+    """Generators of the ideal of the given terms plus the box's x_i^{d_i}."""
+    box = tuple(tuple(d if j == i else 0 for j in range(shape.m))
+                for i, d in enumerate(shape.dims))
+    return tuple(map(tuple, leading_terms)) + box

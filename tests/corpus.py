@@ -12,11 +12,15 @@ and every admissible degree 1..k.
 
 evaluate is the tests' pointwise reference for a polynomial given as its
 terms, a dict from exponent tuples to codes, built on Field.add, Field.mul
-and Field.pow alone.
+and Field.pow alone.  element builds the FieldElement view of a code, and
+exactly turns an error message into a pytest.raises pattern that matches
+only that message.
 """
 
+import re
+
 from ccodes.codes import CartesianCodeSpec
-from ccodes.gf import field_create
+from ccodes.gf import FieldElement, field_create
 
 GRIDS = [(2,), (3,), (5,), (2, 2), (2, 3), (3, 3), (2, 2, 2)]
 
@@ -63,3 +67,13 @@ def evaluate(field, terms, point):
             value = field.mul(value, field.pow(x, e))
         total = field.add(total, value)
     return total
+
+
+def element(field, code):
+    """The FieldElement view of a code, which must lie in [0, q)."""
+    return FieldElement(field, field.code(code))
+
+
+def exactly(message):
+    """A match pattern for pytest.raises that accepts only this message."""
+    return f"^{re.escape(message)}$"

@@ -33,18 +33,11 @@ from ccodes.codes import (
     spec_from_parts,
     wei_duality_check,
 )
-from ccodes.errors import (
-    BudgetExceededError,
-    DegreeRangeError,
-    FieldMismatchError,
-    InvariantError,
-    RankDeficiencyError,
-    RankRangeError,
-)
+from ccodes.errors import BudgetExceededError, InvariantError, RankDeficiencyError
 from ccodes.gf import field_create
 from ccodes.hilbert import graded_lex_key
 
-from corpus import evaluate
+from corpus import element, evaluate, exactly
 
 
 def all_codewords(code):
@@ -81,13 +74,13 @@ def test_spec_validation():
         CartesianCodeSpec(f3, [[e[0], e[0]]], 1)
     with pytest.raises(ValueError):
         CartesianCodeSpec(f3, [e[:3], e[:2]], 1)  # sizes must ascend
-    with pytest.raises(DegreeRangeError):
+    with pytest.raises(ValueError, match=exactly("degree 0 outside [1, 3]")):
         CartesianCodeSpec(f3, [e[:2], e[:3]], 0)
-    with pytest.raises(DegreeRangeError):
+    with pytest.raises(ValueError, match=exactly("degree 4 outside [1, 3]")):
         CartesianCodeSpec(f3, [e[:2], e[:3]], 4)
-    with pytest.raises(FieldMismatchError):
+    with pytest.raises(ValueError, match=exactly("element code 3 outside [0, 3)")):
         CartesianCodeSpec(f3, [[3]], 1)  # code 3 is no element of GF(3)
-    with pytest.raises(DegreeRangeError):
+    with pytest.raises(ValueError, match=exactly("all sets are singletons; no degrees available")):
         CartesianCodeSpec(f3, [e[:1]], 1)  # singleton grid has k = 0
 
 
@@ -164,7 +157,7 @@ def test_rref_properties():
 
 def gauss_jordan(rows, field):
     """Reduced row echelon form over FieldElement arithmetic; (rows, pivots)."""
-    A = [[field.from_int(int(x)) for x in row] for row in rows]
+    A = [[element(field, int(x)) for x in row] for row in rows]
     pivots = []
     for c in range(len(A[0]) if A else 0):
         r = len(pivots)
@@ -262,9 +255,9 @@ def test_ghw_last_weight_is_length():
 
 def test_ghw_rank_validation():
     spec = spec_from_parts("2^1", "0,1;0,1", 1)
-    with pytest.raises(RankRangeError):
+    with pytest.raises(ValueError, match=exactly("rank 0 outside [1, 3]")):
         ghw_closed_form(spec, 0)
-    with pytest.raises(RankRangeError):
+    with pytest.raises(ValueError, match=exactly("rank 4 outside [1, 3]")):
         ghw_closed_form(spec, 4)
 
 
@@ -378,7 +371,7 @@ def test_extremal_leading_terms_are_segment_tuples():
 
 def test_extremal_validation():
     spec = spec_from_parts("2^1", "0,1;0,1", 1)
-    with pytest.raises(RankRangeError):
+    with pytest.raises(ValueError, match=exactly("rank 4 outside [1, 3]")):
         extremal_polynomials(spec, 4)
 
 
@@ -398,8 +391,8 @@ def test_dual_full_grid_weights_are_sign():
     for field, m in [(field_create(2), 2), (field_create(3), 2), (field_create(3), 1)]:
         sets_text = ";".join(",".join(str(i) for i in range(field.q)) for _ in range(m))
         spec = spec_from_parts(f"{field.p}^{field.e}", sets_text, 1)
-        minus_one = -field.one
-        expected = field.one if m % 2 == 0 else minus_one
+        one = element(field, 1)
+        expected = one if m % 2 == 0 else -one
         assert dual_point_weights(spec).tolist() == [expected.to_int()] * spec.n
 
 
@@ -444,35 +437,40 @@ def test_lagrange_power_sums():
     # sum of x^l / g'(x) over a set is 0 for l < size-1 and 1 at l = size-1
     for spec in _lagrange_specs():
         for s in spec.sets:
-            s = [spec.field.from_int(x) for x in s]
+            s = [element(spec.field, x) for x in s]
+            zero, one = element(spec.field, 0), element(spec.field, 1)
             derivs = []
             for t, x in enumerate(s):
-                v = spec.field.one
+                v = one
                 for u, y in enumerate(s):
                     if u != t:
                         v = v * (x - y)
                 derivs.append(v)
             for ell in range(len(s)):
-                total = spec.field.zero
+                total = zero
                 for x, dv in zip(s, derivs):
                     total = total + x ** ell / dv
-                expected = spec.field.one if ell == len(s) - 1 else spec.field.zero
+                expected = one if ell == len(s) - 1 else zero
                 assert total == expected
 
 
-def test_wei_duality_examples():
-    report = wei_duality_check(spec_from_parts("2^1", "0,1;0,1", 1))
-    assert report.ok
-    assert report.hierarchy == (2, 3, 4)
-    assert report.reflected_dual == (1,)
+def test_wei_duality_examples(monkeypatch):
+    # the dual weight 4 of RM(1, 2), reflected to 5 - 4 = 1, fills {1..4}
+    spec = spec_from_parts("2^1", "0,1;0,1", 1)
+    assert (hierarchy(spec), dual_hierarchy(spec)) == ((2, 3, 4), (4,))
+    assert wei_duality_check(spec) is True
 
-    report = wei_duality_check(spec_from_parts("3^1", "0,1,2", 1))
-    assert report.ok
-    assert report.hierarchy == (2, 3)
-    assert report.reflected_dual == (1,)
+    line = spec_from_parts("3^1", "0,1,2", 1)
+    assert (hierarchy(line), dual_hierarchy(line)) == ((2, 3), (3,))
+    assert wei_duality_check(line) is True
 
-    with pytest.raises(DegreeRangeError):
+    with pytest.raises(ValueError, match=exactly("duality check needs degree <= k - 1")):
         wei_duality_check(spec_from_parts("2^1", "0,1;0,1", 2))
+
+    # a dual weight that overlaps the hierarchy, or one left out, fails it
+    for wrong in ((3,), ()):
+        monkeypatch.setattr(codes, "dual_hierarchy", lambda spec: wrong)
+        assert wei_duality_check(spec) is False
 
 
 # -- exhaustive oracles ------------------------------------------------------------------
@@ -516,7 +514,7 @@ def test_brute_budget_errors():
         brute_ghw(code, 2, budget=5)
     with pytest.raises(BudgetExceededError):
         brute_min_weight(code, budget=5)
-    with pytest.raises(RankRangeError):
+    with pytest.raises(ValueError, match=exactly("rank 0 outside [1, 6]")):
         brute_ghw(code, 0)
 
 
@@ -664,7 +662,7 @@ def test_code_over_gf9():
     assert (code.length, code.dimension) == (4, 3)
     for r in range(1, spec.dimension + 1):
         assert ghw_closed_form(spec, r) == brute_ghw(code, r)
-    assert wei_duality_check(spec).ok
+    assert wei_duality_check(spec) is True
 
 
 # -- summary ---------------------------------------------------------------------------
@@ -689,9 +687,9 @@ def test_monomial_evaluations_alignment():
     pts = points(spec)
     for ri, mono in enumerate(monos):
         for ci, pt in enumerate(pts):
-            expected = spec.field.one
+            expected = element(spec.field, 1)
             for x, e in zip(pt, mono):
-                expected = expected * spec.field.from_int(x) ** e
+                expected = expected * element(spec.field, x) ** e
             assert rows[ri, ci] == expected.to_int()
 
 
@@ -711,9 +709,9 @@ def test_monomial_evaluations_match_element_products(pe, data):
     for mono in monos:
         row = []
         for pt in pts:
-            value = f.one
+            value = element(f, 1)
             for x, e in zip(pt, mono):
-                value = value * f.from_int(x) ** e
+                value = value * element(f, x) ** e
             row.append(value.to_int())
         expected.append(row)
     assert rows.tolist() == expected
