@@ -20,7 +20,6 @@ from .codes import (
     hierarchy,
     matmul,
     max_common_zeros,
-    min_distance_closed_form,
     points,
     rank,
     rref,

@@ -22,12 +22,17 @@ Kronecker sum of the spans of its two halves, one lookup in the flat
 addition table per entry.  The subspace oracle packs each word's support
 into a 64-bit mask, all words of a span in one packbits pass; the codeword
 oracle sums each word's nonzero entries over a column-major copy of its
-span.  The extremal families are expanded with the Field
+span.  Each oracle raises InvariantError unless it covered exactly the
+gaussian_binomial(K, r, q) subspaces or q^K codewords it should.  The
+extremal families are expanded with the Field
 methods, so they need no tables and work over every field; each f_b is
 returned as its terms, a dict from exponent tuples to nonzero codes.
+The minimum distance is d_1 of the hierarchy.  Only _hierarchy_at_degree
+decides whether a hierarchy is short enough to list.
 wei_duality_check returns a bool: whether the hierarchy and the reflected
 dual hierarchy partition {1, ..., n}, as Wei's duality theorem requires.
-Bad input raises ValueError.  Its one subclass, BudgetExceededError,
+Bad input raises ValueError, generator entries that are not integer codes
+in [0, q) included.  Its one subclass, BudgetExceededError,
 marks work past a limit (an oracle's budget, the hierarchy length), so
 verify can tell a check its oracle refused from an error.
 """
@@ -35,7 +40,6 @@ verify can tell a check its oracle refused from an error.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -152,11 +156,13 @@ class LinearCode:
     """
 
     def __init__(self, field: Field, matrix):
-        matrix = np.array(matrix, dtype=field.int_dtype)
-        if matrix.ndim != 2:
+        raw = np.asarray(matrix)
+        if raw.ndim != 2:
             raise ValueError("generator matrix must be two-dimensional")
-        if np.any(matrix >= field.q):
+        # check before casting, which would truncate floats and wrap negatives
+        if raw.size and (raw.dtype.kind not in "biu" or raw.min() < 0 or raw.max() >= field.q):
             raise ValueError(f"matrix entries must be codes in [0, {field.q})")
+        matrix = raw.astype(field.int_dtype)
         if matrix.shape[0] and rank(matrix, field) != matrix.shape[0]:
             raise RankDeficiencyError("generator rows are linearly dependent")
         matrix.flags.writeable = False
@@ -339,25 +345,6 @@ def dual_hierarchy(spec: CartesianCodeSpec) -> tuple:
     if spec.d == spec.k:
         return ()
     return _hierarchy_at_degree(spec.shape, spec.k - spec.d - 1)
-
-
-def min_distance_closed_form(spec: CartesianCodeSpec) -> int:
-    """Minimum distance by the greedy degree decomposition.
-
-    Splits d = l + sum_{i<=j}(d_i - 1) with j maximal and 1 <= l <=
-    d_{j+1} - 1, giving distance (d_{j+1} - l) * d_{j+2} * ... * d_m.
-    """
-    dims = spec.dims
-    d = spec.d
-    prefix = 0
-    j = 0
-    while j < spec.m and prefix + dims[j] - 1 < d:
-        prefix += dims[j] - 1
-        j += 1
-    if j == spec.m:
-        raise InvariantError(f"degree {d} does not split on {dims}")
-    ell = d - prefix
-    return (dims[j] - ell) * math.prod(dims[j + 1:])
 
 
 # --------------------------------------------------------------------------
@@ -578,7 +565,8 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
 
     The span of the last generator rows, at most _ORACLE_CHUNK words, is
     held once.  Blocks of combinations of the other rows are added to it,
-    so one block covers at most _ORACLE_CHUNK codewords.
+    so one block covers at most _ORACLE_CHUNK codewords.  The words
+    compared are counted and must number q^K.
     """
     K, n = code.dimension, code.length
     field = code.field
@@ -595,6 +583,7 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     count = np.min_scalar_type(n)
     block = max(1, _ORACLE_CHUNK // inner.shape[0])
     best = n
+    compared = 0
     for start in range(0, q ** cut, block):
         # outer words start, start + 1, ...: base-q digits, first row slowest
         index = np.arange(start, min(start + block, q ** cut))
@@ -604,9 +593,12 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
             outer = add[outer, mul[digit[:, None], row[None, :]]]
         # a word w + v is zero exactly where v == -w
         weights = (inner[None, :, :] != neg[outer][:, None, :]).sum(axis=2, dtype=count)
+        compared += weights.size
         nonzero = weights[weights > 0]
         if nonzero.size:
             best = min(best, int(nonzero.min()))
+    if compared != total:
+        raise InvariantError(f"compared {compared} codewords, expected {total}")
     return best
 
 
@@ -615,11 +607,11 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
 # --------------------------------------------------------------------------
 
 def code_summary(spec: CartesianCodeSpec) -> dict:
-    """Parameters and both hierarchies of the code.
+    """Parameters and both hierarchies of the code; min_distance is d_1.
 
-    A dual hierarchy longer than _MAX_HIERARCHY_LENGTH is not listed:
-    dual_hierarchy is None and dual_hierarchy_summary holds its length and
-    its first and last weights, each unranked on its own.
+    A dual hierarchy that _hierarchy_at_degree refuses to list is summarised
+    instead: dual_hierarchy is None and dual_hierarchy_summary holds its
+    length n - K and its first and last weights, each unranked on its own.
     """
     summary = {
         "length": spec.n,
@@ -627,16 +619,15 @@ def code_summary(spec: CartesianCodeSpec) -> dict:
         "degree": spec.d,
         "hierarchy": list(hierarchy(spec)),
     }
-    dual_degree = spec.k - spec.d - 1
-    length = count_deg_le(spec.shape, dual_degree) if dual_degree >= 0 else 0
-    if length > _MAX_HIERARCHY_LENGTH:
+    try:
+        summary["dual_hierarchy"] = list(dual_hierarchy(spec))
+    except BudgetExceededError:
+        dual_degree, length = spec.k - spec.d - 1, spec.n - spec.dimension
         summary["dual_hierarchy"] = None
         summary["dual_hierarchy_summary"] = {
             "length": length,
             "first": min_shadow_size(spec.shape, dual_degree, 1),
             "last": min_shadow_size(spec.shape, dual_degree, length),
         }
-    else:
-        summary["dual_hierarchy"] = list(dual_hierarchy(spec))
-    summary["min_distance"] = min_distance_closed_form(spec)
+    summary["min_distance"] = summary["hierarchy"][0]
     return summary

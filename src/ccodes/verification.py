@@ -5,6 +5,8 @@ raises BudgetExceededError is skipped, with the message as its reason.
 The GHWs checked are the hierarchy that `ccodes hierarchy` prints (one
 values_deg_ge listing): against the subspace oracle, and against n minus
 max_common_zeros, which unranks each rank with rth_of_deg_le instead.
+The minimum distance checked is d_1 of that hierarchy, against the
+codeword oracle, the one oracle that covers codes longer than 64.
 The extremal family is checked in its expanded form: the codes of its
 terms dicts times the evaluations of their monomials, in one matmul.
 Library calls go through the `codes` module, so patches there apply.
@@ -51,8 +53,7 @@ def verify(spec: codes.CartesianCodeSpec, budget: int = DEFAULT_BUDGET) -> Verif
     for r in ranks:
         against_oracle(f"ghw r={r}", ghw[r - 1], codes.brute_ghw, code, r)
     checks += [(f"ghw+zeros r={r}", ghw[r - 1], n - zeros[r - 1]) for r in ranks]
-    against_oracle("min_distance", codes.min_distance_closed_form(spec),
-                   codes.brute_min_weight, code)
+    against_oracle("min_distance", ghw[0], codes.brute_min_weight, code)
 
     # extremal families, evaluated from their expanded terms, attain the
     # closed-form zero counts

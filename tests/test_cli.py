@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ccodes import codes, verify
+from ccodes import cli, codes, verify
 from ccodes.cli import main
 
 
@@ -68,6 +68,13 @@ def test_shadow_brute_agreement(capsys):
     assert status == 0
     payload = json.loads(out)
     assert payload["min_shadow"] == payload["brute_min_shadow"] == 2
+
+
+def test_shadow_brute_mismatch_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "brute_min_shadow", lambda shape, v, r, budget: 3)
+    status, out, err = run_cli(capsys, "shadow", "--grid", "2x3", "--v", "3",
+                               "--r", "2", "--brute")
+    assert (status, out, err) == (1, "2\nbrute 3\nMISMATCH\n", "")
 
 
 def test_verify_exits_zero(capsys):
@@ -166,6 +173,15 @@ def test_parse_errors_exit_two(capsys):
     assert status == 2
     status, _, err = run_cli(capsys, "hierarchy", "--field", "2^1", "--d", "1")
     assert status == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("hierarchy", "--field", "3", "--sets", "0,a", "--d", "1"), "bad evaluation set '0,a'"),
+    (("maxzeros", "--field", "3", "--sets", "0,1,2", "--d", "1", "--r", "0"),
+     "rank 0 outside [1, 2]"),
+])
+def test_bad_inline_input_exits_two(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_budget_error_exits_two(capsys):
@@ -267,6 +283,18 @@ def test_spec_file_wrong_types_exit_two(tmp_path, capsys, data):
     assert status == 2
     assert out == ""
     assert err.startswith("error: spec file ")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "spec file {path} must hold an object"),
+    ("garbage\n", "cannot parse spec file line 'garbage'"),
+    ("field = 3^1\nsets = 0,1,2\nd = abc\n", "spec file d must be an integer, got 'abc'"),
+])
+def test_spec_file_errors_exit_two(tmp_path, capsys, text, message):
+    path = tmp_path / "spec"
+    path.write_text(text)
+    status, out, err = run_cli(capsys, "hierarchy", "--spec-file", str(path))
+    assert (status, out, err) == (2, "", f"error: {message.format(path=path)}\n")
 
 
 def test_missing_spec_file(capsys):
@@ -371,8 +399,9 @@ def test_verify_counts_no_subspaces_past_the_length_cap(capsys):
 
 
 def test_verify_reports_mismatch(capsys, monkeypatch):
-    exact = codes.min_distance_closed_form
-    monkeypatch.setattr(codes, "min_distance_closed_form", lambda spec: exact(spec) + 1)
+    exact = codes.brute_min_weight
+    monkeypatch.setattr(codes, "brute_min_weight",
+                        lambda code, budget: exact(code, budget=budget) + 1)
     spec = codes.spec_from_parts("3^1", "0,1,2", 1)
     assert verify(spec).ok is False
     args = ("verify", "--field", "3^1", "--sets", "0,1,2", "--d", "1")
@@ -380,7 +409,7 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     assert status == 1
     lines = text.splitlines()
     assert [line for line in lines if line.endswith("MISMATCH")] == [
-        "min_distance: closed=3 oracle=2 MISMATCH"]
+        "min_distance: closed=2 oracle=3 MISMATCH"]
     assert lines[-1] == "VERIFY FAILED"
     status, out, _ = run_cli(capsys, *args, "--format", "json")
     assert status == 1

@@ -25,7 +25,6 @@ from ccodes.codes import (
     hierarchy,
     matmul,
     max_common_zeros,
-    min_distance_closed_form,
     monomial_evaluations,
     points,
     rank,
@@ -138,6 +137,12 @@ def test_linear_code_rejects_dependent_rows():
         LinearCode(f2, [[1, 0, 1], [1, 0, 1]])
     with pytest.raises(ValueError):
         LinearCode(f2, [[0, 2]])
+
+
+@pytest.mark.parametrize("matrix", [[[0.5, 1.7]], [["1", "2"]], [[-1, 0]], [[2 ** 70, 1]]])
+def test_linear_code_rejects_entries_that_are_not_codes(matrix):
+    with pytest.raises(ValueError, match=exactly("matrix entries must be codes in [0, 4)")):
+        LinearCode(field_create(2, 2), matrix)
 
 
 # -- linear algebra helpers ---------------------------------------------------------
@@ -293,24 +298,17 @@ def test_ghw_equals_length_minus_max_zeros():
 
 def test_min_distance_examples():
     spec = spec_from_parts("3^1", "0,1,2;0,1,2", 2)
-    assert min_distance_closed_form(spec) == 3
+    assert hierarchy(spec)[0] == 3
     assert brute_min_weight(generator_matrix(spec)) == 3
 
     spec = spec_from_parts("2^1", "0,1;0,1;0,1", 1)
-    assert min_distance_closed_form(spec) == 4
+    assert hierarchy(spec)[0] == 4
     code = generator_matrix(spec)
     assert (code.length, code.dimension) == (8, 4)
     assert brute_min_weight(code) == 4
 
     spec = spec_from_parts("3^1", "0,1;0,1,2", 3)  # d = k: weight-1 words appear
-    assert min_distance_closed_form(spec) == 1
-
-
-def test_min_distance_equals_first_weight():
-    for parts in [("2^1", "0,1;0,1", 1), ("3^1", "0,1,2;0,1,2", 2),
-                  ("2^2", "0,1,2;0,1,2,3", 4), ("5^1", "0,2,4", 1)]:
-        spec = spec_from_parts(*parts)
-        assert min_distance_closed_form(spec) == hierarchy(spec)[0]
+    assert hierarchy(spec)[0] == 1
 
 
 def test_hierarchy_examples():
@@ -623,6 +621,15 @@ def test_truncated_subspace_sweep_trips_the_count_invariant(monkeypatch):
         brute_ghw(code, 1)
 
 
+def test_truncated_codeword_span_trips_the_count_invariant(monkeypatch):
+    spec = spec_from_parts("3^1", "0,1,2;0,1,2", 2)
+    code = generator_matrix(spec)
+    span = codes._span_words
+    monkeypatch.setattr(codes, "_span_words", lambda rows, field: span(rows, field)[:-1])
+    with pytest.raises(InvariantError, match="codewords, expected 729$"):
+        brute_min_weight(code)
+
+
 def test_oracle_memory_does_not_grow_with_the_budget():
     # a [26, 13] ternary code: (3^13 - 1) / 2 = 797161 one-dimensional
     # subcodes and 3^13 = 1594323 codewords; and a [64, 16] binary code,
@@ -653,7 +660,7 @@ def test_ghw_oracle_on_length_16_grid():
     assert code.length == 16
     for r in (1, 2):
         assert ghw_closed_form(spec, r) == brute_ghw(code, r)
-    assert min_distance_closed_form(spec) == brute_min_weight(code)
+    assert hierarchy(spec)[0] == brute_min_weight(code)
 
 
 def test_code_over_gf9():

@@ -23,6 +23,28 @@ def _poly_mul(a, b, p):
     return tuple(out)
 
 
+def _trim(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return tuple(coeffs)
+
+
+def _poly_sub(a, b, p):
+    n = max(len(a), len(b))
+    return _trim([(x - y) % p for x, y in zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b)))])
+
+
+def _poly_divmod(a, b, p):
+    """Quotient and remainder of schoolbook long division, both trimmed."""
+    rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    scale = pow(b[-1], -1, p)
+    for shift in reversed(range(len(quo))):
+        c = quo[shift] = rem[shift + len(b) - 1] * scale % p
+        for j, y in enumerate(b):
+            rem[shift + j] = (rem[shift + j] - c * y) % p
+    return _trim(quo), _trim(rem)
+
+
 def _monics(p, deg):
     for tail in itertools.product(range(p), repeat=deg):
         yield tail + (1,)
@@ -86,6 +108,12 @@ def test_irreducibility_test_matches_bruteforce(p, e):
         assert is_irreducible(cand, p) == (cand not in composite)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_irreducibility_of_constants_and_linear_polynomials(p):
+    assert is_irreducible((1,), p) is False
+    assert all(is_irreducible(cand, p) for cand in _monics(p, 1))
+
+
 def test_modulus_search_matches_trial_division_up_to_1024():
     # the first monic candidate, in the documented order, that no monic
     # polynomial of degree 1..e/2 divides
@@ -95,7 +123,7 @@ def test_modulus_search_matches_trial_division_up_to_1024():
     for p, e in powers:
         divisors = [g for a in range(1, e // 2 + 1) for g in _monics(p, a)]
         first = next(cand for cand in _monics(p, e)
-                     if all(gf._poly_divmod(cand, g, p)[1] for g in divisors))
+                     if all(_poly_divmod(cand, g, p)[1] for g in divisors))
         assert smallest_irreducible(p, e) == first, (p, e)
 
 
@@ -291,7 +319,8 @@ def test_negative_powers():
 #
 # The tables and FieldElement both derive from the Field methods, so the
 # reference is written here: codes split into base-p digit polynomials,
-# multiplied and divided by the modulus with the gf polynomial helpers.
+# multiplied and divided by the modulus with the long division above, which
+# shares no code with the gf polynomial helpers.
 
 def _digits(f, code):
     """The e base-p digits of a code, lowest first: its coefficient vector."""
@@ -299,7 +328,7 @@ def _digits(f, code):
 
 
 def _poly(f, code):
-    return gf._trim(_digits(f, code))
+    return _trim(_digits(f, code))
 
 
 def _code(f, coeffs):
@@ -315,8 +344,8 @@ def ref_neg(f, a):
 
 
 def ref_mul(f, a, b):
-    prod = gf._poly_mul(_poly(f, a), _poly(f, b), f.p)
-    return _code(f, gf._poly_divmod(prod, f.modulus, f.p)[1])
+    prod = _poly_mul(_poly(f, a), _poly(f, b), f.p)
+    return _code(f, _poly_divmod(prod, f.modulus, f.p)[1])
 
 
 def ref_inv(f, a):
@@ -324,11 +353,11 @@ def ref_inv(f, a):
     old_r, r = _poly(f, a), f.modulus
     old_t, t = (1,), ()
     while r:
-        quo, rem = gf._poly_divmod(old_r, r, f.p)
+        quo, rem = _poly_divmod(old_r, r, f.p)
         old_r, r = r, rem
-        old_t, t = t, gf._poly_sub(old_t, gf._poly_mul(quo, t, f.p), f.p)
+        old_t, t = t, _poly_sub(old_t, _poly_mul(quo, t, f.p), f.p)
     scale = pow(old_r[0], -1, f.p)  # old_r is a nonzero constant
-    return _code(f, gf._poly_divmod(gf._poly_mul(old_t, (scale,), f.p), f.modulus, f.p)[1])
+    return _code(f, _poly_divmod(_poly_mul(old_t, (scale,), f.p), f.modulus, f.p)[1])
 
 
 def test_reference_arithmetic_examples():

@@ -71,6 +71,7 @@ def test_hilbert_fn_examples():
     assert hilbert_fn([(2,)], 3) == 2
     assert hilbert_fn([(2, 0), (0, 2)], 5) == 4
     assert hilbert_fn([(3, 0)], 2) == 6
+    assert hilbert_fn([(2, 0), (0, 2)], -1) == 0
 
 
 def test_hilbert_fn_monotone():
@@ -112,6 +113,7 @@ def test_polynomial_scalar_and_degrees():
     f5 = field_create(5)
     f = {(1, 1): 3, (0, 1): 1}  # 3*x1*x2 + x2
     assert format_polynomial(f) == "3*x1*x2 + x2"
+    assert format_polynomial({(0, 0): 3, (1, 0): 1}) == "x1 + 3"
     assert evaluate(f5, f, [1, 1]) == 4
 
 

@@ -26,8 +26,7 @@ def test_no_assert_statements():
 CLOSED_FORMS = (
     "rth_of_deg_*", "values_deg_ge", "lex_segment", "min_shadow_size", "count_deg_*",
     "_suffix_counts", "ghw_closed_form", "max_common_zeros",
-    "hierarchy", "dual_hierarchy", "_hierarchy_at_degree", "min_distance_closed_form",
-    "footprint_upper_bound",
+    "hierarchy", "dual_hierarchy", "_hierarchy_at_degree", "footprint_upper_bound",
 )
 
 ORACLE_SIDE = (
