@@ -19,14 +19,17 @@ clears a pivot column in all other rows with one table lookup; and the
 exhaustive oracles sweep subspaces and codewords in chunks of fixed size,
 whatever their budget.  The oracles build each span of rows as the
 Kronecker sum of the spans of its two halves, one lookup in the flat
-addition table per entry.  The subspace oracle packs each word's support
-into a 64-bit mask, all words of a span in one packbits pass; the codeword
-oracle sums each word's nonzero entries over a column-major copy of its
-span.  Each oracle raises InvariantError unless it covered exactly the
-gaussian_binomial(K, r, q) subspaces or q^K codewords it should.  The
-extremal families are expanded with the Field
-methods, so they need no tables and work over every field; each f_b is
-returned as its terms, a dict from exponent tuples to nonzero codes.
+addition table per entry.  The subspace oracle packs each support into a
+64-bit mask.  It builds each basis row's masks once per code and rank:
+from a table of the supports of G[p] + a G[c], or by comparing the two
+halves of the row's span, packed in one packbits pass, and kept from one
+pivot set to the next.  The codeword oracle sums each word's nonzero
+entries over a column-major copy of its span.  Each oracle raises
+InvariantError unless it covered exactly the gaussian_binomial(K, r, q)
+subspaces or q^K codewords it should.  The extremal families are
+expanded with the Field methods, so they need no tables and work over
+every field; each f_b is returned as its terms, a dict from exponent
+tuples to nonzero codes.
 The minimum distance is d_1 of the hierarchy.  Only _hierarchy_at_degree
 decides whether a hierarchy is short enough to list.
 wei_duality_check returns a bool: whether the hierarchy and the reflected
@@ -449,19 +452,49 @@ def wei_duality_check(spec: CartesianCodeSpec) -> bool:
 # --------------------------------------------------------------------------
 
 def _support_masks(variants: np.ndarray, zeros) -> np.ndarray:
-    """One uint64 per row: bit j is set where variants[:, j] != zeros[j].
+    """One uint64 per word: bit j is set where variants[..., j] != zeros[..., j].
 
-    With zeros the codes of -v, the bits are the support of v + variants.
-    Rows have at most 64 entries.  The comparison rows are padded to whole
-    bytes and packed in one contiguous pass, then widened to 8 bytes each.
+    variants and zeros broadcast together to words of at most 64 entries,
+    and the masks take that shape less its last axis.  With zeros the codes
+    of -v, the bits are the support of v + variants.  The comparisons are
+    padded to whole bytes and packed in one contiguous pass, then widened
+    to 8 bytes each.
     """
-    rows, n = variants.shape
-    width = -(-n // 8)
-    bits = np.zeros((rows, 8 * width), dtype=bool)
-    np.not_equal(variants, zeros, out=bits[:, :n])
+    *lead, n = np.broadcast_shapes(np.shape(variants), np.shape(zeros))
+    rows, width = int(np.prod(lead)), -(-n // 8)
+    bits = np.zeros((*lead, 8 * width), dtype=bool)
+    np.not_equal(variants, zeros, out=bits[..., :n])
     words = np.zeros((rows, 8), dtype=np.uint8)
     words[:, :width] = np.packbits(bits, bitorder="little").reshape(rows, width)
-    return words.view("<u8").ravel()
+    return words.view("<u8").reshape(lead)
+
+
+def _mask_table(code: LinearCode):
+    """Masks of G[p] + a G[c], indexed [p, c, a], or None past one chunk.
+
+    All K * K * q supports are compared and packed in one pass.  The
+    table stays within _ORACLE_CHUNK words, so a large code or field
+    leaves its rows to _half_span_masks.
+    """
+    G, field = code.matrix, code.field
+    if G.shape[0] ** 2 * field.q > _ORACLE_CHUNK:
+        return None
+    return _support_masks(field.mul_table[:, G].transpose(1, 0, 2)[None],
+                          field.neg_table[G][:, None, None, :])
+
+
+def _half_span_masks(halves, shift, field: Field) -> np.ndarray:
+    """Masks of shift plus every word of a span, given as its two halves.
+
+    halves holds the spans of the first k // 2 rows and of the others, so
+    word a q^(k - k // 2) + b of the span is first_a + second_b, as in
+    _span_words.  It is zero plus shift exactly where first_a equals
+    -(second_b + shift), so only the second half is shifted and the words
+    of the whole span are never added up.
+    """
+    first, second = halves
+    zeros = field.neg_table[field.add_table[second, shift]]
+    return _support_masks(first[:, None, :], zeros[None, :, :]).ravel()
 
 
 def _fast_digits(q: int) -> int:
@@ -472,38 +505,73 @@ def _fast_digits(q: int) -> int:
     return digits
 
 
-def _subspace_supports(code: LinearCode, pivots):
+def _subspace_supports(code: LinearCode, pivots, reuse):
     """Support masks of the subspaces with these echelon pivots, in chunks.
 
     Basis row i is G[pivots[i]] plus any combination of the rows G[c] with
     c > pivots[i] not a pivot (its free entries).  The free entries of all
     rows form one mixed-radix counter.  Its fastest digits, at most
-    _ORACLE_CHUNK combinations, are swept at once: each row's span over
-    its fast free rows is built once and shifted by the combination its
-    slow digits pick.  The slow digits step one prefix per chunk.
+    _ORACLE_CHUNK combinations, are swept at once; the slow digits step one
+    prefix per chunk and shift the rows they belong to, the stepped rows.
+    Those come first, and only the last of them can have fast free rows.
+    Every other row has the same masks in all chunks: the mask table's
+    for at most one fast free row, else _half_span_masks of its fast span.
+    The rows after the last stepped one are ORed together once.
+
+    reuse is (mask table, slots), kept by brute_ghw from one pivot set to
+    the next.  slots[i] holds row i's last fast rows with their masks, or
+    their span halves if row i was the last stepped row.  The fast rows fix
+    the pivot of a row that is not stepped, since its free entries are all
+    fast and the rows after it hold r - 1 - i pivots.  A slot the current
+    pivot set does not use is emptied, so the slots hold at most one chunk
+    of words.
     """
     G, field = code.matrix, code.field
     K, q = G.shape[0], field.q
-    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    add, mul = field.add_table, field.mul_table
+    table, slots = reuse
     free = [(i, c) for i, p in enumerate(pivots)
             for c in range(p + 1, K) if c not in pivots]
     cut = max(0, len(free) - _fast_digits(q))
     slow, fast = free[:cut], free[cut:]
-    spans = [_span_words(G[[c for k, c in fast if k == i]], field)
-             for i in range(len(pivots))]
     stepped = sorted({i for i, _ in slow})
-    masks = [_support_masks(span, neg[G[p]]) for p, span in zip(pivots, spans)]
+    last = stepped[-1] if stepped else -1
+    head, tail = np.uint64(0), None
+    for i, p in enumerate(pivots):
+        cols = tuple(c for k, c in fast if k == i)
+        if i in stepped and i != last:
+            slots[i] = None  # one word, shifted in every chunk
+            continue
+        if i != last and len(cols) < 2 and table is not None:
+            slots[i] = None
+            masks = table[p, cols[0]] if cols else table[p, p, :1]
+        else:
+            key = (i == last, cols)
+            if slots[i] is None or slots[i][0] != key:
+                rows = G[list(cols)]
+                halves = (_span_words(rows[:len(cols) // 2], field),
+                          _span_words(rows[len(cols) // 2:], field))
+                slots[i] = key, halves if i == last else _half_span_masks(halves, G[p], field)
+            if i == last:
+                continue  # its halves are shifted in every chunk
+            masks = slots[i][1]
+        # rows before the last stepped one have no fast rows: one word each
+        if i < last:
+            head |= masks[0]
+        else:
+            tail = masks if tail is None else np.bitwise_or.outer(tail, masks).ravel()
+    if not stepped:
+        yield tail
+        return
     for digits in itertools.product(range(q), repeat=len(slow)):
-        rows = {i: G[pivots[i]] for i in stepped}
+        shifts = {i: G[pivots[i]] for i in stepped}
         for (i, c), a in zip(slow, digits):
             if a:
-                rows[i] = add[rows[i], mul[a, G[c]]]
-        for i in stepped:
-            masks[i] = _support_masks(spans[i], neg[rows[i]])
-        acc = masks[0]
-        for m in masks[1:]:
-            acc = np.bitwise_or.outer(acc, m).ravel()
-        yield acc
+                shifts[i] = add[shifts[i], mul[a, G[c]]]
+        acc = _half_span_masks(slots[last][1], shifts.pop(last), field) | head
+        if shifts:
+            acc |= np.bitwise_or.reduce(_support_masks(np.array(list(shifts.values())), 0))
+        yield acc if tail is None else np.bitwise_or.outer(acc, tail).ravel()
 
 
 def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -513,7 +581,9 @@ def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
     canonical bases (pivot columns, then free entries).  The support of a
     subspace is the union of its basis rows' supports, tracked as bit
     masks.  They are swept in chunks of at most _ORACLE_CHUNK subspaces,
-    so memory does not grow with the budget.
+    and the mask table and the masks kept from one pivot set to the next
+    hold at most a chunk of words each, so memory does not grow with the
+    budget.
     """
     K, n = code.dimension, code.length
     q = code.field.q
@@ -527,8 +597,9 @@ def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
         raise BudgetExceededError(f"{total} subspaces exceed budget {budget}")
     best = n
     enumerated = 0
+    reuse = _mask_table(code), [None] * r
     for pivots in itertools.combinations(range(K), r):
-        for acc in _subspace_supports(code, pivots):
+        for acc in _subspace_supports(code, pivots, reuse):
             enumerated += acc.size
             best = min(best, int(np.bitwise_count(acc).min()))
     if enumerated != total:

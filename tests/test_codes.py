@@ -575,11 +575,11 @@ def test_span_words_list_combinations_first_row_slowest(pe, k, n, seed):
     assert np.array_equal(words, span_reference(rows, field))
 
 
-def random_code(data, q):
-    """A full-rank code of dimension <= 4 and length <= 7 drawn over GF(q)."""
-    field = field_create(2, 2) if q == 4 else field_create(q)
-    k = data.draw(st.integers(1, 4))
-    n = data.draw(st.integers(k, 7))
+def random_code(data, q, max_k=4, max_n=7):
+    """A full-rank code of dimension <= max_k and length <= max_n drawn over GF(q)."""
+    field = field_create(*{4: (2, 2), 9: (3, 2)}.get(q, (q,)))
+    k = data.draw(st.integers(1, max_k))
+    n = data.draw(st.integers(k, max_n))
     matrix = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
                                 min_size=k, max_size=k))
     assume(rank(np.array(matrix), field) == k)
@@ -602,6 +602,69 @@ def test_chunked_oracles_match_default_chunk(q, data):
             assert brute_min_weight(code) == weight
 
 
+def echelon_support_masks(code, pivots) -> list:
+    """Support masks of the subspaces with these pivots, from their bases.
+
+    Every reduced-echelon basis comes from itertools.product over the free
+    entries (row by row, first entry slowest); its rows are summed with the
+    Field methods and the support is read off coordinate by coordinate.
+    """
+    G, field = code.matrix, code.field
+    K, n = G.shape
+    free = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, K) if c not in pivots]
+    masks = []
+    for coeffs in itertools.product(range(field.q), repeat=len(free)):
+        basis = [G[p] for p in pivots]
+        for (i, c), a in zip(free, coeffs):
+            basis[i] = field.add(basis[i], field.mul(a, G[c]))
+        masks.append(sum(1 << j for j in range(n) if any(row[j] for row in basis)))
+    return masks
+
+
+# Ranks whose echelon bases the reference enumerates in a test's time.
+REFERENCE_SUBSPACES = 3000
+
+
+def reference_ranks(code) -> list:
+    K, q = code.dimension, code.field.q
+    return [r for r in range(1, K + 1) if gaussian_binomial(K, r, q) <= REFERENCE_SUBSPACES]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3, 4, 9]), st.data())
+def test_subspace_sweep_matches_echelon_bases(q, data):
+    # pivot sets in brute_ghw's order and in a drawn order, each sharing one
+    # reuse state, so that masks a row kept from another pivot set show up
+    code = random_code(data, q, max_k=5, max_n=8)
+    for r in reference_ranks(code):
+        pivot_sets = list(itertools.combinations(range(code.dimension), r))
+        expected = {pivots: echelon_support_masks(code, pivots) for pivots in pivot_sets}
+        shuffled = data.draw(st.permutations(pivot_sets))
+        with pytest.MonkeyPatch.context() as patch:
+            for chunk in (1, 3, 7, codes._ORACLE_CHUNK):
+                patch.setattr(codes, "_ORACLE_CHUNK", chunk)
+                for order in (pivot_sets, shuffled):
+                    reuse = codes._mask_table(code), [None] * r
+                    for pivots in order:
+                        chunks = list(codes._subspace_supports(code, pivots, reuse))
+                        assert all(0 < c.size <= chunk for c in chunks), (chunk, pivots)
+                        assert np.concatenate(chunks).tolist() == expected[pivots], (chunk, pivots)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([2, 3, 4, 9]), st.data())
+def test_brute_ghw_keeps_no_state_between_calls(q, data):
+    # two codes in turn, several ranks each, in a drawn order and twice over
+    pair = [random_code(data, q, max_k=5, max_n=8) for _ in range(2)]
+    calls = [(code, r) for code in pair for r in reference_ranks(code)]
+    fresh = [min(bin(m).count("1") for pivots in itertools.combinations(range(code.dimension), r)
+                 for m in echelon_support_masks(code, pivots))
+             for code, r in calls]
+    order = data.draw(st.permutations(range(len(calls))))
+    for i in list(order) * 2:
+        assert brute_ghw(*calls[i]) == fresh[i], calls[i]
+
+
 def test_truncated_subspace_sweep_trips_the_count_invariant(monkeypatch):
     spec = spec_from_parts("3^1", "0,1,2;0,1,2", 2)
     code = generator_matrix(spec)
@@ -609,11 +672,11 @@ def test_truncated_subspace_sweep_trips_the_count_invariant(monkeypatch):
     # one free entry per chunk: pivot 0 alone has 3^5 subspaces in 81 chunks
     monkeypatch.setattr(codes, "_ORACLE_CHUNK", 3)
     monkeypatch.setattr(codes, "_subspace_supports",
-                        lambda code, pivots: list(sweep(code, pivots)))
+                        lambda code, pivots, reuse: list(sweep(code, pivots, reuse)))
     assert brute_ghw(code, 1) == ghw_closed_form(spec, 1)
 
-    def truncated(code, pivots):
-        chunks = list(sweep(code, pivots))
+    def truncated(code, pivots, reuse):
+        chunks = list(sweep(code, pivots, reuse))
         return chunks[:-1] if len(chunks) > 1 else chunks
 
     monkeypatch.setattr(codes, "_subspace_supports", truncated)
@@ -637,21 +700,31 @@ def test_oracle_memory_does_not_grow_with_the_budget():
     f2, f3 = field_create(2), field_create(3)
     ternary = [[(i * j + i + 1) % 3 for j in range(13)] for i in range(13)]
     binary = [[(i * j + i + j) // 3 % 2 for j in range(48)] for i in range(16)]
-    for code in (LinearCode(f3, np.hstack([np.eye(13, dtype=np.uint8), ternary])),
-                 LinearCode(f2, np.hstack([np.eye(16, dtype=np.uint8), binary]))):
+    ternary_code = LinearCode(f3, np.hstack([np.eye(13, dtype=np.uint8), ternary]))
+    binary_code = LinearCode(f2, np.hstack([np.eye(16, dtype=np.uint8), binary]))
+
+    def distance_oracles(code):
+        return [lambda budget: brute_ghw(code, 1, budget=budget),
+                lambda budget: brute_min_weight(code, budget=10 * budget)]
+
+    # the oracles of one group must agree at every budget.  The last group
+    # sweeps the (3^13 - 1) / 2 = 797161 hyperplanes of the ternary code:
+    # the four of its 13 pivot sets that leave out one of columns 9..12
+    # have more free entries than fast digits, so their first rows step
+    for oracles in (distance_oracles(ternary_code), distance_oracles(binary_code),
+                    [lambda budget: brute_ghw(ternary_code, 12, budget=budget)]):
         results = []
         for budget in (10 ** 6, 10 ** 7):
-            for oracle in (lambda: brute_ghw(code, 1, budget=budget),
-                           lambda: brute_min_weight(code, budget=10 * budget)):
+            for oracle in oracles:
                 tracemalloc.start()
                 try:
-                    value = oracle()
+                    value = oracle(budget)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak < 4 * 2 ** 20, (code, budget, peak)
+                assert peak < 4 * 2 ** 20, (oracle, budget, peak)
                 results.append(value)
-        assert len(set(results)) == 1, code
+        assert len(set(results)) == 1, oracles
 
 
 def test_ghw_oracle_on_length_16_grid():

@@ -31,12 +31,12 @@ CLOSED_FORMS = (
 
 ORACLE_SIDE = (
     "shadow*", "all_tuples", "tuples_deg_*", "brute_*", "hilbert_fn", "box_ideal",
-    "_span_words", "_support_masks", "_subspace_supports",
+    "_span_words", "_support_masks", "_subspace_supports", "_mask_table", "_half_span_masks",
 )
 
 ORACLES = {
     "codes.py": ("brute_ghw", "brute_min_weight", "_span_words", "_support_masks",
-                 "_subspace_supports", "_fast_digits"),
+                 "_subspace_supports", "_fast_digits", "_mask_table", "_half_span_masks"),
     "grid.py": ("brute_min_shadow", "shadow"),
     "hilbert.py": ("hilbert_fn", "box_ideal"),
 }
