@@ -16,11 +16,9 @@ from .codes import (
     extremal_polynomials,
     gaussian_binomial,
     generator_matrix,
-    ghw_closed_form,
     hierarchy,
     matmul,
     max_common_zeros,
-    points,
     rank,
     rref,
     spec_from_parts,
@@ -30,12 +28,10 @@ from .gf import Field, field_create, parse_field
 from .grid import (
     GridShape,
     brute_min_shadow,
-    check_clements_lindstrom,
     lex_segment,
     min_shadow_size,
     rth_of_deg_le,
     shadow,
-    shadow_level,
 )
 from .hilbert import footprint_upper_bound, hilbert_fn
 

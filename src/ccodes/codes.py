@@ -250,11 +250,6 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
 # Code construction
 # --------------------------------------------------------------------------
 
-def points(spec: CartesianCodeSpec) -> list:
-    """Grid points in canonical order (leftmost coordinate slowest)."""
-    return list(itertools.product(*spec.sets))
-
-
 def _kron_rows(mul: np.ndarray, factors) -> np.ndarray:
     """Row-wise Kronecker product of integer-coded factors over the field.
 
@@ -271,7 +266,8 @@ def _kron_rows(mul: np.ndarray, factors) -> np.ndarray:
 def monomial_evaluations(field: Field, sets, monos) -> np.ndarray:
     """Evaluations of the monomials x^a at every grid point, encoded.
 
-    Columns follow the same point order as points(); rows follow monos.
+    Columns follow the grid points with the leftmost coordinate slowest,
+    the order of itertools.product(*sets); rows follow monos.
     Each coordinate gets a ladder of powers of its set's codes, and a row
     is the Kronecker product of its exponents' ladder rows.
     """
@@ -305,13 +301,6 @@ def generator_matrix(spec: CartesianCodeSpec) -> LinearCode:
 # --------------------------------------------------------------------------
 # Closed forms
 # --------------------------------------------------------------------------
-
-def ghw_closed_form(spec: CartesianCodeSpec, r: int) -> int:
-    """r-th generalized Hamming weight: the least shadow of r degree-<=d tuples."""
-    if not 1 <= r <= spec.dimension:
-        raise ValueError(f"rank {r} outside [1, {spec.dimension}]")
-    return min_shadow_size(spec.shape, spec.d, r)
-
 
 def max_common_zeros(spec: CartesianCodeSpec, r: int) -> int:
     """Maximum number of common grid zeros of r independent polynomials."""

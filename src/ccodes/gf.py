@@ -13,19 +13,21 @@ term upward, so fields and everything derived from them are reproducible
 across runs and machines.  For e = 1 the modulus is x and arithmetic is
 plain arithmetic mod p.  Candidates are counted up lazily from constant
 term 1 (a constant term 0 means a factor x), and each is decided by one
-Rabin test on coefficient tuples, so the search never scans GF(p).  p is
-proved prime by a deterministic Miller-Rabin test, exact below
-MAX_CHARACTERISTIC.
+Rabin test in the ring GF(p)[x]/(candidate), so the search never scans
+GF(p).  p is proved prime by a deterministic Miller-Rabin test, exact
+below MAX_CHARACTERISTIC.
 
-Field arithmetic is defined once, as the Field methods add and mul (neg,
-pow and inv derive from mul).  They take int codes or numpy arrays of
-codes and compute digit by digit in base p, reducing products by the
-modulus; arrays are widened to a signed dtype no step can overflow, or to
-Python ints (dtype object) when int64 has no room.  The dense tables that
-matrix work indexes (orders up to TABLE_ORDER_LIMIT) are add and mul on
-every pair of codes, the row of -1 in the products, and the position of 1
-in each row.  FieldElement is a (field, code) view whose operators call
-the same methods; the tests check all of them against tuple long division.
+Arithmetic modulo a monic polynomial is defined once, as the private
+functions _add, _mul and _pow on codes: digit by digit in base p, with
+products reduced by the modulus.  The modulus search runs on them, and so
+do the Field methods add, mul and pow (neg and inv derive from mul and
+pow).  Those take int codes or numpy arrays of codes; arrays are widened
+to a signed dtype no step can overflow, or to Python ints (dtype object)
+when int64 has no room.  The dense tables that matrix work indexes
+(orders up to TABLE_ORDER_LIMIT) are add and mul on every pair of codes,
+the row of -1 in the products, and the position of 1 in each row.
+FieldElement is a (field, code) view whose operators call the same
+methods; the tests check all of them against tuple long division.
 """
 
 from __future__ import annotations
@@ -59,86 +61,83 @@ def _is_prime(n: int) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Dense polynomials over GF(p) for the modulus search: coefficient tuples,
-# lowest degree first, no trailing zeros.  () is the zero polynomial.
+# Arithmetic on codes modulo a monic polynomial: ints or arrays of codes
 # --------------------------------------------------------------------------
 
-def _trim(coeffs):
-    i = len(coeffs)
-    while i > 0 and coeffs[i - 1] == 0:
-        i -= 1
-    return tuple(coeffs[:i])
+def _add(a, b, p: int, e: int):
+    """a + b: the e base-p digits added mod p."""
+    out = 0
+    for k in range(e):
+        w = p ** k  # a // w is digit k of a plus a multiple of p
+        out = out + (a // w + b // w) % p * w
+    return out
 
 
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return _trim([(x - y) % p for x, y in zip(a, b)])
+def _mul(a, b, p: int, modulus):
+    """a * b: digit convolution, reduced by the monic modulus from the top."""
+    e = len(modulus) - 1
+    if e == 1:
+        return a * b % p
+    da, db = [], []
+    for _ in range(e):
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        da.append(x)
+        db.append(y)
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = prod[i + j] + x * y
+    # x^e = -(m_0 + m_1 x + ... + m_{e-1} x^{e-1})
+    for k in range(2 * e - 2, e - 1, -1):
+        top = prod[k] % p
+        for j, c in enumerate(modulus[:-1]):
+            if c:
+                prod[k - e + j] = prod[k - e + j] - top * c
+    out = 0
+    for k in range(e - 1, -1, -1):
+        out = out * p + prod[k] % p
+    return out
 
 
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
-
-
-def _poly_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], -1, p)
-    for shift in range(len(rem) - len(b), -1, -1):
-        coeff = (rem[shift + len(b) - 1] * inv_lead) % p
-        if coeff:
-            quo[shift] = coeff
-            for j, y in enumerate(b):
-                rem[shift + j] = (rem[shift + j] - coeff * y) % p
-    return _trim(quo), _trim(rem)
-
-
-def _poly_powmod(a, n, mod, p):
-    result = (1,)
-    base = _poly_divmod(a, mod, p)[1]
-    while n:
-        if n & 1:
-            result = _poly_divmod(_poly_mul(result, base, p), mod, p)[1]
-        base = _poly_divmod(_poly_mul(base, base, p), mod, p)[1]
-        n >>= 1
+def _pow(a, n: int, p: int, modulus):
+    """a^n for n >= 0, squaring and multiplying left to right; 0^0 is 1."""
+    if n == 0:
+        return a * 0 + 1
+    result = a
+    for bit in bin(n)[3:]:  # the bits of n after the leading 1
+        result = _mul(result, result, p, modulus)
+        if bit == "1":
+            result = _mul(result, a, p, modulus)
     return result
 
 
-def _poly_gcd(a, b, p):
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    return a
-
-
 def is_irreducible(poly, p: int) -> bool:
-    """Rabin's test: q-power Frobenius fixed points plus gcd conditions.
+    """Rabin's test on the codes of R = GF(p)[x]/(poly), where x has code p.
 
-    It takes O(e * log p) products modulo poly, so it never scans GF(p).
+    poly, scaled to be monic, is irreducible iff x^(p^e) = x in R and, for
+    each prime r dividing e, x^(p^(e/r)) - x is a unit of R.  Once the
+    first condition holds, poly is squarefree with factors of degrees
+    dividing e, so R is a product of fields GF(p^f) with f | e, and the
+    product h of those differences is a unit iff h^(p^e - 1) = 1.  That
+    takes O(e * log p) products in R, so the test never scans GF(p).
     """
     e = len(poly) - 1
     if e < 1:
         return False
     if e == 1:
         return True
-    x = (0, 1)
-    if _poly_powmod(x, p ** e, poly, p) != x:
+    scale = pow(poly[-1], -1, p)
+    modulus = tuple(c * scale % p for c in poly)
+    frobenius = [p]  # x^(p^i) for i = 0..e
+    for _ in range(e):
+        frobenius.append(_pow(frobenius[-1], p, p, modulus))
+    if frobenius[e] != p:
         return False
+    h = 1
     for r in [f for f in range(2, e + 1) if e % f == 0 and _is_prime(f)]:
-        h = _poly_sub(_poly_powmod(x, p ** (e // r), poly, p), x, p)
-        g = _poly_gcd(h, poly, p)
-        if len(g) != 1:
-            return False
-    return True
+        h = _mul(h, _add(frobenius[e // r], (p - 1) * p, p, e), p, modulus)
+    return _pow(h, p ** e - 1, p, modulus) == 1
 
 
 def smallest_irreducible(p: int, e: int):
@@ -169,6 +168,8 @@ class Field:
 
     Prefer field_create(), which caches instances so lookup tables are
     shared.  Instances are immutable and safe to share between threads.
+    add, mul and pow widen their operands and call _add, _mul and _pow,
+    the arithmetic that the modulus search runs on too.
     """
 
     def __init__(self, p: int, e: int = 1):
@@ -218,12 +219,7 @@ class Field:
 
     def add(self, a, b):
         """a + b: base-p digits added mod p."""
-        a, b = self._wide(a), self._wide(b)
-        out = 0
-        for k in range(self.e):
-            w = self.p ** k  # a // w is digit k of a plus a multiple of p
-            out = out + (a // w + b // w) % self.p * w
-        return out
+        return _add(self._wide(a), self._wide(b), self.p, self.e)
 
     def neg(self, a):
         """-a as the product with -1, whose code is p - 1."""
@@ -231,36 +227,11 @@ class Field:
 
     def mul(self, a, b):
         """a * b: digit convolution, reduced by the monic modulus from the top."""
-        a, b = self._wide(a), self._wide(b)
-        p, e = self.p, self.e
-        if e == 1:
-            return a * b % p
-        da = [a // p ** k % p for k in range(e)]
-        db = [b // p ** k % p for k in range(e)]
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                prod[i + j] = prod[i + j] + x * y
-        # x^e = -(m_0 + m_1 x + ... + m_{e-1} x^{e-1})
-        for k in range(2 * e - 2, e - 1, -1):
-            top = prod[k] % p
-            for j, c in enumerate(self.modulus[:-1]):
-                if c:
-                    prod[k - e + j] = prod[k - e + j] - top * c
-        out = 0
-        for k in range(e):
-            out = out + prod[k] % p * p ** k
-        return out
+        return _mul(self._wide(a), self._wide(b), self.p, self.modulus)
 
     def pow(self, a, n: int):
         """a^n for n >= 0 by square and multiply; 0^0 is 1."""
-        result = self._wide(a) * 0 + 1
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return result
+        return _pow(self._wide(a), n, self.p, self.modulus)
 
     def inv(self, a):
         """1/a as a^(2q - 3), which equals a^(q - 2) on units and maps 0 to 0."""

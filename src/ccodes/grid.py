@@ -23,9 +23,9 @@ hierarchies come from values_deg_ge.
 
 The shadow of a subset S is every box tuple that dominates some element
 of S coordinatewise (divides, which hilbert's monomial ideals share).
-Shadows, and the all_tuples / tuples_deg_* lists, are plain scans of the
-box.  They are the oracle side: brute_min_shadow, the harnesses,
-generator matrices and the tests use them, and no closed form does.
+Shadows, and the all_tuples / tuples_deg_le lists, are plain scans of the
+box.  They are the oracle side: brute_min_shadow, generator matrices and
+the tests use them, and no closed form does.
 """
 
 from __future__ import annotations
@@ -112,11 +112,6 @@ def _check_deg(shape, u):
 def all_tuples(shape: GridShape) -> list:
     """Every box tuple in decreasing lex order."""
     return list(itertools.product(*(range(d - 1, -1, -1) for d in shape.dims)))
-
-
-def tuples_deg_eq(shape: GridShape, u: int) -> list:
-    _check_deg(shape, u)
-    return [t for t in all_tuples(shape) if sum(t) == u]
 
 
 def tuples_deg_le(shape: GridShape, u: int) -> list:
@@ -230,14 +225,6 @@ def values_deg_ge(shape: GridShape, u: int) -> np.ndarray:
     return values
 
 
-def lex_segment_level(shape: GridShape, u: int, r: int) -> list:
-    """First r tuples of degree exactly u in decreasing lex order."""
-    level = tuples_deg_eq(shape, u)
-    if not 0 <= r <= len(level):
-        raise ValueError(f"rank {r} outside [0, {len(level)}] for level {u}")
-    return level[:r]
-
-
 def divides(a, b) -> bool:
     """Whether x^a divides x^b, i.e. a <= b coordinatewise."""
     return all(x <= y for x, y in zip(a, b))
@@ -254,12 +241,6 @@ def shadow(shape: GridShape, pts) -> set:
     return {t for t in all_tuples(shape) if any(divides(s, t) for s in pts)}
 
 
-def shadow_level(shape: GridShape, pts, v: int) -> set:
-    """Shadow restricted to total degree exactly v."""
-    _check_deg(shape, v)
-    return {t for t in shadow(shape, pts) if sum(t) == v}
-
-
 def min_shadow_size(shape: GridShape, v: int, r: int) -> int:
     """Shadow size of the first r tuples of degree <= v (the minimizer).
 
@@ -269,41 +250,6 @@ def min_shadow_size(shape: GridShape, v: int, r: int) -> int:
     """
     a = rth_of_deg_le(shape, v, r)
     return shape.n - mixed_radix_value(shape, a)
-
-
-@dataclass(frozen=True)
-class InclusionReport:
-    """Outcome of a set-inclusion check, with a witness when it fails."""
-
-    holds: bool
-    counterexample: tuple | None
-    lhs: tuple
-    rhs: tuple
-
-
-def check_clements_lindstrom(shape: GridShape, u: int, pts) -> InclusionReport:
-    """Harness for shadow compression on one level.
-
-    For S inside level u, compares the next-level shadow of the lex
-    segment L(S) against the lex segment of the next-level shadow of S;
-    the inclusion is a theorem, so a counterexample means a bug.
-    """
-    if not 0 <= u < shape.k:
-        raise ValueError(f"level {u} outside [0, {shape.k}) for {shape}")
-    pts = set(pts)
-    for s in pts:
-        if not (shape.contains(s) and sum(s) == u):
-            raise ValueError(f"{s} is not a level-{u} tuple of {shape}")
-    segment = lex_segment_level(shape, u, len(pts))
-    lhs = shadow_level(shape, segment, u + 1)
-    rhs = set(lex_segment_level(shape, u + 1, len(shadow_level(shape, pts, u + 1))))
-    extra = sorted(lhs - rhs)
-    return InclusionReport(
-        holds=not extra,
-        counterexample=extra[0] if extra else None,
-        lhs=tuple(sorted(lhs)),
-        rhs=tuple(sorted(rhs)),
-    )
 
 
 def brute_min_shadow(shape: GridShape, v: int, r: int,

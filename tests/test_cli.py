@@ -1,5 +1,6 @@
 """Command-line interface behavior and output stability."""
 
+import hashlib
 import json
 import time
 
@@ -487,3 +488,195 @@ def test_dual_past_the_table_limit_exits_two(capsys):
     status, out, err = run_cli(capsys, "dual", "--field", "2^11", "--sets", "0,1;0,1", "--d", "1")
     assert (status, out) == (2, "")
     assert err == "error: lookup tables limited to order 1024, field has 2048\n"
+
+
+# sha256 of repr((exit status, stdout, stderr)) per argv: any change to what
+# the CLI prints shows here.  Dual matrices and extremal coefficients depend
+# on the field modulus, so the runs span nine fields up to the table limit
+# (prime and binary, ternary and up to 2^10), two past it and two large
+# characteristics, in both output formats, plus two exit-2 errors.
+RECORDED_DIGESTS = {
+    "hierarchy --field 2^1 --sets 0,1;0,1;0,1 --d 1 --format table":
+        "278e2cba3959826a2ad6dbfc8b955474f548302d255574249f0e67e8ed1670ec",
+    "hierarchy --field 2^1 --sets 0,1;0,1;0,1 --d 1 --format json":
+        "0ad366bbec980ea2db4a3adc81f3339067dae9bfd49c887d227eee29613b48e5",
+    "dual --field 2^1 --sets 0,1;0,1;0,1 --d 1 --format table":
+        "c865248f171d6c773e6a8584f9e4044d44d718a009a710f116167a49547bb92d",
+    "dual --field 2^1 --sets 0,1;0,1;0,1 --d 1 --format json":
+        "1b4567996c71e5b0791b6538a24abd775be1fffbc1ccaaa444408f8ec219f3ae",
+    "verify --field 2^1 --sets 0,1;0,1;0,1 --d 1 --format table":
+        "271ebd77126650e9dece55fb3ce15b4a2b3ea3bdac184f5348e7e4d5235fb26e",
+    "verify --field 2^1 --sets 0,1;0,1;0,1 --d 1 --format json":
+        "86853bf63fc74350bdbd2536276671633ad7d5bb1d6a547b5dc6f7a4930c6e95",
+    "maxzeros --field 2^1 --sets 0,1;0,1;0,1 --d 1 --r 2 --format table":
+        "d3edd537611ee0f979e116ba775d0a99c05a76c29222571e53c43e41e015b289",
+    "maxzeros --field 2^1 --sets 0,1;0,1;0,1 --d 1 --r 2 --format json":
+        "5933bde300367e0a49ef8b0da2004873bb13727dac127a2744e54394af572fb3",
+    "hierarchy --field 3^1 --sets 0,1;0,1,2 --d 2 --format table":
+        "23bb9ff433d3fdd699b5c618951a3ab91517f6b500940cce25e42b7239d8680a",
+    "hierarchy --field 3^1 --sets 0,1;0,1,2 --d 2 --format json":
+        "10e272c57eae12146d2db9ec0814e8f3c9a9024c159dcd887ac1c8cca96c5c0f",
+    "dual --field 3^1 --sets 0,1;0,1,2 --d 2 --format table":
+        "a4ed524961fc4f8287a729de92090389bd2783f78f1493bb2c94899417b6a8a7",
+    "dual --field 3^1 --sets 0,1;0,1,2 --d 2 --format json":
+        "a507ed596a435d41d3cec624e3185af07250e741963377d44af37d46a044825b",
+    "verify --field 3^1 --sets 0,1;0,1,2 --d 2 --format table":
+        "d02012494736ad1e20ef895e5013af9605eef763d9a6f358351a437284a95a46",
+    "verify --field 3^1 --sets 0,1;0,1,2 --d 2 --format json":
+        "0fc535707e375eff8e71e10543638f359248c4d25788876e6e811ab21d410dac",
+    "maxzeros --field 3^1 --sets 0,1;0,1,2 --d 2 --r 2 --format table":
+        "ca2395a54873b671040987b93673844af9603bee20e276477e9b06e963524805",
+    "maxzeros --field 3^1 --sets 0,1;0,1,2 --d 2 --r 2 --format json":
+        "eb08317d3be521de50fdb25495229fda2acca901d3161a81039b49135453a01d",
+    "hierarchy --field 2^2 --sets 1,2,3;0,1,2,3 --d 2 --format table":
+        "65ff34341c19f63b9051e54cd200a7b145343f4ef37a1b0177d5ac7bdb6186b2",
+    "hierarchy --field 2^2 --sets 1,2,3;0,1,2,3 --d 2 --format json":
+        "83a804fe6794ab9fd204ca419a71753a50366af35a67f10531e5109f038f7a3f",
+    "dual --field 2^2 --sets 1,2,3;0,1,2,3 --d 2 --format table":
+        "b8bd26dda292c8db77e0e8161549498b63b69113570e5b5cae278fec9f6c482e",
+    "dual --field 2^2 --sets 1,2,3;0,1,2,3 --d 2 --format json":
+        "e6143209d3358d2242f2c035742ac3519cb8a9cb11aadbbeadfeeb5251872d87",
+    "verify --field 2^2 --sets 1,2,3;0,1,2,3 --d 2 --format table":
+        "b2acc84501083d15264f058361c50cca629e89bb79c9fb76504c8bb3395f70cf",
+    "verify --field 2^2 --sets 1,2,3;0,1,2,3 --d 2 --format json":
+        "6cc765d1e2790fd14920c92c6ed14fa78e148a4f0af66ed712ec8cb8d72f994a",
+    "maxzeros --field 2^2 --sets 1,2,3;0,1,2,3 --d 2 --r 2 --format table":
+        "54887ee58f0754591f294ab5a0aa3bc004abc052f015397bff902d0390abe1a3",
+    "maxzeros --field 2^2 --sets 1,2,3;0,1,2,3 --d 2 --r 2 --format json":
+        "04330254b4ff091286a9ba650f34085ce6b8248ac33e92a2e5916797fcd4f423",
+    "hierarchy --field 5^1 --sets 0,2,4;0,1,2,3 --d 3 --format table":
+        "f9ada4ecf4872d4ba999ab9a0e3f573524496bbaf616a9f260e9423fb0ecdb84",
+    "hierarchy --field 5^1 --sets 0,2,4;0,1,2,3 --d 3 --format json":
+        "72fb7570543505c3473e56e4b5d9e4f63c039ff2c6b2ec1ae3abffbf04c80a0f",
+    "dual --field 5^1 --sets 0,2,4;0,1,2,3 --d 3 --format table":
+        "0b99b8eaa9805d38ad24ff377b509c5c78b29bfcc6bb639cb46e8b884badfb12",
+    "dual --field 5^1 --sets 0,2,4;0,1,2,3 --d 3 --format json":
+        "0ba341e40cc73dbe94f68c58dd42a00f93974885ed86c9af994a9d2525989560",
+    "verify --field 5^1 --sets 0,2,4;0,1,2,3 --d 3 --format table":
+        "ab2b9ac1b9cee4ae3e7bc7bc244cec68e6b5f5c995d4bbfadbcab89b93054c40",
+    "verify --field 5^1 --sets 0,2,4;0,1,2,3 --d 3 --format json":
+        "93828fa70f91f795923837889e1360974cea81e79506eaa480166cb2e9adbc18",
+    "maxzeros --field 5^1 --sets 0,2,4;0,1,2,3 --d 3 --r 2 --format table":
+        "33ffd8fd45a37d2956afa521b554a21459e61ef4c439b3ac181efb1e6316304f",
+    "maxzeros --field 5^1 --sets 0,2,4;0,1,2,3 --d 3 --r 2 --format json":
+        "a5efd487f2faed2016e1bc8a27446461581e183c2350d8c583a16e914341c1f9",
+    "hierarchy --field 2^3 --sets 2,3,7;0,1,5,6 --d 2 --format table":
+        "65ff34341c19f63b9051e54cd200a7b145343f4ef37a1b0177d5ac7bdb6186b2",
+    "hierarchy --field 2^3 --sets 2,3,7;0,1,5,6 --d 2 --format json":
+        "83a804fe6794ab9fd204ca419a71753a50366af35a67f10531e5109f038f7a3f",
+    "dual --field 2^3 --sets 2,3,7;0,1,5,6 --d 2 --format table":
+        "f4e1f393029555b86bc6e881943b12bb42f461b162b7d086e4f2e7140c870726",
+    "dual --field 2^3 --sets 2,3,7;0,1,5,6 --d 2 --format json":
+        "bd5deefbbee9bdf9361c03bf7c8e0b11e1ed7b50e66d8d9a34eeb5d86adec31a",
+    "verify --field 2^3 --sets 2,3,7;0,1,5,6 --d 2 --format table":
+        "cd16a83f88ce9d976906041f46bf05bd6d2734778a4677d80218ead0745846aa",
+    "verify --field 2^3 --sets 2,3,7;0,1,5,6 --d 2 --format json":
+        "9b1b1299649cb304b34842335414ec7a734c5f50a6ee00835b123737d7c2c0d0",
+    "maxzeros --field 2^3 --sets 2,3,7;0,1,5,6 --d 2 --r 2 --format table":
+        "e063010fdfdc6e5e60087d28173897d04b3acf2074ec3b29e7bd49ae653fb2a1",
+    "maxzeros --field 2^3 --sets 2,3,7;0,1,5,6 --d 2 --r 2 --format json":
+        "733f0a037453f11ceb69fac0acb12785700e006688cd7ae4475ce522d4cad043",
+    "hierarchy --field 3^2 --sets 0,4,8;1,5,7 --d 2 --format table":
+        "6e0158614bac19c6b02fdd34fa0211886702fc72d2a2042fb84aea464f6ba5f7",
+    "hierarchy --field 3^2 --sets 0,4,8;1,5,7 --d 2 --format json":
+        "0c22f9356d84d99cc1397b5e72ed59f073f4e0c206ccb0a0e7a04aead3a1a791",
+    "dual --field 3^2 --sets 0,4,8;1,5,7 --d 2 --format table":
+        "e5eec5d9197fdce9271801db0d18b277ddbb0c491f29cabeb1eb42b7d2377f4e",
+    "dual --field 3^2 --sets 0,4,8;1,5,7 --d 2 --format json":
+        "bec48065a4f9d874e5cfcb122ea8e8668f7179d51ad5489e34c04b0e23aed0b7",
+    "verify --field 3^2 --sets 0,4,8;1,5,7 --d 2 --format table":
+        "f699faa743b0f172cb2ce577b63df98ba007c7c8372bc95e595797af42009be1",
+    "verify --field 3^2 --sets 0,4,8;1,5,7 --d 2 --format json":
+        "2052ce8aeddfc7729a6ac923effc9371d246a02c8cf56d37ca389cfe0c3c86dc",
+    "maxzeros --field 3^2 --sets 0,4,8;1,5,7 --d 2 --r 2 --format table":
+        "fb0f9a2100429b5cb3611c1e4d5898d6cf07739ee0577a0072021189bf70852f",
+    "maxzeros --field 3^2 --sets 0,4,8;1,5,7 --d 2 --r 2 --format json":
+        "55d088be09d3a0cf9a96e483ce009dbf21071e8d3d656d55422b74074713f881",
+    "hierarchy --field 2^4 --sets 0,3,9;5,12,15 --d 2 --format table":
+        "6e0158614bac19c6b02fdd34fa0211886702fc72d2a2042fb84aea464f6ba5f7",
+    "hierarchy --field 2^4 --sets 0,3,9;5,12,15 --d 2 --format json":
+        "0c22f9356d84d99cc1397b5e72ed59f073f4e0c206ccb0a0e7a04aead3a1a791",
+    "dual --field 2^4 --sets 0,3,9;5,12,15 --d 2 --format table":
+        "ae791645dc058e080e12f9052eed9e30a9027b6c5bad27770fc2c7d0e1c3fb35",
+    "dual --field 2^4 --sets 0,3,9;5,12,15 --d 2 --format json":
+        "018cf3a39d958deddc40207c4279c406ac2f78d7808f6804d035e7f9bb0d4bd8",
+    "verify --field 2^4 --sets 0,3,9;5,12,15 --d 2 --format table":
+        "eeae2e698f23e7d127bb5072ad63e20b3ede28f38b2beeb2364bcf07cc5a35c5",
+    "verify --field 2^4 --sets 0,3,9;5,12,15 --d 2 --format json":
+        "41bb7daf83dc3304810bda1a1b88a84d5e1e6ce922c371c15a4308eba2d2cab0",
+    "maxzeros --field 2^4 --sets 0,3,9;5,12,15 --d 2 --r 2 --format table":
+        "675217d79f5862a5f8afde6323b4f48027706de8070193bac3f6be87dcb6e0a0",
+    "maxzeros --field 2^4 --sets 0,3,9;5,12,15 --d 2 --r 2 --format json":
+        "fb862d7c722922abb9bc36892e9cab6af41b1a3e396e871de4a50428db8773b5",
+    "hierarchy --field 2^6 --sets 0,9,33;17,40,63 --d 2 --format table":
+        "6e0158614bac19c6b02fdd34fa0211886702fc72d2a2042fb84aea464f6ba5f7",
+    "hierarchy --field 2^6 --sets 0,9,33;17,40,63 --d 2 --format json":
+        "0c22f9356d84d99cc1397b5e72ed59f073f4e0c206ccb0a0e7a04aead3a1a791",
+    "dual --field 2^6 --sets 0,9,33;17,40,63 --d 2 --format table":
+        "4aee1925f620c89774346a2533b17c09b603ce4863313e051e762b1d1c82dd50",
+    "dual --field 2^6 --sets 0,9,33;17,40,63 --d 2 --format json":
+        "7cc5bba445f99a6c342ac67efff0e7a1053dcca50c1d91cab99865cdb744d546",
+    "verify --field 2^6 --sets 0,9,33;17,40,63 --d 2 --format table":
+        "4f86ba390eb3391a6c08da427ffaa401700ca22262d309c8d4a91f2b0a14a9d1",
+    "verify --field 2^6 --sets 0,9,33;17,40,63 --d 2 --format json":
+        "4914527d182eb2c84288957a75d3e270a5786a0efc1792ca9f108f3c3d78f70a",
+    "maxzeros --field 2^6 --sets 0,9,33;17,40,63 --d 2 --r 2 --format table":
+        "66c5adb686eb8f08b6663243ce698147015f7999673a3d8625e553214ca513d4",
+    "maxzeros --field 2^6 --sets 0,9,33;17,40,63 --d 2 --r 2 --format json":
+        "157a87915ed89e793272abccc460738910029b96f9938ff43cd61dddbaa55734",
+    "hierarchy --field 2^10 --sets 0,7,1000;3,512,1023 --d 2 --format table":
+        "6e0158614bac19c6b02fdd34fa0211886702fc72d2a2042fb84aea464f6ba5f7",
+    "hierarchy --field 2^10 --sets 0,7,1000;3,512,1023 --d 2 --format json":
+        "0c22f9356d84d99cc1397b5e72ed59f073f4e0c206ccb0a0e7a04aead3a1a791",
+    "dual --field 2^10 --sets 0,7,1000;3,512,1023 --d 2 --format table":
+        "fe7d9dfb3c26a12dbb2cb55c437b132b47cb94710741e516696766d7b7eb0367",
+    "dual --field 2^10 --sets 0,7,1000;3,512,1023 --d 2 --format json":
+        "473fc7b7b8b5c81fa262b4040cd9d048f97ce2a2f382ac73a7fc64f7d2f79cb0",
+    "verify --field 2^10 --sets 0,7,1000;3,512,1023 --d 2 --format table":
+        "4f86ba390eb3391a6c08da427ffaa401700ca22262d309c8d4a91f2b0a14a9d1",
+    "verify --field 2^10 --sets 0,7,1000;3,512,1023 --d 2 --format json":
+        "db234a03cd007a3379ba6812b7905e77359306100a84697d9afe922ae7fca8b9",
+    "maxzeros --field 2^10 --sets 0,7,1000;3,512,1023 --d 2 --r 2 --format table":
+        "167dc57ec032ca557d30ee832766a412ff7955f4de9f6243e78b7cc468b85720",
+    "maxzeros --field 2^10 --sets 0,7,1000;3,512,1023 --d 2 --r 2 --format json":
+        "ab4f829742017f4676123ec48911c60480fc7d0f90f62cbbdb57aff811d1bf02",
+    "maxzeros --field 2^11 --sets 1,1024;0,5,2047 --d 2 --r 2 --format table":
+        "3b9b641090c6378c7741920173cc65761a669c8ae0ac5ff8038efadb6d44c676",
+    "maxzeros --field 3^7 --sets 7,8;0,100,2186 --d 1 --r 2 --format table":
+        "9c4d83ac698a0aa94f7510c0ab7a5b4c826c162c75562179300a88f81ca9e92c",
+    "hierarchy --field 2305843009213693951^1"
+    " --sets 5,6;0,1,2305843009213693950"
+    " --d 2 --format table":
+        "23bb9ff433d3fdd699b5c618951a3ab91517f6b500940cce25e42b7239d8680a",
+    "hierarchy --field 2305843009213693951^2"
+    " --sets 7,5316911983139663487003542222693990400;0,1,2305843009213693951"
+    " --d 2 --format table":
+        "23bb9ff433d3fdd699b5c618951a3ab91517f6b500940cce25e42b7239d8680a",
+    "maxzeros --field 2^11 --sets 1,1024;0,5,2047 --d 2 --r 2 --format json":
+        "5f776c63a260ffa02089c963c3f613caff963d0922aff0875f187c703a900140",
+    "maxzeros --field 3^7 --sets 7,8;0,100,2186 --d 1 --r 2 --format json":
+        "cf516ad04f67a240b33b193b8015ababe7b5cb41b83035beb8ab051938b6cf6e",
+    "hierarchy --field 2305843009213693951^1"
+    " --sets 5,6;0,1,2305843009213693950"
+    " --d 2 --format json":
+        "10e272c57eae12146d2db9ec0814e8f3c9a9024c159dcd887ac1c8cca96c5c0f",
+    "hierarchy --field 2305843009213693951^2"
+    " --sets 7,5316911983139663487003542222693990400;0,1,2305843009213693951"
+    " --d 2 --format json":
+        "10e272c57eae12146d2db9ec0814e8f3c9a9024c159dcd887ac1c8cca96c5c0f",
+    "hierarchy --field 4^1 --sets 0,1 --d 1":
+        "104b4eba840b9d38b2689e8933f58830870f958c8742d129537a6b4fbebf1dcb",
+    "dual --field 2^3 --sets 0,8 --d 1":
+        "e8eccf0d01f59760edbfd8ed7dbd251282fccf1e585b37ba08d649caaa31ea33",
+}
+
+
+def test_outputs_match_recorded_digests(capsys):
+    start = time.process_time()
+    changed = []
+    for text, digest in RECORDED_DIGESTS.items():
+        result = run_cli(capsys, *text.split(" "))
+        if hashlib.sha256(repr(result).encode()).hexdigest() != digest:
+            changed.append(text)
+    assert changed == []
+    assert time.process_time() - start < 2.0

@@ -21,12 +21,10 @@ from ccodes.codes import (
     extremal_polynomials,
     gaussian_binomial,
     generator_matrix,
-    ghw_closed_form,
     hierarchy,
     matmul,
     max_common_zeros,
     monomial_evaluations,
-    points,
     rank,
     rref,
     spec_from_parts,
@@ -34,6 +32,7 @@ from ccodes.codes import (
 )
 from ccodes.errors import BudgetExceededError, InvariantError, RankDeficiencyError
 from ccodes.gf import field_create
+from ccodes.grid import min_shadow_size
 from ccodes.hilbert import graded_lex_key
 
 from corpus import element, evaluate, exactly
@@ -93,18 +92,21 @@ def test_spec_parsing():
 
 
 def test_points_examples():
+    # evaluation columns follow the grid points leftmost coordinate slowest:
+    # the evaluations of x1, ..., xm are the points' coordinates
     spec = spec_from_parts("2^1", "0,1", 1)
-    assert points(spec) == [(0,), (1,)]
+    assert monomial_evaluations(spec.field, spec.sets, [(1,)]).T.tolist() == [[0], [1]]
 
     spec = spec_from_parts("3^1", "0,1;0,1,2", 1)
-    pts = points(spec)
-    assert len(pts) == 6
-    assert pts[0] == (0, 0)
-    assert pts[-1] == (1, 2)
+    coords = monomial_evaluations(spec.field, spec.sets, [(1, 0), (0, 1)]).T.tolist()
+    assert coords == [list(pt) for pt in itertools.product(*spec.sets)]
+    assert len(coords) == 6
+    assert coords[0] == [0, 0]
+    assert coords[-1] == [1, 2]
 
     spec = spec_from_parts("2^1", "0,1;0,1", 1)
-    assert [tuple(p) for p in points(spec)] == \
-        [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert monomial_evaluations(spec.field, spec.sets, [(1, 0), (0, 1)]).T.tolist() == \
+        [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 # -- generator matrices -----------------------------------------------------------
@@ -241,29 +243,30 @@ def test_gaussian_binomial_known_values():
 
 def test_ghw_rm212():
     spec = spec_from_parts("2^1", "0,1;0,1", 1)
-    assert [ghw_closed_form(spec, r) for r in (1, 2, 3)] == [2, 3, 4]
+    assert hierarchy(spec) == (2, 3, 4)
 
 
 def test_ghw_mds_line():
     spec = spec_from_parts("5^1", "0,1,2,3,4", 2)
-    assert [ghw_closed_form(spec, r) for r in (1, 2, 3)] == [3, 4, 5]
+    assert hierarchy(spec) == (3, 4, 5)
     # one-variable degree-d code is MDS: weights n - d + r - 1 + ... = d1 - d + r - 1
     for r in range(1, spec.dimension + 1):
-        assert ghw_closed_form(spec, r) == spec.dims[0] - spec.d + r - 1
+        assert hierarchy(spec)[r - 1] == spec.dims[0] - spec.d + r - 1
 
 
 def test_ghw_last_weight_is_length():
     for parts in [("2^1", "0,1;0,1", 1), ("3^1", "0,1,2;0,1,2", 2), ("2^2", "0,1;0,1,2", 2)]:
         spec = spec_from_parts(*parts)
-        assert ghw_closed_form(spec, spec.dimension) == spec.n
+        assert len(hierarchy(spec)) == spec.dimension
+        assert hierarchy(spec)[-1] == spec.n
 
 
 def test_ghw_rank_validation():
     spec = spec_from_parts("2^1", "0,1;0,1", 1)
     with pytest.raises(ValueError, match=exactly("rank 0 outside [1, 3]")):
-        ghw_closed_form(spec, 0)
+        max_common_zeros(spec, 0)
     with pytest.raises(ValueError, match=exactly("rank 4 outside [1, 3]")):
-        ghw_closed_form(spec, 4)
+        max_common_zeros(spec, 4)
 
 
 def test_max_common_zeros_examples():
@@ -278,7 +281,7 @@ def test_max_common_zeros_exhaustive_oracle():
     f2 = field_create(2)
     spec = spec_from_parts("2^1", "0,1;0,1", 1)
     monos = [(1, 0), (0, 1), (0, 0)]
-    pts = points(spec)
+    pts = list(itertools.product(*spec.sets))
     best = 0
     for coeffs in itertools.product(range(f2.q), repeat=3):
         if not any(coeffs):
@@ -293,7 +296,7 @@ def test_ghw_equals_length_minus_max_zeros():
                   ("2^2", "0,1,2;0,1,2,3", 3), ("2^1", "0,1;0,1;0,1", 2)]:
         spec = spec_from_parts(*parts)
         for r in range(1, spec.dimension + 1):
-            assert ghw_closed_form(spec, r) == spec.n - max_common_zeros(spec, r)
+            assert hierarchy(spec)[r - 1] == spec.n - max_common_zeros(spec, r)
 
 
 def test_min_distance_examples():
@@ -336,7 +339,7 @@ def test_extremal_polynomial_examples():
 
     spec = spec_from_parts("2^1", "0,1;0,1", 1)
     f = extremal_polynomials(spec, 1)[0]  # b = (1, 0)
-    zeros = sum(1 for pt in points(spec) if not evaluate(spec.field, f, pt))
+    zeros = sum(1 for pt in itertools.product(*spec.sets) if not evaluate(spec.field, f, pt))
     assert zeros == 2
 
 
@@ -344,7 +347,7 @@ def test_extremal_family_attains_bound():
     for parts in [("2^1", "0,1;0,1", 1), ("3^1", "0,1,2;0,1,2", 2),
                   ("2^2", "0,1;0,1,2", 2)]:
         spec = spec_from_parts(*parts)
-        pts = points(spec)
+        pts = list(itertools.product(*spec.sets))
         polys = extremal_polynomials(spec, spec.dimension)
         for f in polys:
             assert max(sum(mono) for mono in f) <= spec.d
@@ -673,7 +676,7 @@ def test_truncated_subspace_sweep_trips_the_count_invariant(monkeypatch):
     monkeypatch.setattr(codes, "_ORACLE_CHUNK", 3)
     monkeypatch.setattr(codes, "_subspace_supports",
                         lambda code, pivots, reuse: list(sweep(code, pivots, reuse)))
-    assert brute_ghw(code, 1) == ghw_closed_form(spec, 1)
+    assert brute_ghw(code, 1) == hierarchy(spec)[0]
 
     def truncated(code, pivots, reuse):
         chunks = list(sweep(code, pivots, reuse))
@@ -732,7 +735,7 @@ def test_ghw_oracle_on_length_16_grid():
     code = generator_matrix(spec)
     assert code.length == 16
     for r in (1, 2):
-        assert ghw_closed_form(spec, r) == brute_ghw(code, r)
+        assert hierarchy(spec)[r - 1] == brute_ghw(code, r)
     assert hierarchy(spec)[0] == brute_min_weight(code)
 
 
@@ -741,7 +744,7 @@ def test_code_over_gf9():
     code = generator_matrix(spec)
     assert (code.length, code.dimension) == (4, 3)
     for r in range(1, spec.dimension + 1):
-        assert ghw_closed_form(spec, r) == brute_ghw(code, r)
+        assert hierarchy(spec)[r - 1] == brute_ghw(code, r)
     assert wei_duality_check(spec) is True
 
 
@@ -764,7 +767,7 @@ def test_monomial_evaluations_alignment():
     spec = spec_from_parts("3^1", "0,1;0,1,2", 2)
     monos = [(1, 2), (0, 0)]
     rows = monomial_evaluations(spec.field, spec.sets, monos)
-    pts = points(spec)
+    pts = list(itertools.product(*spec.sets))
     for ri, mono in enumerate(monos):
         for ci, pt in enumerate(pts):
             expected = element(spec.field, 1)
@@ -805,7 +808,7 @@ def test_first_order_reed_muller_exact_past_int64():
         expected = tuple(2 ** m - 2 ** (m - r) for r in range(1, m + 1)) + (2 ** m,)
         assert hierarchy(spec) == expected
         assert all(type(w) is int for w in hierarchy(spec))
-        assert [ghw_closed_form(spec, r) for r in range(1, m + 2)] == list(expected)
+        assert [min_shadow_size(spec.shape, spec.d, r) for r in range(1, m + 2)] == list(expected)
         assert max_common_zeros(spec, 3) == 2 ** (m - 3)
 
 

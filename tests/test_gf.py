@@ -97,7 +97,7 @@ def test_binary_moduli_are_pinned(e):
     assert tuple(i for i, c in enumerate(modulus) if c) == BINARY_MODULI[e]
 
 
-@pytest.mark.parametrize("p,e", [(2, 5), (2, 6), (2, 8), (3, 4)])
+@pytest.mark.parametrize("p,e", [(2, 5), (2, 6), (2, 8), (3, 4), (3, 6), (5, 4)])
 def test_irreducibility_test_matches_bruteforce(p, e):
     composite = set()
     for a in range(1, e // 2 + 1):
@@ -106,6 +106,37 @@ def test_irreducibility_test_matches_bruteforce(p, e):
                 composite.add(_poly_mul(g, h, p))
     for cand in _monics(p, e):
         assert is_irreducible(cand, p) == (cand not in composite)
+
+
+# Reducible candidates that pass x^(p^e) = x are rejected only because some
+# x^(p^(e/r)) - x is no unit; these pin that branch where brute force can't go.
+
+def test_split_quadratic_over_large_prime_is_reducible():
+    p = 2 ** 61 - 1
+    split = (2, p - 3, 1)  # (x - 1)(x - 2)
+    assert gf._pow(p, p ** 2, p, split) == p  # x^(p^2) = x holds
+    assert not is_irreducible(split, p)
+
+
+def test_quadratics_over_large_prime_follow_euler_criterion():
+    # x^2 - a is irreducible iff a is no square mod p
+    import random
+    p = 2 ** 61 - 1
+    rng = random.Random(61)
+    outcomes = set()
+    for a in (rng.randrange(1, p) for _ in range(50)):
+        nonsquare = pow(a, (p - 1) // 2, p) == p - 1
+        assert is_irreducible((p - a, 0, 1), p) == nonsquare, a
+        outcomes.add(nonsquare)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("p,e", [(3, 4), (5, 3), (7, 2)])
+def test_irreducibility_ignores_nonzero_scaling(p, e):
+    for cand in _monics(p, e):
+        expected = is_irreducible(cand, p)
+        for c in range(2, p):
+            assert is_irreducible(tuple(c * x % p for x in cand), p) == expected, (cand, c)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -320,7 +351,7 @@ def test_negative_powers():
 # The tables and FieldElement both derive from the Field methods, so the
 # reference is written here: codes split into base-p digit polynomials,
 # multiplied and divided by the modulus with the long division above, which
-# shares no code with the gf polynomial helpers.
+# shares no code with gf's arithmetic on codes.
 
 def _digits(f, code):
     """The e base-p digits of a code, lowest first: its coefficient vector."""

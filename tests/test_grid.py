@@ -13,18 +13,14 @@ from ccodes.grid import (
     GridShape,
     all_tuples,
     brute_min_shadow,
-    check_clements_lindstrom,
     count_deg_ge,
     count_deg_le,
     lex_segment,
-    lex_segment_level,
     min_shadow_size,
     mixed_radix_value,
     parse_tuple,
     rth_of_deg_le,
     shadow,
-    shadow_level,
-    tuples_deg_eq,
     tuples_deg_le,
     values_deg_ge,
 )
@@ -43,6 +39,16 @@ def oracle_box(shape, descending=False):
 def oracle_shadow(shape, pts):
     return {t for t in oracle_box(shape)
             if any(all(x >= y for x, y in zip(t, s)) for s in pts)}
+
+
+def level(shape, u):
+    """The tuples of degree u, in decreasing lex order."""
+    return [t for t in all_tuples(shape) if sum(t) == u]
+
+
+def shadow_at(shape, pts, v):
+    """The degree-v part of the shadow of pts."""
+    return {t for t in shadow(shape, pts) if sum(t) == v}
 
 
 # -- shape parsing and structure ----------------------------------------------
@@ -90,7 +96,6 @@ def test_enumerate_examples():
     s22 = GridShape((2, 2))
     # values of (0, 1), (1, 0), (1, 1): the degree >= 1 band, ascending
     assert values_deg_ge(s22, 1).tolist() == [1, 2, 3]
-    assert tuples_deg_eq(s23, 0) == [(0, 0)]
 
 
 def test_enumeration_matches_sort_oracle():
@@ -103,7 +108,7 @@ def test_degree_filter_range():
     with pytest.raises(ValueError, match=exactly("degree 4 outside [0, 3] for 2x3")):
         tuples_deg_le(s, 4)
     with pytest.raises(ValueError, match=exactly("degree -1 outside [0, 3] for 2x3")):
-        tuples_deg_eq(s, -1)
+        tuples_deg_le(s, -1)
 
 
 # -- ranking --------------------------------------------------------------------
@@ -172,14 +177,6 @@ def test_lex_segment_is_prefix_of_walk():
                 assert lex_segment(shape, d, r) == le[:r]
 
 
-def test_lex_segment_level_is_prefix_of_level():
-    s = GridShape((3, 3))
-    assert lex_segment_level(s, 2, 2) == [(2, 0), (1, 1)]
-    assert lex_segment_level(s, 2, 0) == []
-    with pytest.raises(ValueError, match=exactly("rank 4 outside [0, 3] for level 2")):
-        lex_segment_level(s, 2, 4)
-
-
 # -- shadows ----------------------------------------------------------------------
 
 def test_shadow_examples():
@@ -195,12 +192,6 @@ def test_shadow_rejects_outside_box():
         shadow(s, [(2, 0)])
     with pytest.raises(ValueError):
         shadow(s, [(0, 0, 0)])
-
-
-def test_shadow_level():
-    s23 = GridShape((2, 3))
-    assert shadow_level(s23, [(1, 1)], 3) == {(1, 2)}
-    assert shadow_level(s23, [(0, 0)], 1) == {(0, 1), (1, 0)}
 
 
 def test_shadow_monotone_and_idempotent():
@@ -222,11 +213,11 @@ def test_levelwise_shadow_composition():
     # for S in level u: the level-(u+2) shadow factors through level u+1
     for shape in SMALL_SHAPES:
         for u in range(max(shape.k - 1, 0)):
-            level = tuples_deg_eq(shape, u)
-            for size in range(len(level) + 1):
-                for s in itertools.combinations(level, size):
-                    via = shadow_level(shape, shadow_level(shape, s, u + 1), u + 2)
-                    assert via == shadow_level(shape, s, u + 2)
+            tuples = level(shape, u)
+            for size in range(len(tuples) + 1):
+                for s in itertools.combinations(tuples, size):
+                    via = shadow_at(shape, shadow_at(shape, s, u + 1), u + 2)
+                    assert via == shadow_at(shape, s, u + 2)
 
 
 def test_lex_segment_shadow_size_examples():
@@ -263,8 +254,8 @@ def test_segment_shadow_is_lex_upper_set():
 def test_lex_max_lower_level_is_dominated():
     for shape in SMALL_SHAPES:
         for v in range(1, shape.k + 1):
-            lower = tuples_deg_eq(shape, v - 1)
-            for y in tuples_deg_eq(shape, v):
+            lower = level(shape, v - 1)
+            for y in level(shape, v):
                 below = [f for f in lower if f <= y]
                 assert below, f"no candidate under {y} in level {v - 1} of {shape}"
                 a = max(below)
@@ -286,13 +277,12 @@ def test_compressed_level_has_smallest_shadow():
     # replacing any level subset by its lex segment never grows the shadow
     for shape in SMALL_SHAPES:
         for u in range(shape.k + 1):
-            level = tuples_deg_eq(shape, u)
-            if len(level) > 8:
+            tuples = level(shape, u)
+            if len(tuples) > 8:
                 continue
-            for size in range(len(level) + 1):
-                for s in itertools.combinations(level, size):
-                    seg = lex_segment_level(shape, u, size)
-                    assert len(shadow(shape, seg)) <= len(shadow(shape, s))
+            for size in range(len(tuples) + 1):
+                for s in itertools.combinations(tuples, size):
+                    assert len(shadow(shape, tuples[:size])) <= len(shadow(shape, s))
 
 
 def test_segment_levels_squeeze_between_shadows():
@@ -307,32 +297,25 @@ def test_segment_levels_squeeze_between_shadows():
                 m_v = {t for t in seg if sum(t) == v}
                 for u in range(1, v + 1):
                     m_u = [t for t in seg if sum(t) == u]
-                    assert shadow_level(shape, m_u, v) <= m_v
-                    level_u = tuples_deg_eq(shape, u)
-                    star = lex_segment_level(shape, u, min(len(m_u) + 1, len(level_u)))
-                    assert m_v <= shadow_level(shape, star, v)
+                    assert shadow_at(shape, m_u, v) <= m_v
+                    star = level(shape, u)[:len(m_u) + 1]
+                    assert m_v <= shadow_at(shape, star, v)
 
 
 def test_clements_lindstrom_examples():
+    # for S in level u, the level-(u+1) shadow of the first |S| tuples of
+    # level u lies among the first |level-(u+1) shadow of S| of level u+1
     s22 = GridShape((2, 2))
-    report = check_clements_lindstrom(s22, 1, [(0, 1)])
-    assert report.holds
-    assert report.lhs == ((1, 1),) and report.rhs == ((1, 1),)
+    assert shadow_at(s22, level(s22, 1)[:1], 2) == {(1, 1)}
+    assert level(s22, 2)[:len(shadow_at(s22, [(0, 1)], 2))] == [(1, 1)]
     s33 = GridShape((3, 3))
-    assert check_clements_lindstrom(s33, 2, [(0, 2), (2, 0)]).holds
+    grown = shadow_at(s33, [(0, 2), (2, 0)], 3)
+    assert shadow_at(s33, level(s33, 2)[:2], 3) <= set(level(s33, 3)[:len(grown)])
     # a full level is its own lex segment
     for shape in SMALL_SHAPES:
         for u in range(shape.k):
-            level = tuples_deg_eq(shape, u)
-            assert check_clements_lindstrom(shape, u, level).holds
-
-
-def test_clements_lindstrom_validation():
-    s = GridShape((2, 2))
-    with pytest.raises(ValueError, match=exactly("level 2 outside [0, 2) for 2x2")):
-        check_clements_lindstrom(s, 2, [])
-    with pytest.raises(ValueError):
-        check_clements_lindstrom(s, 1, [(1, 1)])
+            grown = shadow_at(shape, level(shape, u), u + 1)
+            assert grown <= set(level(shape, u + 1)[:len(grown)])
 
 
 # -- minimal shadows -----------------------------------------------------------------

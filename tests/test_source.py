@@ -25,7 +25,7 @@ def test_no_assert_statements():
 # scans and oracles, which no closed form may call.
 CLOSED_FORMS = (
     "rth_of_deg_*", "values_deg_ge", "lex_segment", "min_shadow_size", "count_deg_*",
-    "_suffix_counts", "ghw_closed_form", "max_common_zeros",
+    "_suffix_counts", "max_common_zeros",
     "hierarchy", "dual_hierarchy", "_hierarchy_at_degree", "footprint_upper_bound",
 )
 
@@ -112,7 +112,7 @@ def test_verify_checks_the_printed_hierarchy():
     # per-rank unrank that max_common_zeros, its other comparand, shares
     tree = ast.parse((Path(ccodes.__file__).parent / "verification.py").read_text(encoding="utf-8"))
     names = _names(tree)
-    assert "hierarchy" in names and "ghw_closed_form" not in names
+    assert "hierarchy" in names and not names & {"min_shadow_size", "rth_of_deg_le"}
 
 
 def test_integer_codes_are_the_only_element_form():
@@ -164,9 +164,6 @@ def test_every_private_function_is_used():
 # Public names that only the tests call, each with the reason it stays.  A
 # method or property of a library class is listed as Class.member.
 REFERENCE_ONLY = {
-    "points": "the grid points in column order, which tests evaluate on directly",
-    "ghw_closed_form": "one GHW by rank; verify checks the listed hierarchy instead",
-    "check_clements_lindstrom": "the shadow compression harness of the acceptance sweep",
     "hilbert_fn": "oracle for footprint_upper_bound",
     "box_ideal": "oracle for footprint_upper_bound, with hilbert_fn",
     "FieldElement": "the tests' element view; bench/spans.py names it, so it goes "
