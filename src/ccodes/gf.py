@@ -78,22 +78,24 @@ def _mul(a, b, p: int, modulus):
     e = len(modulus) - 1
     if e == 1:
         return a * b % p
-    da, db = [], []
-    for _ in range(e):
-        a, x = divmod(a, p)
-        b, y = divmod(b, p)
-        da.append(x)
-        db.append(y)
+    da, db = [], []  # the (position, digit) pairs; int operands skip zero digits
+    for k in range(e):  # // and %, not divmod, which object arrays lack
+        x, y = a % p, b % p
+        if type(x) is not int or x:
+            da.append((k, x))
+        if type(y) is not int or y:
+            db.append((k, y))
+        a, b = a // p, b // p
     prod = [0] * (2 * e - 1)
-    for i, x in enumerate(da):
-        for j, y in enumerate(db):
+    for i, x in da:
+        for j, y in db:
             prod[i + j] = prod[i + j] + x * y
     # x^e = -(m_0 + m_1 x + ... + m_{e-1} x^{e-1})
+    tail = [(j, c) for j, c in enumerate(modulus[:-1]) if c]
     for k in range(2 * e - 2, e - 1, -1):
         top = prod[k] % p
-        for j, c in enumerate(modulus[:-1]):
-            if c:
-                prod[k - e + j] = prod[k - e + j] - top * c
+        for j, c in tail:
+            prod[k - e + j] = prod[k - e + j] - top * c
     out = 0
     for k in range(e - 1, -1, -1):
         out = out * p + prod[k] % p

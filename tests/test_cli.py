@@ -493,8 +493,9 @@ def test_dual_past_the_table_limit_exits_two(capsys):
 # sha256 of repr((exit status, stdout, stderr)) per argv: any change to what
 # the CLI prints shows here.  Dual matrices and extremal coefficients depend
 # on the field modulus, so the runs span nine fields up to the table limit
-# (prime and binary, ternary and up to 2^10), two past it and two large
-# characteristics, in both output formats, plus two exit-2 errors.
+# (prime and binary, ternary and up to 2^10), two past it and three large
+# characteristics, in both output formats, plus two exit-2 errors.  The
+# hierarchy depends only on the grid's shape, so it runs once per shape.
 RECORDED_DIGESTS = {
     "hierarchy --field 2^1 --sets 0,1;0,1;0,1 --d 1 --format table":
         "278e2cba3959826a2ad6dbfc8b955474f548302d255574249f0e67e8ed1670ec",
@@ -560,10 +561,6 @@ RECORDED_DIGESTS = {
         "33ffd8fd45a37d2956afa521b554a21459e61ef4c439b3ac181efb1e6316304f",
     "maxzeros --field 5^1 --sets 0,2,4;0,1,2,3 --d 3 --r 2 --format json":
         "a5efd487f2faed2016e1bc8a27446461581e183c2350d8c583a16e914341c1f9",
-    "hierarchy --field 2^3 --sets 2,3,7;0,1,5,6 --d 2 --format table":
-        "65ff34341c19f63b9051e54cd200a7b145343f4ef37a1b0177d5ac7bdb6186b2",
-    "hierarchy --field 2^3 --sets 2,3,7;0,1,5,6 --d 2 --format json":
-        "83a804fe6794ab9fd204ca419a71753a50366af35a67f10531e5109f038f7a3f",
     "dual --field 2^3 --sets 2,3,7;0,1,5,6 --d 2 --format table":
         "f4e1f393029555b86bc6e881943b12bb42f461b162b7d086e4f2e7140c870726",
     "dual --field 2^3 --sets 2,3,7;0,1,5,6 --d 2 --format json":
@@ -592,10 +589,6 @@ RECORDED_DIGESTS = {
         "fb0f9a2100429b5cb3611c1e4d5898d6cf07739ee0577a0072021189bf70852f",
     "maxzeros --field 3^2 --sets 0,4,8;1,5,7 --d 2 --r 2 --format json":
         "55d088be09d3a0cf9a96e483ce009dbf21071e8d3d656d55422b74074713f881",
-    "hierarchy --field 2^4 --sets 0,3,9;5,12,15 --d 2 --format table":
-        "6e0158614bac19c6b02fdd34fa0211886702fc72d2a2042fb84aea464f6ba5f7",
-    "hierarchy --field 2^4 --sets 0,3,9;5,12,15 --d 2 --format json":
-        "0c22f9356d84d99cc1397b5e72ed59f073f4e0c206ccb0a0e7a04aead3a1a791",
     "dual --field 2^4 --sets 0,3,9;5,12,15 --d 2 --format table":
         "ae791645dc058e080e12f9052eed9e30a9027b6c5bad27770fc2c7d0e1c3fb35",
     "dual --field 2^4 --sets 0,3,9;5,12,15 --d 2 --format json":
@@ -608,10 +601,6 @@ RECORDED_DIGESTS = {
         "675217d79f5862a5f8afde6323b4f48027706de8070193bac3f6be87dcb6e0a0",
     "maxzeros --field 2^4 --sets 0,3,9;5,12,15 --d 2 --r 2 --format json":
         "fb862d7c722922abb9bc36892e9cab6af41b1a3e396e871de4a50428db8773b5",
-    "hierarchy --field 2^6 --sets 0,9,33;17,40,63 --d 2 --format table":
-        "6e0158614bac19c6b02fdd34fa0211886702fc72d2a2042fb84aea464f6ba5f7",
-    "hierarchy --field 2^6 --sets 0,9,33;17,40,63 --d 2 --format json":
-        "0c22f9356d84d99cc1397b5e72ed59f073f4e0c206ccb0a0e7a04aead3a1a791",
     "dual --field 2^6 --sets 0,9,33;17,40,63 --d 2 --format table":
         "4aee1925f620c89774346a2533b17c09b603ce4863313e051e762b1d1c82dd50",
     "dual --field 2^6 --sets 0,9,33;17,40,63 --d 2 --format json":
@@ -624,10 +613,6 @@ RECORDED_DIGESTS = {
         "66c5adb686eb8f08b6663243ce698147015f7999673a3d8625e553214ca513d4",
     "maxzeros --field 2^6 --sets 0,9,33;17,40,63 --d 2 --r 2 --format json":
         "157a87915ed89e793272abccc460738910029b96f9938ff43cd61dddbaa55734",
-    "hierarchy --field 2^10 --sets 0,7,1000;3,512,1023 --d 2 --format table":
-        "6e0158614bac19c6b02fdd34fa0211886702fc72d2a2042fb84aea464f6ba5f7",
-    "hierarchy --field 2^10 --sets 0,7,1000;3,512,1023 --d 2 --format json":
-        "0c22f9356d84d99cc1397b5e72ed59f073f4e0c206ccb0a0e7a04aead3a1a791",
     "dual --field 2^10 --sets 0,7,1000;3,512,1023 --d 2 --format table":
         "fe7d9dfb3c26a12dbb2cb55c437b132b47cb94710741e516696766d7b7eb0367",
     "dual --field 2^10 --sets 0,7,1000;3,512,1023 --d 2 --format json":
@@ -644,26 +629,28 @@ RECORDED_DIGESTS = {
         "3b9b641090c6378c7741920173cc65761a669c8ae0ac5ff8038efadb6d44c676",
     "maxzeros --field 3^7 --sets 7,8;0,100,2186 --d 1 --r 2 --format table":
         "9c4d83ac698a0aa94f7510c0ab7a5b4c826c162c75562179300a88f81ca9e92c",
-    "hierarchy --field 2305843009213693951^1"
-    " --sets 5,6;0,1,2305843009213693950"
-    " --d 2 --format table":
-        "23bb9ff433d3fdd699b5c618951a3ab91517f6b500940cce25e42b7239d8680a",
-    "hierarchy --field 2305843009213693951^2"
-    " --sets 7,5316911983139663487003542222693990400;0,1,2305843009213693951"
-    " --d 2 --format table":
-        "23bb9ff433d3fdd699b5c618951a3ab91517f6b500940cce25e42b7239d8680a",
     "maxzeros --field 2^11 --sets 1,1024;0,5,2047 --d 2 --r 2 --format json":
         "5f776c63a260ffa02089c963c3f613caff963d0922aff0875f187c703a900140",
     "maxzeros --field 3^7 --sets 7,8;0,100,2186 --d 1 --r 2 --format json":
         "cf516ad04f67a240b33b193b8015ababe7b5cb41b83035beb8ab051938b6cf6e",
-    "hierarchy --field 2305843009213693951^1"
-    " --sets 5,6;0,1,2305843009213693950"
-    " --d 2 --format json":
-        "10e272c57eae12146d2db9ec0814e8f3c9a9024c159dcd887ac1c8cca96c5c0f",
-    "hierarchy --field 2305843009213693951^2"
-    " --sets 7,5316911983139663487003542222693990400;0,1,2305843009213693951"
-    " --d 2 --format json":
-        "10e272c57eae12146d2db9ec0814e8f3c9a9024c159dcd887ac1c8cca96c5c0f",
+    # over the quadratic extensions these coefficients depend on the modulus
+    "maxzeros --field 2305843009213693951^1 --sets 5,6,2305843009213693950"
+    " --d 2 --r 1 --format table":
+        "1a0165d30faf82a43d499ac0a1130e95cc2125b5197fbf605f0b5b31313c0e04",
+    "maxzeros --field 2305843009213693951^1 --sets 5,6,2305843009213693950"
+    " --d 2 --r 2 --format json":
+        "e19dcafc282da86df2b00db404fab3056a22c54de7741e3df27c9d591d22516c",
+    "maxzeros --field 2305843009213693951^2"
+    " --sets 2305843009213693951,2305843009213693952,4611686018427387905"
+    " --d 2 --r 1 --format table":
+        "cebac14841a61fa39b2e267e756e22aacfca5b7e98219dd6a0eeea1e7f89e71f",
+    "maxzeros --field 2305843009213693951^2"
+    " --sets 2305843009213693951,2305843009213693952,4611686018427387905"
+    " --d 2 --r 2 --format json":
+        "b37ae6df859582b34b66e213172b0c7a3f2ae2c765332b98275e2b2a9d7def96",
+    "maxzeros --field 2147483647^2 --sets 2147483647,2147483648,4294967297"
+    " --d 2 --r 2 --format table":
+        "b71cdbf5f05d8ab11896987d090c3bed13826952ce4c75fc6a02ecf5404861b0",
     "hierarchy --field 4^1 --sets 0,1 --d 1":
         "104b4eba840b9d38b2689e8933f58830870f958c8742d129537a6b4fbebf1dcb",
     "dual --field 2^3 --sets 0,8 --d 1":

@@ -417,9 +417,10 @@ def test_tables_match_element_arithmetic(p, e):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([(2, 10), (3, 6), (2, 16), (4294967291, 1)]), st.data())
+@given(st.sampled_from([(2, 10), (3, 6), (2, 16), (4294967291, 1),
+                        (2 ** 31 - 1, 2), (2 ** 61 - 1, 2)]), st.data())
 def test_large_tables_match_element_arithmetic(pe, data):
-    # 4294967291^2 exceeds int64, so arrays over it are held as Python ints
+    # products over the last three overflow int64, so their arrays hold Python ints
     f = field_create(*pe)
     code = st.integers(0, f.q - 1)
     i, j = (data.draw(code, label=label) for label in ("i", "j"))
@@ -431,6 +432,8 @@ def test_large_tables_match_element_arithmetic(pe, data):
     xs, ys = (np.array(column) for column in zip(*pairs))
     assert f.mul(xs, ys).tolist() == [ref_mul(f, x, y) for x, y in pairs]
     assert f.add(xs, ys).tolist() == [ref_add(f, x, y) for x, y in pairs]
+    assert f.neg(xs).tolist() == [ref_neg(f, x) for x in xs.tolist()]
+    assert f.inv(xs).tolist() == [ref_inv(f, x) if x else 0 for x in xs.tolist()]
     if f.q <= gf.TABLE_ORDER_LIMIT:
         assert f.add_table[i, j] == ref_add(f, i, j)
         assert f.mul_table[i, j] == ref_mul(f, i, j)
