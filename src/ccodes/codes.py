@@ -20,10 +20,11 @@ exhaustive oracles sweep subspaces and codewords in chunks of fixed size,
 whatever their budget.  The oracles build each span of rows as the
 Kronecker sum of the spans of its two halves, one lookup in the flat
 addition table per entry.  The subspace oracle packs each support into a
-64-bit mask.  It builds each basis row's masks once per code and rank:
-from a table of the supports of G[p] + a G[c], or by comparing the two
-halves of the row's span, packed in one packbits pass, and kept from one
-pivot set to the next.  The codeword oracle sums each word's nonzero
+64-bit mask.  It keeps nothing from one pivot set to the next.  Within
+one, the masks of a basis row that no chunk changes are built once: read
+from a table of the supports of G[p] + a G[c], built once per code and
+rank, or found by comparing the two halves of the row's span, packed in
+one packbits pass.  The codeword oracle sums each word's nonzero
 entries over a column-major copy of its span.  Each oracle raises
 InvariantError unless it covered exactly the gaussian_binomial(K, r, q)
 subspaces or q^K codewords it should.  The extremal families are
@@ -494,72 +495,58 @@ def _fast_digits(q: int) -> int:
     return digits
 
 
-def _subspace_supports(code: LinearCode, pivots, reuse):
+def _subspace_supports(code: LinearCode, pivots, table):
     """Support masks of the subspaces with these echelon pivots, in chunks.
 
     Basis row i is G[pivots[i]] plus any combination of the rows G[c] with
     c > pivots[i] not a pivot (its free entries).  The free entries of all
     rows form one mixed-radix counter.  Its fastest digits, at most
     _ORACLE_CHUNK combinations, are swept at once; the slow digits step one
-    prefix per chunk and shift the rows they belong to, the stepped rows.
-    Those come first, and only the last of them can have fast free rows.
-    Every other row has the same masks in all chunks: the mask table's
-    for at most one fast free row, else _half_span_masks of its fast span.
-    The rows after the last stepped one are ORed together once.
-
-    reuse is (mask table, slots), kept by brute_ghw from one pivot set to
-    the next.  slots[i] holds row i's last fast rows with their masks, or
-    their span halves if row i was the last stepped row.  The fast rows fix
-    the pivot of a row that is not stepped, since its free entries are all
-    fast and the rows after it hold r - 1 - i pivots.  A slot the current
-    pivot set does not use is emptied, so the slots hold at most one chunk
-    of words.
+    prefix per chunk.  Let the last row with a slow digit be row last.
+    Every earlier row has free entries, a superset of row last's, that come
+    before that digit in the counter, so they are all slow: such a row is
+    one word in each chunk.  Row last shifts the span of its fast rows,
+    built once, by its word in each chunk.  Every later row has the same
+    masks in all chunks: table's (see _mask_table) for at most one fast
+    free row, else _half_span_masks of its fast span.  They are ORed
+    together once.
     """
     G, field = code.matrix, code.field
     K, q = G.shape[0], field.q
     add, mul = field.add_table, field.mul_table
-    table, slots = reuse
     free = [(i, c) for i, p in enumerate(pivots)
             for c in range(p + 1, K) if c not in pivots]
     cut = max(0, len(free) - _fast_digits(q))
     slow, fast = free[:cut], free[cut:]
-    stepped = sorted({i for i, _ in slow})
-    last = stepped[-1] if stepped else -1
-    head, tail = np.uint64(0), None
-    for i, p in enumerate(pivots):
-        cols = tuple(c for k, c in fast if k == i)
-        if i in stepped and i != last:
-            slots[i] = None  # one word, shifted in every chunk
-            continue
-        if i != last and len(cols) < 2 and table is not None:
-            slots[i] = None
-            masks = table[p, cols[0]] if cols else table[p, p, :1]
+    last = slow[-1][0] if slow else -1
+    cols = [[c for k, c in fast if k == i] for i in range(len(pivots))]
+
+    def halves(i):
+        """The spans of the first half of row i's fast rows and of the rest."""
+        rows = G[cols[i]]
+        half = len(rows) // 2
+        return _span_words(rows[:half], field), _span_words(rows[half:], field)
+
+    tail = None
+    for i in range(last + 1, len(pivots)):
+        p = pivots[i]
+        if len(cols[i]) < 2 and table is not None:
+            masks = table[p, cols[i][0]] if cols[i] else table[p, p, :1]
         else:
-            key = (i == last, cols)
-            if slots[i] is None or slots[i][0] != key:
-                rows = G[list(cols)]
-                halves = (_span_words(rows[:len(cols) // 2], field),
-                          _span_words(rows[len(cols) // 2:], field))
-                slots[i] = key, halves if i == last else _half_span_masks(halves, G[p], field)
-            if i == last:
-                continue  # its halves are shifted in every chunk
-            masks = slots[i][1]
-        # rows before the last stepped one have no fast rows: one word each
-        if i < last:
-            head |= masks[0]
-        else:
-            tail = masks if tail is None else np.bitwise_or.outer(tail, masks).ravel()
-    if not stepped:
+            masks = _half_span_masks(halves(i), G[p], field)
+        tail = masks if tail is None else np.bitwise_or.outer(tail, masks).ravel()
+    if not slow:
         yield tail
         return
+    span = halves(last)
     for digits in itertools.product(range(q), repeat=len(slow)):
-        shifts = {i: G[pivots[i]] for i in stepped}
+        shifts = [G[p] for p in pivots[:last + 1]]
         for (i, c), a in zip(slow, digits):
             if a:
                 shifts[i] = add[shifts[i], mul[a, G[c]]]
-        acc = _half_span_masks(slots[last][1], shifts.pop(last), field) | head
+        acc = _half_span_masks(span, shifts.pop(), field)
         if shifts:
-            acc |= np.bitwise_or.reduce(_support_masks(np.array(list(shifts.values())), 0))
+            acc |= np.bitwise_or.reduce(_support_masks(np.array(shifts), 0))
         yield acc if tail is None else np.bitwise_or.outer(acc, tail).ravel()
 
 
@@ -570,9 +557,9 @@ def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
     canonical bases (pivot columns, then free entries).  The support of a
     subspace is the union of its basis rows' supports, tracked as bit
     masks.  They are swept in chunks of at most _ORACLE_CHUNK subspaces,
-    and the mask table and the masks kept from one pivot set to the next
-    hold at most a chunk of words each, so memory does not grow with the
-    budget.
+    one pivot set at a time with nothing kept between them, and the mask
+    table holds at most a chunk of words, so memory does not grow with
+    the budget.
     """
     K, n = code.dimension, code.length
     q = code.field.q
@@ -586,9 +573,9 @@ def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
         raise BudgetExceededError(f"{total} subspaces exceed budget {budget}")
     best = n
     enumerated = 0
-    reuse = _mask_table(code), [None] * r
+    table = _mask_table(code)
     for pivots in itertools.combinations(range(K), r):
-        for acc in _subspace_supports(code, pivots, reuse):
+        for acc in _subspace_supports(code, pivots, table):
             enumerated += acc.size
             best = min(best, int(np.bitwise_count(acc).min()))
     if enumerated != total:

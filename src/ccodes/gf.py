@@ -214,8 +214,14 @@ class Field:
         return value
 
     def _wide(self, a):
-        """Codes as a Python int, or as an array whose steps cannot wrap."""
+        """Codes as a Python int, or as an array whose steps cannot wrap.
+
+        An array must hold integers or Python ints (dtype object): a cast
+        from floats would truncate them, or round codes past 2^53.
+        """
         if isinstance(a, np.ndarray):
+            if a.dtype.kind not in "iuO":
+                raise ValueError(f"element codes must be integers, got dtype {a.dtype}")
             return a.astype(self._wide_dtype)
         return operator.index(a)
 
@@ -233,6 +239,8 @@ class Field:
 
     def pow(self, a, n: int):
         """a^n for n >= 0 by square and multiply; 0^0 is 1."""
+        if n < 0:
+            raise ValueError(f"exponent {n} is negative")
         return _pow(self._wide(a), n, self.p, self.modulus)
 
     def inv(self, a):

@@ -636,22 +636,18 @@ def reference_ranks(code) -> list:
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([2, 3, 4, 9]), st.data())
 def test_subspace_sweep_matches_echelon_bases(q, data):
-    # pivot sets in brute_ghw's order and in a drawn order, each sharing one
-    # reuse state, so that masks a row kept from another pivot set show up
     code = random_code(data, q, max_k=5, max_n=8)
     for r in reference_ranks(code):
         pivot_sets = list(itertools.combinations(range(code.dimension), r))
         expected = {pivots: echelon_support_masks(code, pivots) for pivots in pivot_sets}
-        shuffled = data.draw(st.permutations(pivot_sets))
         with pytest.MonkeyPatch.context() as patch:
             for chunk in (1, 3, 7, codes._ORACLE_CHUNK):
                 patch.setattr(codes, "_ORACLE_CHUNK", chunk)
-                for order in (pivot_sets, shuffled):
-                    reuse = codes._mask_table(code), [None] * r
-                    for pivots in order:
-                        chunks = list(codes._subspace_supports(code, pivots, reuse))
-                        assert all(0 < c.size <= chunk for c in chunks), (chunk, pivots)
-                        assert np.concatenate(chunks).tolist() == expected[pivots], (chunk, pivots)
+                table = codes._mask_table(code)
+                for pivots in pivot_sets:
+                    chunks = list(codes._subspace_supports(code, pivots, table))
+                    assert all(0 < c.size <= chunk for c in chunks), (chunk, pivots)
+                    assert np.concatenate(chunks).tolist() == expected[pivots], (chunk, pivots)
 
 
 @settings(max_examples=15, deadline=None)
@@ -675,11 +671,11 @@ def test_truncated_subspace_sweep_trips_the_count_invariant(monkeypatch):
     # one free entry per chunk: pivot 0 alone has 3^5 subspaces in 81 chunks
     monkeypatch.setattr(codes, "_ORACLE_CHUNK", 3)
     monkeypatch.setattr(codes, "_subspace_supports",
-                        lambda code, pivots, reuse: list(sweep(code, pivots, reuse)))
+                        lambda code, pivots, table: list(sweep(code, pivots, table)))
     assert brute_ghw(code, 1) == hierarchy(spec)[0]
 
-    def truncated(code, pivots, reuse):
-        chunks = list(sweep(code, pivots, reuse))
+    def truncated(code, pivots, table):
+        chunks = list(sweep(code, pivots, table))
         return chunks[:-1] if len(chunks) > 1 else chunks
 
     monkeypatch.setattr(codes, "_subspace_supports", truncated)

@@ -344,6 +344,26 @@ def test_negative_powers():
     f = field_create(7)
     a = element(f, 3)
     assert a ** (-2) == (a * a).inverse()
+    # Field.pow takes codes and n >= 0 only; FieldElement inverts first
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match=exactly(f"exponent {n} is negative")):
+            f.pow(3, n)
+    with pytest.raises(ValueError, match=exactly("exponent -1 is negative")):
+        field_create(2, 2).pow(2, -1)
+
+
+@pytest.mark.parametrize("pe", [(7, 1), (2 ** 61 - 1, 2)])
+def test_float_arrays_are_not_codes(pe):
+    # a cast would truncate 1.5 and round 2^63 + 1, which np.array stores as a float
+    f = field_create(*pe)
+    ints = np.ones(2, dtype=f.int_dtype)
+    for floats in (np.array([1.5, 2.0]), np.array([0, 2 ** 63 + 1])):
+        assert floats.dtype == np.float64
+        for method, args in ((f.add, (ints, floats)), (f.mul, (floats, 3)), (f.neg, (floats,)),
+                             (f.pow, (floats, 2)), (f.inv, (floats,))):
+            with pytest.raises(ValueError, match=exactly(
+                    "element codes must be integers, got dtype float64")):
+                method(*args)
 
 
 # -- the arithmetic core against tuple long division ---------------------------
@@ -429,7 +449,8 @@ def test_large_tables_match_element_arithmetic(pe, data):
     assert f.neg(i) == ref_neg(f, i)
     assert f.inv(i) == (ref_inv(f, i) if i else 0)
     pairs = data.draw(st.lists(st.tuples(code, code), min_size=1, max_size=8), label="pairs")
-    xs, ys = (np.array(column) for column in zip(*pairs))
+    # the codes' own dtype: np.array would promote a mix of int64 and uint64 to floats
+    xs, ys = (np.array(column, dtype=f.int_dtype) for column in zip(*pairs))
     assert f.mul(xs, ys).tolist() == [ref_mul(f, x, y) for x, y in pairs]
     assert f.add(xs, ys).tolist() == [ref_add(f, x, y) for x, y in pairs]
     assert f.neg(xs).tolist() == [ref_neg(f, x) for x in xs.tolist()]
