@@ -283,8 +283,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # BudgetExceededError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+    # BudgetExceededError is a ValueError; too-large input ends in
+    # MemoryError or OverflowError, and exits 2 too: 1 means a mismatch.
+    # A bare MemoryError() has no message, so its type stands in.
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -26,8 +26,7 @@ to a signed dtype no step can overflow, or to Python ints (dtype object)
 when int64 has no room.  The dense tables that matrix work indexes
 (orders up to TABLE_ORDER_LIMIT) are add and mul on every pair of codes,
 the row of -1 in the products, and the position of 1 in each row.
-FieldElement is a (field, code) view whose operators call the same
-methods; the tests check all of them against tuple long division.
+The tests check all of them against tuple long division.
 """
 
 from __future__ import annotations
@@ -162,7 +161,7 @@ def smallest_irreducible(p: int, e: int):
 
 
 # --------------------------------------------------------------------------
-# Field and element view
+# Field
 # --------------------------------------------------------------------------
 
 class Field:
@@ -284,66 +283,10 @@ class Field:
 
 
 class FieldElement:
-    """A (field, code) view; its operators +, -, *, /, ** call the Field methods.
+    """Placeholder with no behaviour: bench/spans.py compares classes against gf.FieldElement.
 
-    The code is taken as given: FieldElement(f, f.code(c)) checks it first.
+    Delete it once the benchmark stops naming it.
     """
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, code: int):
-        self.field = field
-        self.code = code
-
-    def _apply(self, op, other):
-        """The element op(self, other) on codes; NotImplemented for a non-element."""
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        if self.field is not other.field and self.field != other.field:
-            raise ValueError(f"{self.field} vs {other.field}")
-        return FieldElement(self.field, op(self.code, other.code))
-
-    def to_int(self) -> int:
-        return self.code
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field == other.field and self.code == other.code
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.e, self.code))
-
-    def __repr__(self):
-        return f"GF({self.field.q})[{self.code}]"
-
-    def __add__(self, other):
-        return self._apply(self.field.add, other)
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __sub__(self, other):
-        return self + -other if isinstance(other, FieldElement) else NotImplemented
-
-    def __mul__(self, other):
-        return self._apply(self.field.mul, other)
-
-    def inverse(self) -> FieldElement:
-        if not self:
-            raise ZeroDivisionError(f"division by zero in {self.field}")
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def __truediv__(self, other):
-        return self * other.inverse() if isinstance(other, FieldElement) else NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return FieldElement(self.field, self.field.pow(self.code, n))
 
 
 @functools.lru_cache(maxsize=None)

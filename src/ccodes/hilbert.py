@@ -20,7 +20,7 @@ The leading term of terms is max(terms, key=graded_lex_key).
 
 from __future__ import annotations
 
-import math
+import collections
 
 from .grid import GridShape, divides
 
@@ -87,12 +87,14 @@ def footprint_upper_bound(shape: GridShape, leading_terms) -> int:
     """Upper bound on common zeros in the grid from leading terms alone.
 
     Counts the box tuples that dominate no leading term, one coordinate
-    at a time: a first coordinate x leaves the tuples of the remaining
-    dims that dominate none of the terms with t[0] <= x.  Those terms
-    change only where x passes some t[0], so each run of x between two
-    such values is counted once, and counts are memoised per (coordinate,
-    remaining terms) within the call.  A term with some exponent >= d_i
-    is dominated by no box tuple: the box generators x_i^{d_i} absorb it.
+    at a time: a prefix that ends in x leaves the suffixes of the
+    remaining dims that dominate none of the terms with t[0] <= x.  Those
+    terms change only where x passes some t[0], so each run of x between
+    two such values is one step.  Each level maps the set of surviving
+    term suffixes to the number of prefixes that lead to it, so equal
+    sets merge; a prefix is free when no suffix survives the last
+    coordinate.  A term with some exponent >= d_i is dominated by no box
+    tuple: the box generators x_i^{d_i} absorb it.
     """
     lts = [tuple(int(x) for x in lt) for lt in leading_terms]
     for lt in lts:
@@ -103,23 +105,16 @@ def footprint_upper_bound(shape: GridShape, leading_terms) -> int:
             raise ValueError(f"negative exponent in leading term {lt}")
     if len(set(lts)) != len(lts):
         raise ValueError(f"duplicate leading terms in {lts}")
-    memo = {}
-
-    def free(i, terms):
-        """Tuples of dims[i:] dominating none of terms (suffixes from i)."""
-        if not terms:
-            return math.prod(shape.dims[i:])
-        if i == shape.m:
-            return 0
-        if (i, terms) not in memo:
-            d = shape.dims[i]
+    states = collections.Counter({frozenset(lts): 1})
+    for d in shape.dims:
+        level = collections.Counter()
+        for terms, prefixes in states.items():
             starts = sorted({t[0] for t in terms if t[0] < d})
-            memo[i, terms] = sum(
-                (hi - lo) * free(i + 1, frozenset(t[1:] for t in terms if t[0] <= lo))
-                for lo, hi in zip([0] + starts, starts + [d]) if hi > lo)
-        return memo[i, terms]
-
-    return free(0, frozenset(lts))
+            for lo, hi in zip([0] + starts, starts + [d]):
+                if hi > lo:
+                    level[frozenset(t[1:] for t in terms if t[0] <= lo)] += (hi - lo) * prefixes
+        states = level
+    return states[frozenset()]
 
 
 def box_ideal(shape: GridShape, leading_terms=()) -> tuple:

@@ -152,6 +152,14 @@ def test_footprint_negative_exponent_exits_two(capsys, lts):
     assert err.startswith("error: negative exponent")
 
 
+def test_footprint_on_a_deep_grid(capsys):
+    # one coordinate per level, not per stack frame: 1500 dims end in no RecursionError
+    m = 1500
+    status, out, err = run_cli(capsys, "footprint", "--grid", "x".join(["2"] * m),
+                               "--lts", ",".join(["1"] * m))
+    assert (status, out, err) == (0, f"{2 ** m - 1}\n", "")
+
+
 def test_maxzeros_command(capsys):
     status, out, _ = run_cli(capsys, "maxzeros", "--field", "3^1",
                              "--sets", "0,1,2", "--d", "2", "--r", "1",
@@ -488,6 +496,28 @@ def test_dual_past_the_table_limit_exits_two(capsys):
     status, out, err = run_cli(capsys, "dual", "--field", "2^11", "--sets", "0,1;0,1", "--d", "1")
     assert (status, out) == (2, "")
     assert err == "error: lookup tables limited to order 1024, field has 2048\n"
+
+
+def test_too_large_grid_exits_two(capsys):
+    status, out, err = run_cli(capsys, "shadow", "--grid", "100000000000000000000",
+                               "--v", "1", "--r", "1")
+    assert (status, out) == (2, "")
+    assert err == "error: cannot fit 'int' into an index-sized integer\n"
+
+
+def test_out_of_memory_exits_two(capsys, monkeypatch):
+    # exit 1 means a mismatch; a construction too large for memory is bad input
+    def dual_code(spec):
+        raise MemoryError("Unable to allocate 384. MiB for an array")
+
+    monkeypatch.setattr(codes, "dual_code", dual_code)
+    status, out, err = run_cli(capsys, "dual", "--field", "2^1", "--sets", "0,1;0,1", "--d", "1")
+    assert (status, out) == (2, "")
+    assert err == "error: Unable to allocate 384. MiB for an array\n"
+    # a list too long to address raises a bare MemoryError before allocating
+    monkeypatch.setattr(codes, "dual_code", lambda spec: [0] * 2 ** 62)
+    status, out, err = run_cli(capsys, "dual", "--field", "2^1", "--sets", "0,1;0,1", "--d", "1")
+    assert (status, out, err) == (2, "", "error: MemoryError\n")
 
 
 # sha256 of repr((exit status, stdout, stderr)) per argv: any change to what

@@ -35,7 +35,7 @@ from ccodes.gf import field_create
 from ccodes.grid import min_shadow_size
 from ccodes.hilbert import graded_lex_key
 
-from corpus import element, evaluate, exactly
+from corpus import evaluate, exactly
 
 
 def all_codewords(code):
@@ -163,8 +163,8 @@ def test_rref_properties():
 
 
 def gauss_jordan(rows, field):
-    """Reduced row echelon form over FieldElement arithmetic; (rows, pivots)."""
-    A = [[element(field, int(x)) for x in row] for row in rows]
+    """Reduced row echelon form by the Field methods on int codes; (rows, pivots)."""
+    A = [[field.code(int(x)) for x in row] for row in rows]
     pivots = []
     for c in range(len(A[0]) if A else 0):
         r = len(pivots)
@@ -172,14 +172,14 @@ def gauss_jordan(rows, field):
         if hit is None:
             continue
         A[r], A[hit] = A[hit], A[r]
-        scale = A[r][c].inverse()
-        A[r] = [x * scale for x in A[r]]
+        scale = field.inv(A[r][c])
+        A[r] = [field.mul(x, scale) for x in A[r]]
         for i in range(len(A)):
             if i != r and A[i][c]:
-                factor = A[i][c]
-                A[i] = [x - factor * y for x, y in zip(A[i], A[r])]
+                factor = field.neg(A[i][c])
+                A[i] = [field.add(x, field.mul(factor, y)) for x, y in zip(A[i], A[r])]
         pivots.append(c)
-    return [[x.to_int() for x in row] for row in A], tuple(pivots)
+    return A, tuple(pivots)
 
 
 @settings(max_examples=60, deadline=None)
@@ -392,9 +392,8 @@ def test_dual_full_grid_weights_are_sign():
     for field, m in [(field_create(2), 2), (field_create(3), 2), (field_create(3), 1)]:
         sets_text = ";".join(",".join(str(i) for i in range(field.q)) for _ in range(m))
         spec = spec_from_parts(f"{field.p}^{field.e}", sets_text, 1)
-        one = element(field, 1)
-        expected = one if m % 2 == 0 else -one
-        assert dual_point_weights(spec).tolist() == [expected.to_int()] * spec.n
+        expected = 1 if m % 2 == 0 else field.neg(1)
+        assert dual_point_weights(spec).tolist() == [expected] * spec.n
 
 
 def test_dual_of_reed_muller_is_reed_muller():
@@ -437,22 +436,21 @@ def _lagrange_specs():
 def test_lagrange_power_sums():
     # sum of x^l / g'(x) over a set is 0 for l < size-1 and 1 at l = size-1
     for spec in _lagrange_specs():
+        f = spec.field
         for s in spec.sets:
-            s = [element(spec.field, x) for x in s]
-            zero, one = element(spec.field, 0), element(spec.field, 1)
             derivs = []
             for t, x in enumerate(s):
-                v = one
+                v = 1
                 for u, y in enumerate(s):
                     if u != t:
-                        v = v * (x - y)
+                        v = f.mul(v, f.add(x, f.neg(y)))
                 derivs.append(v)
+            assert all(derivs)  # the points are distinct
             for ell in range(len(s)):
-                total = zero
+                total = 0
                 for x, dv in zip(s, derivs):
-                    total = total + x ** ell / dv
-                expected = one if ell == len(s) - 1 else zero
-                assert total == expected
+                    total = f.add(total, f.mul(f.pow(x, ell), f.inv(dv)))
+                assert total == (1 if ell == len(s) - 1 else 0)
 
 
 def test_wei_duality_examples(monkeypatch):
@@ -766,10 +764,10 @@ def test_monomial_evaluations_alignment():
     pts = list(itertools.product(*spec.sets))
     for ri, mono in enumerate(monos):
         for ci, pt in enumerate(pts):
-            expected = element(spec.field, 1)
+            expected = 1
             for x, e in zip(pt, mono):
-                expected = expected * element(spec.field, x) ** e
-            assert rows[ri, ci] == expected.to_int()
+                expected = spec.field.mul(expected, spec.field.pow(x, e))
+            assert rows[ri, ci] == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -788,10 +786,10 @@ def test_monomial_evaluations_match_element_products(pe, data):
     for mono in monos:
         row = []
         for pt in pts:
-            value = element(f, 1)
+            value = 1
             for x, e in zip(pt, mono):
-                value = value * element(f, x) ** e
-            row.append(value.to_int())
+                value = f.mul(value, f.pow(x, e))
+            row.append(value)
         expected.append(row)
     assert rows.tolist() == expected
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ccodes import gf
 from ccodes.gf import Field, field_create, is_irreducible, parse_field, smallest_irreducible
 
-from corpus import element, exactly
+from corpus import exactly
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]
 
@@ -177,9 +177,9 @@ def test_degree_cap_field_is_fast_and_consistent():
     f = field_create(2, 16)
     assert time.monotonic() - start < 5.0
     assert f.q == 65536
-    a = element(f, 54321)
-    assert a * a.inverse() == element(f, 1)
-    assert (a ** 2) == a * a
+    a = 54321
+    assert f.mul(a, f.inv(a)) == 1
+    assert f.pow(a, 2) == f.mul(a, a)
 
 
 def test_not_prime_rejected():
@@ -231,35 +231,24 @@ def test_parse_field():
 # -- examples ---------------------------------------------------------------
 
 def test_char2_addition():
-    f = field_create(2)
-    one = element(f, 1)
-    assert one + one == element(f, 0)
+    assert field_create(2).add(1, 1) == 0
 
 
 def test_gf4_alpha_squared():
     f = field_create(2, 2)
-    alpha = element(f, 2)
-    assert alpha * alpha == element(f, 3)  # alpha + 1
+    assert f.mul(2, 2) == 3  # alpha + 1
 
 
 def test_gf5_inverse_of_two():
-    f = field_create(5)
-    assert element(f, 2).inverse() == element(f, 3)
+    assert field_create(5).inv(2) == 3
 
 
 # -- axioms, exhaustively on small fields ------------------------------------
 
-def _elements(f):
-    """The q element views of f, ascending by code."""
-    return [element(f, c) for c in range(f.q)]
-
-
 @pytest.mark.parametrize("p,e", SMALL_FIELDS)
 def test_element_count_and_int_roundtrip(p, e):
     f = field_create(p, e)
-    els = _elements(f)
-    assert len(set(els)) == f.q
-    assert [x.to_int() for x in els] == list(range(f.q))
+    assert [f.code(c) for c in range(f.q)] == list(range(f.q))
     with pytest.raises(ValueError, match=exactly(f"element code {f.q} outside [0, {f.q})")):
         f.code(f.q)
     with pytest.raises(ValueError, match=exactly(f"element code -1 outside [0, {f.q})")):
@@ -269,82 +258,62 @@ def test_element_count_and_int_roundtrip(p, e):
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)])
 def test_field_axioms_exhaustive(p, e):
     f = field_create(p, e)
-    els = _elements(f)
-    zero, one = els[:2]
-    for a in els:
-        assert a + zero == a
-        assert a * one == a
-        assert a + (-a) == zero
-        if a:
-            assert a * a.inverse() == one
-    for a, b in itertools.product(els, repeat=2):
-        assert a + b == b + a
-        assert a * b == b * a
-    for a, b, c in itertools.product(els, repeat=3):
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+    els = np.arange(f.q)
+    units = els[1:]
+    assert f.add(els, 0).tolist() == els.tolist()
+    assert f.mul(els, 1).tolist() == els.tolist()
+    assert not f.add(els, f.neg(els)).any()
+    assert (f.mul(units, f.inv(units)) == 1).all()
+    a, b = els[:, None], els[None, :]  # every pair
+    assert np.array_equal(f.add(a, b), f.add(b, a))
+    assert np.array_equal(f.mul(a, b), f.mul(b, a))
+    a, b, c = np.ix_(els, els, els)  # every triple
+    assert np.array_equal(f.add(f.add(a, b), c), f.add(a, f.add(b, c)))
+    assert np.array_equal(f.mul(f.mul(a, b), c), f.mul(a, f.mul(b, c)))
+    assert np.array_equal(f.mul(a, f.add(b, c)), f.add(f.mul(a, b), f.mul(a, c)))
 
 
 @pytest.mark.parametrize("p,e", SMALL_FIELDS)
 def test_lagrange_orders(p, e):
     f = field_create(p, e)
-    for a in _elements(f):
-        if a:
-            assert a ** (f.q - 1) == element(f, 1)
+    for a in range(1, f.q):
+        assert f.pow(a, f.q - 1) == 1
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (5, 1)])
 def test_frobenius_additive(p, e):
     f = field_create(p, e)
-    for a, b in itertools.product(_elements(f), repeat=2):
-        assert (a + b) ** p == a ** p + b ** p
+    for a, b in itertools.product(range(f.q), repeat=2):
+        assert f.pow(f.add(a, b), p) == f.add(f.pow(a, p), f.pow(b, p))
 
 
 @pytest.mark.parametrize("p,e", SMALL_FIELDS)
 def test_inverse_agrees_with_fermat_power(p, e):
     f = field_create(p, e)
-    for a in _elements(f):
-        if a:
-            assert a.inverse() == a ** (f.q - 2)
-            assert a ** (-1) == a.inverse()
-            assert a / a == element(f, 1)
+    for a in range(1, f.q):
+        assert f.inv(a) == f.pow(a, f.q - 2)
+        assert f.mul(a, f.inv(a)) == 1
 
 
 def test_division_by_zero():
-    f = field_create(3)
-    zero, one = element(f, 0), element(f, 1)
-    with pytest.raises(ZeroDivisionError):
-        zero.inverse()
-    with pytest.raises(ZeroDivisionError):
-        one / zero
-    with pytest.raises(ZeroDivisionError):
-        zero ** (-2)
+    # inv maps 0 to 0 rather than raising, as its docstring says
+    for pe in ((3, 1), (2, 2), (2, 16)):
+        f = field_create(*pe)
+        assert f.inv(0) == 0
+        assert f.inv(np.zeros(2, dtype=f.int_dtype)).tolist() == [0, 0]
 
 
 def test_zero_power_conventions():
     f = field_create(5)
-    zero, one = element(f, 0), element(f, 1)
-    assert zero ** 0 == one
-    assert zero ** 3 == zero
-    assert element(f, 2) ** 0 == one
-
-
-def test_field_mismatch():
-    a = element(field_create(2), 1)
-    b = element(field_create(3), 1)
-    with pytest.raises(ValueError, match=exactly("GF(2) vs GF(3)")):
-        a + b
-    with pytest.raises(ValueError, match=exactly("GF(2) vs GF(3)")):
-        a * b
-    assert a != b  # equality across fields is False, not an error
+    assert f.pow(0, 0) == 1
+    assert f.pow(0, 3) == 0
+    assert f.pow(2, 0) == 1
+    assert f.pow(np.arange(f.q), 0).tolist() == [1] * f.q
 
 
 def test_negative_powers():
+    # Field.pow takes n >= 0 only
     f = field_create(7)
-    a = element(f, 3)
-    assert a ** (-2) == (a * a).inverse()
-    # Field.pow takes codes and n >= 0 only; FieldElement inverts first
     for n in (-1, -2):
         with pytest.raises(ValueError, match=exactly(f"exponent {n} is negative")):
             f.pow(3, n)
@@ -368,10 +337,10 @@ def test_float_arrays_are_not_codes(pe):
 
 # -- the arithmetic core against tuple long division ---------------------------
 #
-# The tables and FieldElement both derive from the Field methods, so the
-# reference is written here: codes split into base-p digit polynomials,
-# multiplied and divided by the modulus with the long division above, which
-# shares no code with gf's arithmetic on codes.
+# The tables derive from the Field methods, so the reference is written here:
+# codes split into base-p digit polynomials, multiplied and divided by the
+# modulus with the long division above, which shares no code with gf's
+# arithmetic on codes.
 
 def _digits(f, code):
     """The e base-p digits of a code, lowest first: its coefficient vector."""

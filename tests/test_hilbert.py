@@ -21,7 +21,7 @@ from ccodes.hilbert import (
     monomials_deg_le,
 )
 
-from corpus import element, evaluate, exactly
+from corpus import evaluate, exactly
 
 
 # -- ideals -------------------------------------------------------------------
@@ -101,8 +101,8 @@ def test_polynomial_arithmetic_and_expand():
     f3 = field_create(3)
     product = {(2,): 1, (1,): 2}
     assert format_polynomial(product) == "x1^2 + 2*x1"
-    for v in (element(f3, c) for c in range(f3.q)):
-        assert evaluate(f3, product, [v.to_int()]) == (v * (v - element(f3, 1))).to_int()
+    for v in range(f3.q):
+        assert evaluate(f3, product, [v]) == f3.mul(v, f3.add(v, f3.neg(1)))
 
 
 def test_polynomial_zero_handling():

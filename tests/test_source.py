@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ccodes
+from ccodes import gf
 
 SOURCES = sorted(Path(ccodes.__file__).parent.glob("*.py"))
 
@@ -116,13 +117,27 @@ def test_verify_checks_the_printed_hierarchy():
 
 
 def test_integer_codes_are_the_only_element_form():
-    # FieldElement is gf's view for notation; the rest of the library holds codes
+    # elements are int codes, and the Field methods are their arithmetic
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         used = (_names(tree) & {"FieldElement", "from_int", "to_int"}
                 | attributes & {"one", "zero"})
-        assert path.name == "gf.py" or not used, f"{path.name} names {sorted(used)}"
+        assert not used, f"{path.name} names {sorted(used)}"
+
+
+def test_field_element_is_an_empty_placeholder():
+    # bench/spans.py compares classes against gf.FieldElement, so the name
+    # stays; a class body of its docstring alone keeps the view from growing back
+    tree = ast.parse((Path(ccodes.__file__).parent / "gf.py").read_text(encoding="utf-8"))
+    (node,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FieldElement"]
+    assert not (node.bases or node.keywords or node.decorator_list)
+    (docstring,) = node.body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    # and nothing is attached to the class after its statement
+    bare = {}
+    exec(compile(ast.Module([node], type_ignores=[]), "gf.py", "exec"), bare)
+    assert vars(gf.FieldElement).keys() == vars(bare["FieldElement"]).keys()
 
 
 def _module_functions() -> dict:
@@ -166,10 +181,8 @@ def test_every_private_function_is_used():
 REFERENCE_ONLY = {
     "hilbert_fn": "oracle for footprint_upper_bound",
     "box_ideal": "oracle for footprint_upper_bound, with hilbert_fn",
-    "FieldElement": "the tests' element view; bench/spans.py names it, so it goes "
-                    "with a change to the benchmark",
-    "FieldElement.to_int": "stays with FieldElement until bench/spans.py stops naming "
-                           "the class",
+    "FieldElement": "an empty placeholder that bench/spans.py names; it goes with a "
+                    "change to the benchmark",
 }
 
 
