@@ -20,7 +20,6 @@ from .codes import (
     matmul,
     max_common_zeros,
     rank,
-    rref,
     spec_from_parts,
     wei_duality_check,
 )

@@ -14,23 +14,27 @@ points, the matrices and the polynomial coefficients.
 All matrix work runs on numpy arrays of integer codes indexed through the
 field's lookup tables.  An evaluation matrix is the row-wise Kronecker
 product of per-coordinate power ladders; the dual's column scalars are
-the Kronecker product of the per-set derivatives g_i'; row reduction
-clears a pivot column in all other rows with one table lookup; and the
-exhaustive oracles sweep subspaces and codewords in chunks of fixed size,
-whatever their budget.  The oracles build each span of rows as the
-Kronecker sum of the spans of its two halves, one lookup in the flat
-addition table per entry.  The subspace oracle packs each support into a
-64-bit mask.  It keeps nothing from one pivot set to the next.  Within
-one, the masks of a basis row that no chunk changes are built once: read
-from a table of the supports of G[p] + a G[c], built once per code and
-rank, or found by comparing the two halves of the row's span, packed in
-one packbits pass.  The codeword oracle sums each word's nonzero
-entries over a column-major copy of its span.  Each oracle raises
-InvariantError unless it covered exactly the gaussian_binomial(K, r, q)
-subspaces or q^K codewords it should.  The extremal families are
-expanded with the Field methods, so they need no tables and work over
-every field; each f_b is returned as its terms, a dict from exponent
-tuples to nonzero codes.
+the Kronecker product of the per-set derivatives g_i'; rank eliminates
+one-sidedly, updating only the later rows that are nonzero in a pivot
+column, with no back substitution; and the exhaustive oracles sweep
+subspaces and codewords in chunks of fixed size, whatever their budget.
+Matrix sums are XOR in characteristic 2, where a code's base-2 digits
+are its bits, and otherwise one lookup in the flat addition table.  The
+oracles build each span of rows as the Kronecker sum of the spans of its
+two halves, one lookup in the flat addition table per entry.  The
+subspace oracle packs each support into a 64-bit mask.  It keeps nothing
+from one pivot set to the next.  Within one, the masks of a basis row
+that no chunk changes are built once: read from a table of the supports
+of G[p] + a G[c], built once per code and rank, or found by comparing
+the two halves of the row's span.  Masks come from bit planes: each
+operand is cut into one 64-bit word per bit of the codes, and two words
+differ where some pair of their planes does.  The codeword oracle sums
+each word's nonzero entries over a column-major copy of its span.  Each
+oracle raises InvariantError unless it covered exactly the
+gaussian_binomial(K, r, q) subspaces or q^K codewords it should.  The
+extremal families are expanded with the Field methods, so they need no
+tables and work over every field; each f_b is returned as its terms, a
+dict from exponent tuples to nonzero codes.
 The minimum distance is d_1 of the hierarchy.  Only _hierarchy_at_degree
 decides whether a hierarchy is short enough to list.
 wei_duality_check returns a bool: whether the hierarchy and the reflected
@@ -189,37 +193,59 @@ class LinearCode:
 # Linear algebra on integer-coded matrices
 # --------------------------------------------------------------------------
 
-def rref(matrix, field: Field):
-    """Reduced row echelon form over the field; returns (rref, pivots)."""
-    A = np.array(matrix, dtype=field.int_dtype)
-    q, mul = field.q, field.mul_table
-    add = field.add_table.ravel()  # a + b is add[a * q + b]
-    neg, inv = field.neg_table, field.inv_table
-    rows, cols = A.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hits = np.nonzero(A[r:, c])[0]
-        if hits.size == 0:
-            continue
-        pivot = r + int(hits[0])
-        if pivot != r:
-            A[[r, pivot]] = A[[pivot, r]]
-        A[r, c:] = mul[inv[A[r, c]], A[r, c:]]
-        # the pivot row is zero left of c, so only columns c: change
-        others = np.flatnonzero(A[:, c])
-        others = others[others != r]
-        scaled = mul[neg[A[others, c]]][:, A[r, c:]]
-        A[others, c:] = add[A[others, c:].astype(np.intp) * q + scaled]
-        pivots.append(c)
-        r += 1
-    return A, tuple(pivots)
+def _sum_into(a: np.ndarray, b, field: Field) -> np.ndarray:
+    """a + b entrywise over the field; a, an array of codes, may be overwritten.
+
+    In characteristic 2 a code's base-2 digits are its bits, so a + b is
+    a ^ b, written over a.  Otherwise it is one lookup in the flat addition
+    table at a * q + b, an index in the smallest unsigned type that holds
+    q^2 - 1, as in _span_words; when that is a's own type, the index is
+    written over a.
+    """
+    if field.p == 2:
+        return np.bitwise_xor(a, b, out=a)
+    index = np.min_scalar_type(field.q ** 2 - 1)
+    sums = np.multiply(a, field.q, out=a if a.dtype == index else None, dtype=index)
+    sums += b
+    return field.add_table.ravel()[sums]
 
 
 def rank(matrix, field: Field) -> int:
-    return len(rref(matrix, field)[1])
+    """Number of linearly independent rows, by one-sided elimination.
+
+    Rows are taken in order, and a row's first nonzero column is its
+    pivot.  Only the later rows with a nonzero entry in that column are
+    updated, from the pivot column on: each gets the multiple of the pivot
+    row that clears the column.  A row left all zero depends on the rows
+    before it; the others are independent, and there is no back
+    substitution.
+    """
+    A = np.array(matrix, dtype=field.int_dtype)
+    mul, neg, inv = field.mul_table, field.neg_table, field.inv_table
+    rows, cols = A.shape
+    found = 0
+    for i in range(rows):
+        if found == cols:
+            break
+        hits = np.flatnonzero(A[i])
+        if hits.size == 0:
+            continue
+        found += 1
+        c = hits[0]
+        below = i + 1 + np.flatnonzero(A[i + 1:, c])
+        if below.size == 0:
+            continue
+        # the pivot row times -a/pivot clears an entry a of column c; past
+        # q rows to update, the products with every code are built once.
+        # np.take keeps them row-major like the block, where mul[x][:, y]
+        # would not
+        coef, entries = mul[neg[inv[A[i, c]]]], A[below, c]
+        if below.size < field.q:
+            scaled = np.take(mul[coef[entries]], A[i, c:], axis=1)
+        else:
+            scaled = np.take(mul[coef], A[i, c:], axis=1)[entries]
+        A[below, c:] = _sum_into(A[below, c:], scaled, field)
+    return found
 
 
 def matmul(a, b, field: Field) -> np.ndarray:
@@ -228,10 +254,10 @@ def matmul(a, b, field: Field) -> np.ndarray:
     b = np.asarray(b, dtype=field.int_dtype)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    add, mul = field.add_table, field.mul_table
+    mul = field.mul_table
     out = np.zeros((a.shape[0], b.shape[1]), dtype=field.int_dtype)
     for t in range(a.shape[1]):
-        out = add[out, mul[a[:, t][:, None], b[t][None, :]]]
+        out = _sum_into(out, mul[a[:, t][:, None], b[t][None, :]], field)
     return out
 
 
@@ -441,22 +467,42 @@ def wei_duality_check(spec: CartesianCodeSpec) -> bool:
 # Exhaustive oracles
 # --------------------------------------------------------------------------
 
-def _support_masks(variants: np.ndarray, zeros) -> np.ndarray:
+def _bit_planes(codes: np.ndarray, n: int, bits: int) -> np.ndarray:
+    """Plane k of a word of codes is the uint64 whose bit j is bit k of entry j.
+
+    codes holds words of n <= 64 entries along its last axis, or broadcasts
+    to them; the planes take shape (..., bits), the words' leading shape
+    followed by one plane per bit.  Each bit of every entry is written to
+    a byte of a 64-byte row per plane, and the rows are packed in one
+    contiguous pass.
+    """
+    if codes.shape[-1:] != (n,):
+        codes = np.broadcast_to(codes, codes.shape[:-1] + (n,))
+    flags = np.zeros((*codes.shape[:-1], bits, 64), dtype=np.uint8)
+    shifts = np.arange(bits, dtype=codes.dtype)[:, None]
+    np.bitwise_and(codes[..., None, :] >> shifts, 1, out=flags[..., :n], casting="unsafe")
+    return np.packbits(flags, axis=-1, bitorder="little").view("<u8")[..., 0]
+
+
+def _support_masks(variants, zeros, q: int) -> np.ndarray:
     """One uint64 per word: bit j is set where variants[..., j] != zeros[..., j].
 
-    variants and zeros broadcast together to words of at most 64 entries,
-    and the masks take that shape less its last axis.  With zeros the codes
-    of -v, the bits are the support of v + variants.  The comparisons are
-    padded to whole bytes and packed in one contiguous pass, then widened
-    to 8 bytes each.
+    variants and zeros, codes in [0, q), broadcast together to words of at
+    most 64 entries, and the masks take that shape less its last axis.
+    With zeros the codes of -v, the bits are the support of v + variants.
+    Each operand is cut into bit planes on its own (see _bit_planes), so
+    only the planes meet on the broadcast shape: two codes differ exactly
+    where some plane of theirs does, and a mask is the OR over the planes
+    of their XOR.  The cost grows with the log of q.
     """
-    *lead, n = np.broadcast_shapes(np.shape(variants), np.shape(zeros))
-    rows, width = int(np.prod(lead)), -(-n // 8)
-    bits = np.zeros((*lead, 8 * width), dtype=bool)
-    np.not_equal(variants, zeros, out=bits[..., :n])
-    words = np.zeros((rows, 8), dtype=np.uint8)
-    words[:, :width] = np.packbits(bits, bitorder="little").reshape(rows, width)
-    return words.view("<u8").reshape(lead)
+    variants, zeros = np.asarray(variants), np.asarray(zeros)
+    n = max(variants.shape[-1:] + zeros.shape[-1:])
+    bits = max(1, (q - 1).bit_length())
+    a, z = _bit_planes(variants, n, bits), _bit_planes(zeros, n, bits)
+    masks = a[..., 0] ^ z[..., 0]
+    for k in range(1, bits):
+        masks |= a[..., k] ^ z[..., k]
+    return masks
 
 
 def _mask_table(code: LinearCode):
@@ -470,7 +516,7 @@ def _mask_table(code: LinearCode):
     if G.shape[0] ** 2 * field.q > _ORACLE_CHUNK:
         return None
     return _support_masks(field.mul_table[:, G].transpose(1, 0, 2)[None],
-                          field.neg_table[G][:, None, None, :])
+                          field.neg_table[G][:, None, None, :], field.q)
 
 
 def _half_span_masks(halves, shift, field: Field) -> np.ndarray:
@@ -484,7 +530,7 @@ def _half_span_masks(halves, shift, field: Field) -> np.ndarray:
     """
     first, second = halves
     zeros = field.neg_table[field.add_table[second, shift]]
-    return _support_masks(first[:, None, :], zeros[None, :, :]).ravel()
+    return _support_masks(first[:, None, :], zeros[None, :, :], field.q).ravel()
 
 
 def _fast_digits(q: int) -> int:
@@ -546,7 +592,7 @@ def _subspace_supports(code: LinearCode, pivots, table):
                 shifts[i] = add[shifts[i], mul[a, G[c]]]
         acc = _half_span_masks(span, shifts.pop(), field)
         if shifts:
-            acc |= np.bitwise_or.reduce(_support_masks(np.array(shifts), 0))
+            acc |= np.bitwise_or.reduce(_support_masks(np.array(shifts), 0, q))
         yield acc if tail is None else np.bitwise_or.outer(acc, tail).ravel()
 
 

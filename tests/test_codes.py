@@ -26,7 +26,6 @@ from ccodes.codes import (
     max_common_zeros,
     monomial_evaluations,
     rank,
-    rref,
     spec_from_parts,
     wei_duality_check,
 )
@@ -149,19 +148,6 @@ def test_linear_code_rejects_entries_that_are_not_codes(matrix):
 
 # -- linear algebra helpers ---------------------------------------------------------
 
-def test_rref_properties():
-    f4 = field_create(2, 2)
-    mat = np.array([[1, 2, 3, 1], [2, 3, 1, 0], [3, 1, 2, 1]])
-    R, pivots = rref(mat, f4)
-    assert rank(mat, f4) == len(pivots)
-    # pivot columns are unit vectors
-    for i, c in enumerate(pivots):
-        col = R[:, c]
-        assert col[i] == 1 and all(x == 0 for j, x in enumerate(col) if j != i)
-    R2, pivots2 = rref(R, f4)
-    assert np.array_equal(R, R2) and pivots == pivots2
-
-
 def gauss_jordan(rows, field):
     """Reduced row echelon form by the Field methods on int codes; (rows, pivots)."""
     A = [[field.code(int(x)) for x in row] for row in rows]
@@ -182,41 +168,83 @@ def gauss_jordan(rows, field):
     return A, tuple(pivots)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 1)]), st.data())
-def test_rref_matches_element_gauss_jordan(pe, data):
+def combination(coeffs, rows, field):
+    """The sum of coeffs[i] * rows[i], by the lookup tables."""
+    word = np.zeros(len(rows[0]), dtype=field.int_dtype)
+    for c, row in zip(coeffs, rows):
+        word = field.add_table[word, field.mul_table[c, row]]
+    return word
+
+
+def test_rank_examples():
+    f4 = field_create(2, 2)
+    # the third row is the sum of the first two
+    assert rank(np.array([[1, 2, 3, 1], [2, 3, 1, 0], [3, 1, 2, 1]]), f4) == 2
+    mat = np.array([[1, 2, 3, 1], [2, 3, 1, 0], [0, 1, 1, 2]])
+    assert rank(mat, f4) == len(gauss_jordan(mat.tolist(), f4)[1]) == 3
+    # a dependent row placed first takes the first pivot; a later row vanishes
+    first = combination([2, 3], mat[1:], f4)
+    assert rank(np.vstack([first, mat[1:]]), f4) == 2
+    assert rank(np.vstack([first, mat]), f4) == 3
+    # the input is left as it was
+    before = mat.copy()
+    rank(mat, f4)
+    assert np.array_equal(mat, before)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 1), (2, 4)]), st.data())
+def test_rank_matches_element_gauss_jordan(pe, data):
     f = field_create(*pe)
     rows = data.draw(st.integers(0, 6), label="rows")
     cols = data.draw(st.integers(1, 7), label="cols")
     entry = st.integers(0, f.q - 1)
-    if data.draw(st.booleans(), label="rank deficient") and rows >= 2:
-        # the last rows are combinations of the first ones
-        base = data.draw(st.integers(1, rows - 1), label="base")
-        mat = np.array(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
-                                          min_size=base, max_size=base)), dtype=np.int64)
-        for _ in range(rows - base):
-            coeffs = data.draw(st.lists(entry, min_size=base, max_size=base))
-            combo = np.zeros(cols, dtype=f.int_dtype)
-            for c, row in zip(coeffs, mat):
-                combo = f.add_table[combo, f.mul_table[c, row]]
-            mat = np.vstack([mat, combo])
-    else:
-        mat = np.array(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
-                                          min_size=rows, max_size=rows)), dtype=np.int64)
-        mat = mat.reshape(rows, cols)
-    expected, expected_pivots = gauss_jordan(mat.tolist(), f)
-    R, pivots = rref(mat, f)
-    assert R.dtype == f.int_dtype
-    assert pivots == expected_pivots
-    assert R.tolist() == expected
+    mat = np.array(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                      min_size=rows, max_size=rows)), dtype=np.int64)
+    mat = mat.reshape(rows, cols)
+    if data.draw(st.booleans(), label="rank deficient") and rows >= 1:
+        # combinations of the drawn rows, each put at a drawn position,
+        # the first one included
+        for _ in range(data.draw(st.integers(1, 3), label="dependent")):
+            coeffs = data.draw(st.lists(entry, min_size=len(mat), max_size=len(mat)))
+            at = data.draw(st.integers(0, len(mat)), label="position")
+            mat = np.insert(mat, at, combination(coeffs, mat, f), axis=0)
+    expected = len(gauss_jordan(mat.tolist(), f)[1])
+    assert rank(mat, f) == expected
+    assert rank(mat.astype(f.int_dtype), f) == expected
 
 
-def test_rref_zero_and_empty_matrices():
+def test_rank_zero_and_empty_matrices():
     f9 = field_create(3, 2)
-    R, pivots = rref(np.zeros((3, 4), dtype=np.uint8), f9)
-    assert pivots == () and not R.any()
-    R, pivots = rref(np.zeros((0, 5), dtype=np.uint8), f9)
-    assert pivots == () and R.shape == (0, 5)
+    assert rank(np.zeros((3, 4), dtype=np.uint8), f9) == 0
+    assert rank(np.zeros((0, 5), dtype=np.uint8), f9) == 0
+    assert rank(np.zeros((4, 0), dtype=np.uint8), f9) == 0
+    # zero rows between independent ones do not count
+    assert rank(np.array([[0, 0, 0], [0, 4, 1], [0, 0, 0], [7, 0, 2]]), f9) == 2
+
+
+@pytest.mark.parametrize("pe", [(2, 1), (3, 1), (3, 2), (2, 4)], ids=lambda pe: "%d^%d" % pe)
+def test_rank_memory_stays_within_five_times_the_matrix(pe):
+    # a pivot step holds its block in the matrix's own dtype, not widened
+    f = field_create(*pe)
+    mat = np.random.default_rng(7).integers(0, f.q, (256, 1024)).astype(f.int_dtype)
+    for table in (f.add_table, f.mul_table, f.neg_table, f.inv_table):
+        assert table.size  # built before tracing
+    tracemalloc.start()
+    try:
+        assert rank(mat, f) == 256
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * mat.nbytes, f"peak {peak} bytes, matrix {mat.nbytes}"
+
+
+@pytest.mark.parametrize("e", range(1, 11))
+def test_addition_is_xor_in_characteristic_two(e):
+    # the base-2 digits of a code are its bits, so a + b is a ^ b
+    f = field_create(2, e)
+    c = np.arange(f.q)
+    assert np.array_equal(f.add_table, np.bitwise_xor.outer(c, c))
 
 
 def test_matmul_identity_and_mismatch():
@@ -226,6 +254,21 @@ def test_matmul_identity_and_mismatch():
     assert np.array_equal(matmul(A, eye, f3), A)
     with pytest.raises(ValueError):
         matmul(A, np.zeros((3, 2), dtype=int), f3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1)]),
+       st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+def test_matmul_matches_elementwise_products(pe, rows, inner, cols, seed):
+    f = field_create(*pe)
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, f.q, (rows, inner))
+    b = rng.integers(0, f.q, (inner, cols))
+    expected = [[0] * cols for _ in range(rows)]
+    for i, j, t in itertools.product(range(rows), range(cols), range(inner)):
+        expected[i][j] = f.add(expected[i][j], f.mul(int(a[i, t]), int(b[t, j])))
+    product = matmul(a, b, f)
+    assert product.dtype == f.int_dtype and product.tolist() == expected
 
 
 def test_gaussian_binomial_known_values():
@@ -524,28 +567,53 @@ def test_brute_min_weight_matches_codeword_scan():
     assert brute_min_weight(code) == min(weights)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 64), st.integers(0, 20), st.sampled_from([2, 3, 4]),
+FIELDS_BY_ORDER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2),
+                   16: (2, 4), 1024: (2, 10)}
+
+
+def weighted_sum(bits):
+    """The uint64 with bit j set where bits[..., j] is, for every word."""
+    pow2 = np.left_shift(np.uint64(1), np.arange(bits.shape[-1], dtype=np.uint64))
+    return (bits.astype(np.uint64) * pow2).sum(axis=-1, dtype=np.uint64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 20), st.sampled_from(sorted(FIELDS_BY_ORDER)),
        st.integers(0, 2 ** 32 - 1))
+@example(64, 3, 1024, 0)
 def test_support_masks_match_power_of_two_sum(n, rows, q, seed):
     rng = np.random.default_rng(seed)
-    # mostly zeros, so that sparse and empty supports come up
-    variants = (rng.integers(0, q, (rows, n)) * (rng.random((rows, n)) < 0.3)).astype(np.uint8)
-    offset = rng.integers(0, q, n).astype(np.uint8)
-    field = field_create(2, 2) if q == 4 else field_create(q)
-
-    def weighted_sum(bits):
-        # bit j of a mask is coordinate j
-        pow2 = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-        return (bits.astype(np.uint64) * pow2[None, :]).sum(axis=1, dtype=np.uint64)
-
-    masks = codes._support_masks(variants, 0)
+    field = field_create(*FIELDS_BY_ORDER[q])
+    # mostly zeros, so that sparse and empty supports come up; uint16 past GF(256)
+    variants = rng.integers(0, q, (rows, n)) * (rng.random((rows, n)) < 0.3)
+    variants = variants.astype(field.int_dtype)
+    offset = rng.integers(0, q, n).astype(field.int_dtype)
+    masks = codes._support_masks(variants, 0, q)
     assert masks.dtype == np.uint64 and masks.shape == (rows,)
     assert masks.tolist() == weighted_sum(variants != 0).tolist()
     # with the codes of -offset as zeros, the masks are the supports of offset + variants
     shifted = field.add_table[offset[None, :], variants]
-    assert (codes._support_masks(variants, field.neg_table[offset]).tolist()
+    assert (codes._support_masks(variants, field.neg_table[offset], q).tolist()
             == weighted_sum(shifted != 0).tolist())
+    # a scalar zero on either side, and a nonzero scalar
+    assert codes._support_masks(0, variants, q).tolist() == masks.tolist()
+    assert (codes._support_masks(variants, q - 1, q).tolist()
+            == weighted_sum(variants != q - 1).tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FIELDS_BY_ORDER)), st.integers(1, 4), st.integers(1, 64),
+       st.integers(0, 2 ** 32 - 1))
+def test_support_masks_broadcast_like_the_mask_table(q, K, n, seed):
+    # the mask table's operands: (1, K, q, n) against (K, 1, 1, n)
+    field = field_create(*FIELDS_BY_ORDER[q])
+    q_axis = min(q, 16)
+    rng = np.random.default_rng(seed)
+    variants = rng.integers(0, q, (1, K, q_axis, n)).astype(field.int_dtype)
+    zeros = rng.integers(0, q, (K, 1, 1, n)).astype(field.int_dtype)
+    masks = codes._support_masks(variants, zeros, q)
+    assert masks.dtype == np.uint64 and masks.shape == (K, K, q_axis)
+    assert masks.tolist() == weighted_sum(variants != zeros).tolist()
 
 
 def span_reference(rows, field):
