@@ -18,15 +18,17 @@ the Kronecker product of the per-set derivatives g_i'; rank eliminates
 one-sidedly, updating only the later rows that are nonzero in a pivot
 column, with no back substitution; and the exhaustive oracles sweep
 subspaces and codewords in chunks of fixed size, whatever their budget.
-Matrix sums are XOR in characteristic 2, where a code's base-2 digits
-are its bits, and otherwise one lookup in the flat addition table.  The
-oracles build each span of rows as the Kronecker sum of the spans of its
-two halves, one lookup in the flat addition table per entry.  The
-subspace oracle packs each support into a 64-bit mask.  It keeps nothing
-from one pivot set to the next.  Within one, the masks of a basis row
-that no chunk changes are built once: read from a table of the supports
-of G[p] + a G[c], built once per code and rank, or found by comparing
-the two halves of the row's span.  Masks come from bit planes: each
+Every sum of arrays of codes is one call of _sum_into: XOR in
+characteristic 2, where a code's base-2 digits are its bits, and
+otherwise one lookup in the flat addition table.  The oracles build each
+span of rows as the Kronecker sum of the spans of its two halves, and
+both step the slow digits of their counters, first digit slowest,
+through one generator, _digit_walk.  The subspace oracle packs each
+support into a 64-bit mask.  It keeps nothing from one pivot set to the
+next.  Within one, the masks of a basis row that no chunk changes are
+built once: read from a table of the supports of G[p] + a G[c], built
+once per code and rank, or found by comparing the two halves of the
+row's span.  Masks come from bit planes: each
 operand is cut into one 64-bit word per bit of the codes, and two words
 differ where some pair of their planes does.  The codeword oracle sums
 each word's nonzero entries over a column-major copy of its span.  Each
@@ -51,7 +53,7 @@ import itertools
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvariantError, RankDeficiencyError
+from .errors import BudgetExceededError, InvariantError
 from .gf import Field, parse_field
 from .grid import (
     DEFAULT_BUDGET,
@@ -110,14 +112,6 @@ class CartesianCodeSpec:
         self.shape = shape
 
     @property
-    def m(self) -> int:
-        return self.shape.m
-
-    @property
-    def dims(self) -> tuple:
-        return self.shape.dims
-
-    @property
     def n(self) -> int:
         return self.shape.n
 
@@ -172,7 +166,7 @@ class LinearCode:
             raise ValueError(f"matrix entries must be codes in [0, {field.q})")
         matrix = raw.astype(field.int_dtype)
         if matrix.shape[0] and rank(matrix, field) != matrix.shape[0]:
-            raise RankDeficiencyError("generator rows are linearly dependent")
+            raise ValueError("generator rows are linearly dependent")
         matrix.flags.writeable = False
         self.field = field
         self.matrix = matrix
@@ -193,20 +187,21 @@ class LinearCode:
 # Linear algebra on integer-coded matrices
 # --------------------------------------------------------------------------
 
-def _sum_into(a: np.ndarray, b, field: Field) -> np.ndarray:
-    """a + b entrywise over the field; a, an array of codes, may be overwritten.
+def _sum_into(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
+    """a + b entrywise over the field, broadcast together.
 
-    In characteristic 2 a code's base-2 digits are its bits, so a + b is
-    a ^ b, written over a.  Otherwise it is one lookup in the flat addition
-    table at a * q + b, an index in the smallest unsigned type that holds
-    q^2 - 1, as in _span_words; when that is a's own type, the index is
-    written over a.
+    The one addition of codes in this module: a ^ b in characteristic 2,
+    where a code's base-2 digits are its bits, else one lookup in the flat
+    addition table at a * q + b, indexed in the smallest unsigned type that
+    holds q^2 - 1.  If b broadcasts to a, a may be overwritten: never pass
+    a span kept across chunks.  Otherwise the sum is a new row-major array.
     """
+    full = np.broadcast(a, b).shape == a.shape
     if field.p == 2:
-        return np.bitwise_xor(a, b, out=a)
+        return np.bitwise_xor(a, b, out=a if full else None, order="C")
     index = np.min_scalar_type(field.q ** 2 - 1)
-    sums = np.multiply(a, field.q, out=a if a.dtype == index else None, dtype=index)
-    sums += b
+    sums = np.multiply(a, field.q, out=a if full and a.dtype == index else None, dtype=index)
+    sums = np.add(sums, b, out=sums if full else None, dtype=index, order="C")
     return field.add_table.ravel()[sums]
 
 
@@ -310,15 +305,24 @@ def monomial_evaluations(field: Field, sets, monos) -> np.ndarray:
     return _kron_rows(mul, factors)
 
 
+def _evaluation_code(spec: CartesianCodeSpec, degree: int, scale=None) -> LinearCode:
+    """The degree-<=degree monomials evaluated on the grid, columns times scale.
+
+    They are independent on the grid, so a matrix LinearCode refuses is a bug.
+    """
+    field = spec.field
+    matrix = monomial_evaluations(field, spec.sets, tuples_deg_le(spec.shape, degree))
+    if scale is not None:
+        matrix = field.mul_table[matrix, scale[None, :]]
+    try:
+        return LinearCode(field, matrix)
+    except ValueError as exc:
+        raise InvariantError(f"monomial basis evaluations: {exc}; this is a bug") from None
+
+
 def generator_matrix(spec: CartesianCodeSpec) -> LinearCode:
     """Generator matrix: monomial basis rows in decreasing lex order."""
-    monos = tuples_deg_le(spec.shape, spec.d)
-    matrix = monomial_evaluations(spec.field, spec.sets, monos)
-    try:
-        code = LinearCode(spec.field, matrix)
-    except RankDeficiencyError:
-        raise RankDeficiencyError(
-            "monomial basis evaluated to dependent rows; this is a bug") from None
+    code = _evaluation_code(spec, spec.d)
     if code.dimension != spec.dimension:
         raise InvariantError(
             f"generator has {code.dimension} rows, spec dimension is {spec.dimension}")
@@ -424,17 +428,16 @@ def dual_point_weights(spec: CartesianCodeSpec) -> np.ndarray:
     The result is a read-only array in point order.
     """
     f = spec.field
-    add, mul = f.add_table, f.mul_table
     derivs = []
     for s in spec.sets:
         codes = np.array(s, dtype=f.int_dtype)
-        diffs = add[codes[:, None], f.neg_table[codes][None, :]]
+        diffs = _sum_into(codes[:, None], f.neg_table[codes][None, :], f)
         np.fill_diagonal(diffs, 1)
         deriv = diffs[:, 0]
         for col in diffs.T[1:]:
-            deriv = mul[deriv, col]
+            deriv = f.mul_table[deriv, col]
         derivs.append(deriv[None, :])
-    w = f.inv_table[_kron_rows(mul, derivs)[0]]
+    w = f.inv_table[_kron_rows(f.mul_table, derivs)[0]]
     w.flags.writeable = False
     return w
 
@@ -446,10 +449,7 @@ def dual_code(spec: CartesianCodeSpec) -> LinearCode:
     """
     if spec.d == spec.k:
         return LinearCode(spec.field, np.zeros((0, spec.n), dtype=spec.field.int_dtype))
-    monos = tuples_deg_le(spec.shape, spec.k - spec.d - 1)
-    rows = monomial_evaluations(spec.field, spec.sets, monos)
-    w = dual_point_weights(spec)
-    return LinearCode(spec.field, spec.field.mul_table[rows, w[None, :]])
+    return _evaluation_code(spec, spec.k - spec.d - 1, dual_point_weights(spec))
 
 
 def wei_duality_check(spec: CartesianCodeSpec) -> bool:
@@ -529,7 +529,7 @@ def _half_span_masks(halves, shift, field: Field) -> np.ndarray:
     of the whole span are never added up.
     """
     first, second = halves
-    zeros = field.neg_table[field.add_table[second, shift]]
+    zeros = field.neg_table[_sum_into(shift, second, field)]
     return _support_masks(first[:, None, :], zeros[None, :, :], field.q).ravel()
 
 
@@ -541,25 +541,43 @@ def _fast_digits(q: int) -> int:
     return digits
 
 
+def _digit_walk(code: LinearCode, starts: np.ndarray, slow):
+    """Each combination of the slow digits, first digit slowest, as words.
+
+    slow holds one (i, c) pair per digit, whose value a adds a G[c] to
+    starts[i].  Each combination yields starts plus all its a G[c] terms,
+    an array of its own; a digit's q words take one _sum_into per prefix.
+    """
+    if not slow:
+        yield starts
+        return
+    (i, c), rest = slow[0], slow[1:]
+    field = code.field
+    variants = _sum_into(field.mul_table[:, code.matrix[c]], starts[i], field)
+    for word in variants:
+        words = starts.copy()
+        words[i] = word
+        yield from _digit_walk(code, words, rest)
+
+
 def _subspace_supports(code: LinearCode, pivots, table):
     """Support masks of the subspaces with these echelon pivots, in chunks.
 
     Basis row i is G[pivots[i]] plus any combination of the rows G[c] with
     c > pivots[i] not a pivot (its free entries).  The free entries of all
     rows form one mixed-radix counter.  Its fastest digits, at most
-    _ORACLE_CHUNK combinations, are swept at once; the slow digits step one
-    prefix per chunk.  Let the last row with a slow digit be row last.
-    Every earlier row has free entries, a superset of row last's, that come
-    before that digit in the counter, so they are all slow: such a row is
-    one word in each chunk.  Row last shifts the span of its fast rows,
-    built once, by its word in each chunk.  Every later row has the same
-    masks in all chunks: table's (see _mask_table) for at most one fast
-    free row, else _half_span_masks of its fast span.  They are ORed
-    together once.
+    _ORACLE_CHUNK combinations, are swept at once; _digit_walk steps the
+    slow ones, one prefix per chunk.  Let the last row with a slow digit be
+    row last.  Every earlier row has free entries, a superset of row
+    last's, that come before that digit in the counter, so they are all
+    slow: such a row is one word in each chunk.  Row last shifts the span
+    of its fast rows, built once, by its word in each chunk.  Every later
+    row has the same masks in all chunks: table's (see _mask_table) for at
+    most one fast free row, else _half_span_masks of its fast span.  They
+    are ORed together once.
     """
     G, field = code.matrix, code.field
     K, q = G.shape[0], field.q
-    add, mul = field.add_table, field.mul_table
     free = [(i, c) for i, p in enumerate(pivots)
             for c in range(p + 1, K) if c not in pivots]
     cut = max(0, len(free) - _fast_digits(q))
@@ -585,14 +603,10 @@ def _subspace_supports(code: LinearCode, pivots, table):
         yield tail
         return
     span = halves(last)
-    for digits in itertools.product(range(q), repeat=len(slow)):
-        shifts = [G[p] for p in pivots[:last + 1]]
-        for (i, c), a in zip(slow, digits):
-            if a:
-                shifts[i] = add[shifts[i], mul[a, G[c]]]
-        acc = _half_span_masks(span, shifts.pop(), field)
-        if shifts:
-            acc |= np.bitwise_or.reduce(_support_masks(np.array(shifts), 0, q))
+    for words in _digit_walk(code, G[list(pivots[:last + 1])], slow):
+        acc = _half_span_masks(span, words[-1], field)
+        if last:
+            acc |= np.bitwise_or.reduce(_support_masks(words[:-1], 0, q))
         yield acc if tail is None else np.bitwise_or.outer(acc, tail).ravel()
 
 
@@ -635,9 +649,8 @@ def _span_words(rows, field: Field) -> np.ndarray:
     Word a_1 q^(k-1) + ... + a_k is the combination with coefficients
     a_1, ..., a_k: the first row is slowest.  The span of two or more rows
     is the Kronecker sum of the spans of their two halves, every word of
-    the first plus every word of the second, with one lookup per entry in
-    the flat addition table.  Its index, a * q + b, takes the smallest
-    unsigned type that holds q^2 - 1.
+    the first plus every word of the second, in one _sum_into whose
+    row-major result packs each word's entries contiguously into a mask.
     """
     k, n = rows.shape
     if k == 0:
@@ -646,20 +659,17 @@ def _span_words(rows, field: Field) -> np.ndarray:
         return field.mul_table[:, rows[0]]
     first = _span_words(rows[:k // 2], field)
     second = _span_words(rows[k // 2:], field)
-    index = np.min_scalar_type(field.q ** 2 - 1)
-    # row-major, so that each word's entries pack contiguously into a mask
-    sums = np.add(first.astype(index)[:, None, :] * field.q, second[None, :, :],
-                  dtype=index, order="C")
-    return field.add_table.ravel()[sums].reshape(-1, n)
+    return _sum_into(first[:, None, :], second[None, :, :], field).reshape(-1, n)
 
 
 def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum weight over every nonzero codeword, by full enumeration.
 
     The span of the last generator rows, at most _ORACLE_CHUNK words, is
-    held once.  Blocks of combinations of the other rows are added to it,
-    so one block covers at most _ORACLE_CHUNK codewords.  The words
-    compared are counted and must number q^K.
+    held once.  Each combination of the other rows, stepped through
+    _digit_walk, is compared against the whole span, so one chunk covers
+    at most _ORACLE_CHUNK codewords.  The words compared are counted and
+    must number q^K.
     """
     K, n = code.dimension, code.length
     field = code.field
@@ -669,23 +679,16 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     total = q ** K
     if total > budget:
         raise BudgetExceededError(f"{total} codewords exceed budget {budget}")
-    add, mul, neg = field.add_table, field.mul_table, field.neg_table
     cut = max(0, K - _fast_digits(q))
     # column-major, so that the weights sum whole columns at a time
     inner = np.asfortranarray(_span_words(code.matrix[cut:], field))
     count = np.min_scalar_type(n)
-    block = max(1, _ORACLE_CHUNK // inner.shape[0])
     best = n
     compared = 0
-    for start in range(0, q ** cut, block):
-        # outer words start, start + 1, ...: base-q digits, first row slowest
-        index = np.arange(start, min(start + block, q ** cut))
-        outer = np.zeros((index.size, n), dtype=field.int_dtype)
-        for t, row in enumerate(code.matrix[:cut]):
-            digit = index // q ** (cut - 1 - t) % q
-            outer = add[outer, mul[digit[:, None], row[None, :]]]
+    zero = np.zeros((1, n), dtype=field.int_dtype)
+    for outer in _digit_walk(code, zero, [(0, c) for c in range(cut)]):
         # a word w + v is zero exactly where v == -w
-        weights = (inner[None, :, :] != neg[outer][:, None, :]).sum(axis=2, dtype=count)
+        weights = (inner != field.neg_table[outer]).sum(axis=1, dtype=count)
         compared += weights.size
         nonzero = weights[weights > 0]
         if nonzero.size:

@@ -29,7 +29,7 @@ from ccodes.codes import (
     spec_from_parts,
     wei_duality_check,
 )
-from ccodes.errors import BudgetExceededError, InvariantError, RankDeficiencyError
+from ccodes.errors import BudgetExceededError, InvariantError
 from ccodes.gf import field_create
 from ccodes.grid import min_shadow_size
 from ccodes.hilbert import graded_lex_key
@@ -134,10 +134,27 @@ def test_full_degree_code_is_whole_space():
 
 def test_linear_code_rejects_dependent_rows():
     f2 = field_create(2)
-    with pytest.raises(RankDeficiencyError):
+    with pytest.raises(ValueError, match="generator rows are linearly dependent"):
         LinearCode(f2, [[1, 0, 1], [1, 0, 1]])
     with pytest.raises(ValueError):
         LinearCode(f2, [[0, 2]])
+
+
+@pytest.mark.parametrize("build", [generator_matrix, dual_code])
+def test_dependent_evaluation_rows_are_an_invariant_failure(build, monkeypatch):
+    # monomial evaluations are independent by construction, so a duplicate
+    # row is a bug, not the ValueError of bad input
+    spec = spec_from_parts("3^1", "0,1,2;0,1,2", 2)
+    evaluations = codes.monomial_evaluations
+
+    def duplicated(field, sets, monos):
+        rows = evaluations(field, sets, monos)
+        rows[-1] = rows[0]
+        return rows
+
+    monkeypatch.setattr(codes, "monomial_evaluations", duplicated)
+    with pytest.raises(InvariantError, match="linearly dependent"):
+        build(spec)
 
 
 @pytest.mark.parametrize("matrix", [[[0.5, 1.7]], [["1", "2"]], [[-1, 0]], [[2 ** 70, 1]]])
@@ -239,6 +256,24 @@ def test_rank_memory_stays_within_five_times_the_matrix(pe):
     assert peak <= 5 * mat.nbytes, f"peak {peak} bytes, matrix {mat.nbytes}"
 
 
+# odd q takes a flat index of uint8 (q <= 15), uint16 (q = 17) or uint32
+# (q = 257); characteristic 2 adds by XOR in uint8 or, past 256, uint16
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (17, 1), (2, 10), (257, 1)]),
+       st.booleans(), st.integers(1, 5), st.integers(1, 5), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_sum_into_matches_field_add(pe, kronecker, k, s, n, seed):
+    field = field_create(*pe)
+    shapes = [(k, 1, n), (1, s, n)] if kronecker else [(s, n), (n,)]
+    rng = np.random.default_rng(seed)
+    a, b = (rng.integers(0, field.q, shape).astype(field.int_dtype) for shape in shapes)
+    expected, b_before = field.add(a, b).tolist(), b.copy()
+    total = codes._sum_into(a, b, field)
+    assert total.dtype == field.int_dtype and total.flags.c_contiguous
+    assert total.tolist() == expected
+    assert np.array_equal(b, b_before)
+
+
 @pytest.mark.parametrize("e", range(1, 11))
 def test_addition_is_xor_in_characteristic_two(e):
     # the base-2 digits of a code are its bits, so a + b is a ^ b
@@ -294,7 +329,7 @@ def test_ghw_mds_line():
     assert hierarchy(spec) == (3, 4, 5)
     # one-variable degree-d code is MDS: weights n - d + r - 1 + ... = d1 - d + r - 1
     for r in range(1, spec.dimension + 1):
-        assert hierarchy(spec)[r - 1] == spec.dims[0] - spec.d + r - 1
+        assert hierarchy(spec)[r - 1] == spec.shape.dims[0] - spec.d + r - 1
 
 
 def test_ghw_last_weight_is_length():
@@ -394,7 +429,7 @@ def test_extremal_family_attains_bound():
         polys = extremal_polynomials(spec, spec.dimension)
         for f in polys:
             assert max(sum(mono) for mono in f) <= spec.d
-            assert all(max(mono[i] for mono in f) < spec.dims[i] for i in range(spec.m))
+            assert all(max(mono[i] for mono in f) < d for i, d in enumerate(spec.shape.dims))
         lts = [max(f, key=graded_lex_key) for f in polys]
         assert len(set(lts)) == len(lts)
         evals = [[evaluate(spec.field, f, pt) for pt in pts] for f in polys]

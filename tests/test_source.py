@@ -33,13 +33,13 @@ CLOSED_FORMS = (
 ORACLE_SIDE = (
     "shadow*", "all_tuples", "tuples_deg_*", "brute_*", "hilbert_fn", "box_ideal",
     "_span_words", "_support_masks", "_bit_planes", "_subspace_supports", "_mask_table",
-    "_half_span_masks",
+    "_half_span_masks", "_digit_walk",
 )
 
 ORACLES = {
     "codes.py": ("brute_ghw", "brute_min_weight", "_span_words", "_support_masks",
                  "_bit_planes", "_subspace_supports", "_fast_digits", "_mask_table",
-                 "_half_span_masks"),
+                 "_half_span_masks", "_digit_walk"),
     "grid.py": ("brute_min_shadow", "shadow"),
     "hilbert.py": ("hilbert_fn", "box_ideal"),
 }
@@ -96,6 +96,22 @@ def test_closed_form_planted_in_an_oracle_is_caught(filename, oracle):
     node = _oracle_bodies(filename)[oracle]
     node.body.insert(0, ast.parse("min_shadow_size(shape, d, r)").body[0])
     assert _closed_forms_used(node) == ["min_shadow_size"]
+
+
+def test_only_sum_into_reads_the_addition_table():
+    # one addition of codes in codes.py: XOR or one flat-table lookup
+    tree = ast.parse((Path(ccodes.__file__).parent / "codes.py").read_text(encoding="utf-8"))
+    readers = sorted(node.name for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and "add_table" in _names(node))
+    assert readers == ["_sum_into"]
+
+
+def test_both_sweeps_step_their_slow_digits_through_one_walk():
+    # no mixed-radix counter of their own, such as itertools.product
+    bodies = _oracle_bodies("codes.py")
+    for name in ("_subspace_supports", "brute_min_weight"):
+        names = _names(bodies[name])
+        assert "_digit_walk" in names and "itertools" not in names, name
 
 
 def test_cli_leaves_the_oracles_to_verification():
