@@ -23,7 +23,10 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import codes
+from .errors import InvariantError
 from .grid import DEFAULT_BUDGET, GridShape, brute_min_shadow, min_shadow_size, parse_tuple
 from .hilbert import footprint_upper_bound, format_polynomial
 from .verification import verify
@@ -106,13 +109,65 @@ def _add_common_flags(parser, budget: bool = False):
                             help="oracle work cap; 0 runs no oracle (default 10^7)")
 
 
+# 10, 100, ..., 10^18: an int64 code has one more digit than the powers it reaches
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _decimal(codes, sep: str, row_sep: str = "") -> str:
+    """Decimal text of a 1-D or 2-D array of non-negative integer codes.
+
+    Entries are joined by sep, one character, and the rows of a 2-D array
+    by row_sep.  Each entry's slot is the separator before it plus its
+    digits, so the running sums of the slot widths end each entry's digits
+    in one byte buffer, which is filled with sep first.  The digits are
+    written right to left, one numpy pass per digit position, each pass
+    over the entries that still have digits left.  Arrays that int64
+    cannot hold (dtype object for codes past it, uint64) are written
+    with str.
+    """
+    codes = np.asarray(codes)
+    if codes.size and codes.min() < 0:
+        raise InvariantError(f"negative code {codes.min()} has no decimal text")
+    rows = codes if codes.ndim == 2 else codes.reshape(1, -1)
+    if codes.size == 0 or not np.can_cast(codes.dtype, np.int64):
+        return row_sep.join(sep.join(map(str, row)) for row in rows.tolist())
+    step, rest = rows.shape[1], rows.ravel()
+    last = np.searchsorted(_POWERS_OF_TEN, rest, side="right")  # digits - 1
+    last += 1 + len(sep)
+    last[::step] += len(row_sep) - len(sep)  # a row's first entry follows row_sep
+    last[0] -= len(row_sep)
+    np.cumsum(last, out=last)  # one past each entry's digits
+    text = np.full(last[-1], ord(sep), dtype=np.uint8)
+    for i, byte in enumerate(row_sep.encode()):
+        text[last[step - 1:-1:step] + i] = byte
+    last -= 1
+    while last.size:
+        text[last] = rest % 10 + ord("0")
+        rest = rest // 10
+        more = rest > 0
+        last, rest = last[more] - 1, rest[more]
+    return str(text.data, "ascii")
+
+
+def _json_codes(codes) -> str:
+    """json.dumps(codes.tolist(), separators=(",", ":")) through _decimal."""
+    if codes.ndim == 2:
+        return "[[" + _decimal(codes, ",", "],[") + "]]" if len(codes) else "[]"
+    return "[" + _decimal(codes, ",") + "]"
+
+
 def _emit(args, payload: dict, table_lines) -> None:
     """Print payload as JSON, or the lines that table_lines() returns.
 
-    The table is built only when it is printed, so JSON formats no lines.
+    Arrays of codes in payload are written by _json_codes, every other
+    value by json.dumps.  The table is built only when it is printed, so
+    JSON formats no lines.
     """
     if args.format == "json":
-        print(json.dumps(payload, separators=(",", ":")))
+        print("{" + ",".join(
+            json.dumps(key) + ":" + (_json_codes(value) if isinstance(value, np.ndarray)
+                                     else json.dumps(value, separators=(",", ":")))
+            for key, value in payload.items()) + "}")
     else:
         for line in table_lines():
             print(line)
@@ -126,14 +181,14 @@ def _cmd_hierarchy(args) -> int:
         if summary["dual_hierarchy"] is None:  # too long to list
             return "{first} ... {last} ({length} weights)".format(
                 **summary["dual_hierarchy_summary"])
-        return " ".join(str(w) for w in summary["dual_hierarchy"])
+        return _decimal(summary["dual_hierarchy"], " ")
 
     _emit(args, summary, lambda: [
         f"length      {summary['length']}",
         f"dimension   {summary['dimension']}",
         f"degree      {summary['degree']}",
         f"min_distance {summary['min_distance']}",
-        "hierarchy   " + " ".join(str(w) for w in summary["hierarchy"]),
+        "hierarchy   " + _decimal(summary["hierarchy"], " "),
         "dual_hierarchy " + dual_weights(),
     ])
     return 0
@@ -142,17 +197,16 @@ def _cmd_hierarchy(args) -> int:
 def _cmd_dual(args) -> int:
     spec = _spec_from_args(args)
     dual = codes.dual_code(spec)
-    rows = dual.matrix.tolist()
     payload = {
         "length": dual.length,
         "dimension": dual.dimension,
-        "matrix": rows,
-        "hierarchy": list(codes.dual_hierarchy(spec)),
+        "matrix": dual.matrix,
+        "hierarchy": np.array(codes.dual_hierarchy(spec), dtype=np.int64),
     }
     _emit(args, payload, lambda: [
         f"length    {dual.length}", f"dimension {dual.dimension}", "matrix",
-        *("  " + " ".join(str(x) for x in row) for row in rows),
-        "hierarchy " + " ".join(str(w) for w in payload["hierarchy"]),
+        *(["  " + _decimal(dual.matrix, " ", "\n  ")] if dual.dimension else []),
+        "hierarchy " + _decimal(payload["hierarchy"], " "),
     ])
     return 0
 

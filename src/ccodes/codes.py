@@ -38,7 +38,10 @@ extremal families are expanded with the Field methods, so they need no
 tables and work over every field; each f_b is returned as its terms, a
 dict from exponent tuples to nonzero codes.
 The minimum distance is d_1 of the hierarchy.  Only _hierarchy_at_degree
-decides whether a hierarchy is short enough to list.
+decides whether a hierarchy is short enough to list.  It returns the
+weights as a read-only array (int64, or dtype object past int64), which
+code_summary holds as it is, so the CLI writes them without a Python int
+per weight; hierarchy and dual_hierarchy return tuples of ints.
 wei_duality_check returns a bool: whether the hierarchy and the reflected
 dual hierarchy partition {1, ..., n}, as Wei's duality theorem requires.
 Bad input raises ValueError, generator entries that are not integer codes
@@ -341,10 +344,12 @@ def max_common_zeros(spec: CartesianCodeSpec, r: int) -> int:
     return mixed_radix_value(spec.shape, b)
 
 
-def _hierarchy_at_degree(shape: GridShape, d: int) -> tuple:
+def _hierarchy_at_degree(shape: GridShape, d: int) -> np.ndarray:
     """Weight hierarchy of the degree-d code on this grid; d >= 0.
 
     d_r is 1 + the value of the r-th tuple of degree >= k - d, ascending.
+    The weights are a read-only array: int64 while n fits, else of dtype
+    object holding exact Python ints.
     """
     if not 0 <= d <= shape.k:
         raise ValueError(f"degree {d} outside [0, {shape.k}]")
@@ -355,19 +360,26 @@ def _hierarchy_at_degree(shape: GridShape, d: int) -> tuple:
     values = values_deg_ge(shape, shape.k - d)
     if values.size != length or np.any(values[1:] <= values[:-1]):
         raise InvariantError(f"degree-{d} hierarchy on {shape} is not strictly increasing")
-    return tuple((values + 1).tolist())
+    values += 1
+    values.flags.writeable = False
+    return values
+
+
+def _dual_weights(spec: CartesianCodeSpec) -> np.ndarray:
+    """The dual hierarchy as _hierarchy_at_degree's array, empty when d = k."""
+    if spec.d == spec.k:
+        return np.zeros(0, dtype=np.int64)
+    return _hierarchy_at_degree(spec.shape, spec.k - spec.d - 1)
 
 
 def hierarchy(spec: CartesianCodeSpec) -> tuple:
     """All generalized Hamming weights (d_1, ..., d_K), strictly increasing."""
-    return _hierarchy_at_degree(spec.shape, spec.d)
+    return tuple(_hierarchy_at_degree(spec.shape, spec.d).tolist())
 
 
 def dual_hierarchy(spec: CartesianCodeSpec) -> tuple:
     """Weight hierarchy of the dual code: the degree k-d-1 hierarchy."""
-    if spec.d == spec.k:
-        return ()
-    return _hierarchy_at_degree(spec.shape, spec.k - spec.d - 1)
+    return tuple(_dual_weights(spec).tolist())
 
 
 # --------------------------------------------------------------------------
@@ -705,6 +717,8 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
 def code_summary(spec: CartesianCodeSpec) -> dict:
     """Parameters and both hierarchies of the code; min_distance is d_1.
 
+    Both hierarchies are _hierarchy_at_degree's read-only arrays, not
+    lists, so a caller can write them out without a Python int per weight.
     A dual hierarchy that _hierarchy_at_degree refuses to list is summarised
     instead: dual_hierarchy is None and dual_hierarchy_summary holds its
     length n - K and its first and last weights, each unranked on its own.
@@ -713,10 +727,10 @@ def code_summary(spec: CartesianCodeSpec) -> dict:
         "length": spec.n,
         "dimension": spec.dimension,
         "degree": spec.d,
-        "hierarchy": list(hierarchy(spec)),
+        "hierarchy": _hierarchy_at_degree(spec.shape, spec.d),
     }
     try:
-        summary["dual_hierarchy"] = list(dual_hierarchy(spec))
+        summary["dual_hierarchy"] = _dual_weights(spec)
     except BudgetExceededError:
         dual_degree, length = spec.k - spec.d - 1, spec.n - spec.dimension
         summary["dual_hierarchy"] = None
@@ -725,5 +739,5 @@ def code_summary(spec: CartesianCodeSpec) -> dict:
             "first": min_shadow_size(spec.shape, dual_degree, 1),
             "last": min_shadow_size(spec.shape, dual_degree, length),
         }
-    summary["min_distance"] = summary["hierarchy"][0]
+    summary["min_distance"] = int(summary["hierarchy"][0])
     return summary

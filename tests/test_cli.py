@@ -1,13 +1,19 @@
 """Command-line interface behavior and output stability."""
 
+import contextlib
 import hashlib
 import json
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccodes import cli, codes, verify
 from ccodes.cli import main
+from ccodes.errors import InvariantError
 
 
 def run_cli(capsys, *argv):
@@ -54,7 +60,10 @@ def test_json_roundtrip_recompute(capsys):
     payload = json.loads(out)
     from ccodes.codes import code_summary, spec_from_parts
     spec = spec_from_parts("3^1", "0,1;0,1,2", payload["degree"])
-    assert code_summary(spec) == payload
+    summary = code_summary(spec)
+    for key in ("hierarchy", "dual_hierarchy"):
+        summary[key] = summary[key].tolist()
+    assert summary == payload
 
 
 def test_shadow_example(capsys):
@@ -525,7 +534,11 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
 # on the field modulus, so the runs span nine fields up to the table limit
 # (prime and binary, ternary and up to 2^10), two past it and three large
 # characteristics, in both output formats, plus two exit-2 errors.  The
-# hierarchy depends only on the grid's shape, so it runs once per shape.
+# hierarchy depends only on the grid's shape, so it runs once per shape;
+# the last rows pin the decimal writer's edge cases: weights of two to four
+# digits, weights past int64 next to a summarised dual, and a dual of no rows.
+_BITS_12 = ";".join(["0,1"] * 12)
+_BITS_64 = ";".join(["0,1"] * 64)
 RECORDED_DIGESTS = {
     "hierarchy --field 2^1 --sets 0,1;0,1;0,1 --d 1 --format table":
         "278e2cba3959826a2ad6dbfc8b955474f548302d255574249f0e67e8ed1670ec",
@@ -685,6 +698,18 @@ RECORDED_DIGESTS = {
         "104b4eba840b9d38b2689e8933f58830870f958c8742d129537a6b4fbebf1dcb",
     "dual --field 2^3 --sets 0,8 --d 1":
         "e8eccf0d01f59760edbfd8ed7dbd251282fccf1e585b37ba08d649caaa31ea33",
+    f"hierarchy --field 2^1 --sets {_BITS_12} --d 6 --format table":
+        "99cfe062632bfce8ee3936e29b064c471336f7ed41d0463fc522cb51b80cba80",
+    f"hierarchy --field 2^1 --sets {_BITS_12} --d 6 --format json":
+        "78b09099065d4e90cff4bd474d5695380e2117c80684227fda02d8ddd114b651",
+    f"hierarchy --field 2^1 --sets {_BITS_64} --d 1 --format table":
+        "c8e2fd240b8c2e75bcde539e78f135d6b26982713d8f125196555ea3c855194e",
+    f"hierarchy --field 2^1 --sets {_BITS_64} --d 1 --format json":
+        "acf4ebd1314425bb55e94378685d9167a1ce3503f89b3c974c5d305395e75ae0",
+    "dual --field 2^1 --sets 0,1 --d 1 --format table":
+        "5e3939d75dc27d16ed8ca64e6725f91df80ac62bb294ee7a7c707b666b1b0b34",
+    "dual --field 2^1 --sets 0,1 --d 1 --format json":
+        "302ef9929001d0a6209e5e3d9f089a9f80c85405870bb4794a7269b9a79d260e",
 }
 
 
@@ -697,3 +722,76 @@ def test_outputs_match_recorded_digests(capsys):
             changed.append(text)
     assert changed == []
     assert time.process_time() - start < 2.0
+
+
+# -- decimal writer ----------------------------------------------------------------------
+
+_DTYPE_MAX = {np.uint8: 2 ** 8 - 1, np.uint16: 2 ** 16 - 1, np.int64: 2 ** 63 - 1,
+              object: 2 ** 70}
+_EDGES = [0, 2 ** 63 - 1, *(10 ** j + e for j in range(1, 20) for e in (-1, 0))]
+
+
+@st.composite
+def code_arrays(draw):
+    """1-D or 2-D arrays of codes: (0, n), (k, 1) and single rows included."""
+    dtype = draw(st.sampled_from(list(_DTYPE_MAX)))
+    top = _DTYPE_MAX[dtype]
+    low = 2 ** 63 if dtype is object else 0  # object arrays hold codes past int64
+    value = st.one_of(st.sampled_from([e for e in _EDGES if low <= e <= top] or [low]),
+                      st.integers(low, top), st.integers(0, min(top, 99)))
+    shape = draw(st.one_of(st.tuples(st.integers(0, 6)),
+                           st.tuples(st.integers(0, 4), st.integers(1, 5)),
+                           st.tuples(st.just(0), st.integers(1, 5)),
+                           st.tuples(st.integers(1, 4), st.just(1)),
+                           st.tuples(st.just(1), st.integers(1, 8))))
+    count = int(np.prod(shape))
+    return np.array(draw(st.lists(value, min_size=count, max_size=count)),
+                    dtype=dtype).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(code_arrays())
+def test_decimal_writer_matches_json_and_str(a):
+    assert cli._json_codes(a) == json.dumps(a.tolist(), separators=(",", ":"))
+    rows = a.tolist() if a.ndim == 2 else [a.tolist()]
+    assert cli._decimal(a, " ", "\n") == "\n".join(" ".join(map(str, row)) for row in rows)
+
+
+@pytest.mark.parametrize("a", [np.array([3, -1]), np.array([[0, 1], [-10, 2]]),
+                               np.array([2 ** 64, -1], dtype=object)])
+def test_decimal_writer_rejects_negative_codes(a):
+    with pytest.raises(InvariantError, match="negative code"):
+        cli._json_codes(a)
+
+
+class _ByteCount:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.count = 0
+
+    def write(self, text):
+        self.count += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_hierarchy_text_memory_is_bounded_by_its_size(fmt):
+    # RM(10,20): 1,048,576 weights in two hierarchies, 7.4 MB of text.  The
+    # peak holds the weights, the text and one writer's working arrays;
+    # writing through Python ints per weight took 7.7x (JSON), 11.6x (table).
+    argv = ["hierarchy", "--field", "2^1", "--sets", ";".join(["0,1"] * 20), "--d", "10",
+            "--format", fmt]
+    sink = _ByteCount()
+    with contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sink.count > 7 * 10 ** 6
+    assert peak < 6 * sink.count, f"peak {peak} bytes for {sink.count} characters"

@@ -850,6 +850,8 @@ def test_code_over_gf9():
 def test_code_summary_schema():
     spec = spec_from_parts("2^1", "0,1;0,1", 1)
     summary = code_summary(spec)
+    for key in ("hierarchy", "dual_hierarchy"):
+        summary[key] = summary[key].tolist()
     assert summary == {
         "length": 4,
         "dimension": 3,
