@@ -12,12 +12,16 @@ elements are their canonical integer codes throughout: in the sets, the
 points, the matrices and the polynomial coefficients.
 
 All matrix work runs on numpy arrays of integer codes indexed through the
-field's lookup tables.  An evaluation matrix is the row-wise Kronecker
-product of per-coordinate power ladders; the dual's column scalars are
-the Kronecker product of the per-set derivatives g_i'; rank eliminates
-one-sidedly, updating only the later rows that are nonzero in a pivot
-column, with no back substitution; and the exhaustive oracles sweep
-subspaces and codewords in chunks of fixed size, whatever their budget.
+field's lookup tables.  One row-wise Kronecker product, _kron_rows, has
+three users.  An evaluation matrix is the product of per-coordinate
+power ladders and the dual's column scalars that of the per-set
+derivatives g_i', both on mul_table lookups.  The coefficients of an
+extremal f_b are the product of ladders of partial products of
+(x - gamma), on Field.mul over arrays, so the families need no tables
+and work over every field.  rank eliminates one-sidedly, updating only
+the later rows that are nonzero in a pivot column, with no back
+substitution; and the exhaustive oracles sweep subspaces and codewords
+in chunks of fixed size, whatever their budget.
 Every sum of arrays of codes is one call of _sum_into: XOR in
 characteristic 2, where a code's base-2 digits are its bits, and
 otherwise one lookup in the flat addition table.  The oracles build each
@@ -33,10 +37,9 @@ operand is cut into one 64-bit word per bit of the codes, and two words
 differ where some pair of their planes does.  The codeword oracle sums
 each word's nonzero entries over a column-major copy of its span.  Each
 oracle raises InvariantError unless it covered exactly the
-gaussian_binomial(K, r, q) subspaces or q^K codewords it should.  The
-extremal families are expanded with the Field methods, so they need no
-tables and work over every field; each f_b is returned as its terms, a
-dict from exponent tuples to nonzero codes.
+gaussian_binomial(K, r, q) subspaces or q^K codewords it should.  Each
+extremal f_b is returned as its terms, a dict from exponent tuples to
+nonzero codes.
 The minimum distance is d_1 of the hierarchy.  Only _hierarchy_at_degree
 decides whether a hierarchy is short enough to list.  It returns the
 weights as a read-only array (int64, or dtype object past int64), which
@@ -275,16 +278,17 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
 # Code construction
 # --------------------------------------------------------------------------
 
-def _kron_rows(mul: np.ndarray, factors) -> np.ndarray:
+def _kron_rows(product, factors) -> np.ndarray:
     """Row-wise Kronecker product of integer-coded factors over the field.
 
     factors[i] has shape (rows, d_i); the result has shape
-    (rows, d_1 * ... * d_m) with the first factor's index slowest.
+    (rows, d_1 * ... * d_m) with the first factor's index slowest; no
+    factors give [[1]].  product(a, b) multiplies broadcast arrays of
+    codes: a mul_table lookup, or Field.mul where there are no tables.
     """
-    rows = factors[0].shape[0]
-    out = np.ones((rows, 1), dtype=mul.dtype)
-    for f in factors:
-        out = mul[out[:, :, None], f[:, None, :]].reshape(rows, out.shape[1] * f.shape[1])
+    out, *rest = factors or [np.ones((1, 1), dtype=np.uint8)]
+    for f in rest:
+        out = product(out[:, :, None], f[:, None, :]).reshape(len(f), out.shape[1] * f.shape[1])
     return out
 
 
@@ -305,7 +309,7 @@ def monomial_evaluations(field: Field, sets, monos) -> np.ndarray:
         for _ in range(monos[:, i].max(initial=0)):
             ladder.append(mul[ladder[-1], codes])
         factors.append(np.array(ladder)[monos[:, i]])
-    return _kron_rows(mul, factors)
+    return _kron_rows(lambda a, b: mul[a, b], factors)
 
 
 def _evaluation_code(spec: CartesianCodeSpec, degree: int, scale=None) -> LinearCode:
@@ -386,46 +390,41 @@ def dual_hierarchy(spec: CartesianCodeSpec) -> tuple:
 # Extremal polynomial families
 # --------------------------------------------------------------------------
 
-def _extremal_family(spec: CartesianCodeSpec, tuples) -> list:
-    """The terms of f_b for each box tuple b, from per-coordinate rows.
-
-    rows[s][t] holds the coefficients, degree 0 first, of the product of
-    (x - gamma) over the first t elements gamma of A_s; each row is built
-    once, from the one before.  The coefficients of f_b are the Kronecker
-    product of the rows rows[s][b_s], leftmost coordinate slowest as in
-    _kron_rows, on the exponent tuples below b.
-    """
-    field = spec.field
-    rows = []
-    for s, gammas in enumerate(spec.sets):
-        ladder = [[1]]
-        for gamma in gammas[:max(b[s] for b in tuples)]:
-            minus, prev = field.neg(gamma), ladder[-1]
-            ladder.append([field.add(lo, field.mul(minus, hi))
-                           for lo, hi in zip([0] + prev, prev + [0])])
-        rows.append(ladder)
-    family = []
-    for b in tuples:
-        coeffs = [1]
-        for s, b_s in enumerate(b):
-            coeffs = [field.mul(c, x) for c in coeffs for x in rows[s][b_s]]
-        monos = itertools.product(*(range(b_s + 1) for b_s in b))
-        family.append({mono: c for mono, c in zip(monos, coeffs) if c})
-    return family
-
-
 def extremal_polynomials(spec: CartesianCodeSpec, r: int) -> list:
     """The r independent polynomials attaining max_common_zeros(spec, r).
 
     f_b, for b the r first tuples of degree <= d, is the product of
     (x_s - gamma) over the first b_s elements of each set A_s.  It vanishes
     exactly where some coordinate s hits one of those elements, and its
-    leading term is x^b under any graded order.  Each is returned as its
-    terms, {exponent tuple: nonzero code}.
+    leading term is x^b under any graded order.  Row t of coordinate s's
+    ladder holds the coefficients, degree 0 first, of the product over the
+    first t elements of A_s, each row built from the one before.  The
+    coefficients of f_b are the _kron_rows product of the rows b_s of the
+    coordinates with b_s > 0, on Field.mul, so the family needs no tables
+    and works over every field.  Each f_b is returned as its terms,
+    {exponent tuple: nonzero code}, in itertools.product order.
     """
     if not 1 <= r <= spec.dimension:
         raise ValueError(f"rank {r} outside [1, {spec.dimension}]")
-    return _extremal_family(spec, lex_segment(spec.shape, spec.d, r))
+    field = spec.field
+    tuples = lex_segment(spec.shape, spec.d, r)
+    ladders = []
+    for s, gammas in enumerate(spec.sets):
+        top = max(b[s] for b in tuples)
+        ladder = [np.eye(1, top + 1, dtype=np.int64)[0]]
+        for gamma in gammas[:top]:
+            # the previous row ends in 0, so x times it is the row shifted up
+            prev = ladder[-1]
+            ladder.append(field.add(np.concatenate(([0], prev[:-1])),
+                                    field.mul(field.neg(gamma), prev)))
+        ladders.append(np.array(ladder))
+    family = []
+    for b in tuples:
+        factors = [ladders[s][b_s, None, :b_s + 1] for s, b_s in enumerate(b) if b_s]
+        coeffs = _kron_rows(field.mul, factors)[0].tolist()
+        monos = itertools.product(*(range(b_s + 1) for b_s in b))
+        family.append({mono: c for mono, c in zip(monos, coeffs) if c})
+    return family
 
 
 # --------------------------------------------------------------------------
@@ -449,7 +448,7 @@ def dual_point_weights(spec: CartesianCodeSpec) -> np.ndarray:
         for col in diffs.T[1:]:
             deriv = f.mul_table[deriv, col]
         derivs.append(deriv[None, :])
-    w = f.inv_table[_kron_rows(f.mul_table, derivs)[0]]
+    w = f.inv_table[_kron_rows(lambda a, b: f.mul_table[a, b], derivs)[0]]
     w.flags.writeable = False
     return w
 

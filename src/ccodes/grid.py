@@ -23,9 +23,12 @@ hierarchies come from values_deg_ge.
 
 The shadow of a subset S is every box tuple that dominates some element
 of S coordinatewise (divides, which hilbert's monomial ideals share).
-Shadows, and the all_tuples / tuples_deg_le lists, are plain scans of the
-box.  They are the oracle side: brute_min_shadow, generator matrices and
-the tests use them, and no closed form does.
+Shadows, all_tuples and tuples_deg_le are plain scans of the box.  They
+are the oracle side: brute_min_shadow, generator matrices and the tests
+use them, and no closed form does.  all_tuples yields the box lazily,
+and tuples_deg_le and shadow hold only the tuples they keep, so a
+brute_min_shadow that its budget refuses takes O(n) time but never
+holds the box.
 """
 
 from __future__ import annotations
@@ -109,9 +112,9 @@ def _check_deg(shape, u):
         raise ValueError(f"degree {u} outside [0, {shape.k}] for {shape}")
 
 
-def all_tuples(shape: GridShape) -> list:
-    """Every box tuple in decreasing lex order."""
-    return list(itertools.product(*(range(d - 1, -1, -1) for d in shape.dims)))
+def all_tuples(shape: GridShape):
+    """An iterator over every box tuple in decreasing lex order."""
+    return itertools.product(*(range(d - 1, -1, -1) for d in shape.dims))
 
 
 def tuples_deg_le(shape: GridShape, u: int) -> list:

@@ -136,7 +136,7 @@ def test_criterion_6_shadow_compression_powerset():
     # of S| tuples of level u+1 (levels in decreasing lex order)
     checked = 0
     for shape in HARNESS_SHAPES:
-        box = all_tuples(shape)
+        box = list(all_tuples(shape))
         for u in range(shape.k):
             level, upper = ([t for t in box if sum(t) == v] for v in (u, u + 1))
             assert len(level) <= 12

@@ -31,7 +31,7 @@ from ccodes.codes import (
 )
 from ccodes.errors import BudgetExceededError, InvariantError
 from ccodes.gf import field_create
-from ccodes.grid import min_shadow_size
+from ccodes.grid import lex_segment, min_shadow_size
 from ccodes.hilbert import graded_lex_key
 
 from corpus import evaluate, exactly
@@ -442,10 +442,56 @@ def test_extremal_family_attains_bound():
 
 def test_extremal_leading_terms_are_segment_tuples():
     spec = spec_from_parts("3^1", "0,1;0,1,2", 2)
-    from ccodes.grid import lex_segment
     segment = lex_segment(spec.shape, spec.d, spec.dimension)
     polys = extremal_polynomials(spec, spec.dimension)
     assert [max(f, key=graded_lex_key) for f in polys] == segment
+
+
+def scalar_extremal_family(spec, r):
+    """The terms of each f_b as a list, one scalar Field call per coefficient.
+
+    rows[s][t] holds the coefficients, degree 0 first, of the product of
+    (x - gamma) over the first t elements of A_s, each row from the one
+    before; f_b's coefficients are the Kronecker product of the rows
+    rows[s][b_s], first coordinate slowest.
+    """
+    field = spec.field
+    tuples = lex_segment(spec.shape, spec.d, r)
+    rows = []
+    for s, gammas in enumerate(spec.sets):
+        ladder = [[1]]
+        for gamma in gammas[:max(b[s] for b in tuples)]:
+            minus, prev = field.neg(gamma), ladder[-1]
+            ladder.append([field.add(lo, field.mul(minus, hi))
+                           for lo, hi in zip([0] + prev, prev + [0])])
+        rows.append(ladder)
+    family = []
+    for b in tuples:
+        coeffs = [1]
+        for s, b_s in enumerate(b):
+            coeffs = [field.mul(c, x) for c in coeffs for x in rows[s][b_s]]
+        monos = itertools.product(*(range(b_s + 1) for b_s in b))
+        family.append([(mono, c) for mono, c in zip(monos, coeffs) if c])
+    return family
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (2, 11), (3, 7), (2 ** 61 - 1, 1)]),
+       st.data())
+def test_extremal_family_matches_scalar_expansion(pe, data):
+    # terms, their codes and their order, over small, extension and large fields
+    field = field_create(*pe)
+    m = data.draw(st.integers(1, 4))
+    sizes = sorted(data.draw(st.lists(st.integers(1, min(field.q, 5)), min_size=m, max_size=m)))
+    assume(sum(sizes) > m)
+    elements = st.integers(0, field.q - 1)
+    sets = [data.draw(st.lists(elements, min_size=size, max_size=size, unique=True))
+            for size in sizes]
+    spec = CartesianCodeSpec(field, sets, data.draw(st.integers(1, sum(sizes) - m)))
+    r = data.draw(st.integers(1, min(spec.dimension, 60)))
+    family = extremal_polynomials(spec, r)
+    assert [list(f.items()) for f in family] == scalar_extremal_family(spec, r)
+    assert all(type(c) is int for f in family for c in f.values())
 
 
 def test_extremal_validation():

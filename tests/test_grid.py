@@ -1,6 +1,7 @@
 """Exponent box enumeration, ranking, shadows, lex segments."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_enumerate_examples():
 
 def test_enumeration_matches_sort_oracle():
     for shape in SMALL_SHAPES:
-        assert all_tuples(shape) == oracle_box(shape, descending=True)
+        assert list(all_tuples(shape)) == oracle_box(shape, descending=True)
 
 
 def test_degree_filter_range():
@@ -330,6 +331,20 @@ def test_min_shadow_examples():
 def test_brute_min_shadow_budget():
     with pytest.raises(BudgetExceededError):
         brute_min_shadow(GridShape((3, 3)), 4, 4, budget=10)
+
+
+def test_refused_brute_min_shadow_never_holds_the_box():
+    # 2^18 tuples, of which the 19 of degree <= 1 are the pool; a list of
+    # the whole box would take about 50 MB
+    shape = GridShape((2,) * 18)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=exactly("19 subsets exceed budget 10")):
+            brute_min_shadow(shape, 1, 1, budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_min_shadow_rank_validation():

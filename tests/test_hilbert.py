@@ -176,7 +176,7 @@ def test_footprint_dimension_check():
 
 def test_footprint_equals_hilbert_at_box_degree():
     shape = GridShape((2, 3))
-    box = all_tuples(shape)
+    box = list(all_tuples(shape))
     for r in (1, 2):
         for lts in itertools.combinations(box, r):
             bound = footprint_upper_bound(shape, lts)

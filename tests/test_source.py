@@ -107,6 +107,27 @@ def test_only_sum_into_reads_the_addition_table():
     assert readers == ["_sum_into"]
 
 
+def _calls(node) -> set:
+    """The names and attributes that node's subtree calls."""
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))}
+
+
+def test_one_kronecker_product_and_no_field_call_per_coefficient():
+    # the evaluation matrix, the dual's column scalars and the extremal
+    # families share _kron_rows; field arithmetic goes over whole arrays
+    tree = ast.parse((Path(ccodes.__file__).parent / "codes.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("monomial_evaluations", "dual_point_weights", "extremal_polynomials"):
+        assert "_kron_rows" in _calls(functions[name]), name
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    scalar = sorted(f"line {node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, comprehensions)
+                    and _calls(node) & {"add", "mul", "neg", "pow", "inv"})
+    assert not scalar
+
+
 def test_both_sweeps_step_their_slow_digits_through_one_walk():
     # no mixed-radix counter of their own, such as itertools.product
     bodies = _oracle_bodies("codes.py")
