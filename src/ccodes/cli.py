@@ -15,6 +15,11 @@ integer, 10^7 by default, where 0 runs no oracle.  verify reports a check
 whose oracle refuses it as skipped.  hierarchy summarises a dual hierarchy
 too long to list by its length and its first and last weights.
 Exit codes: 0 ok, 1 verification mismatch, 2 parse or validation error.
+
+The subcommands are one table, _COMMANDS (help line, flags, handler).
+A call parses with its own subcommand's parser (_parse_args); the full
+parser, build_parser, is built only where its top level prints help or
+an error: no subcommand, an unknown one, or arguments left over.
 """
 
 from __future__ import annotations
@@ -286,55 +291,74 @@ def _cmd_maxzeros(args) -> int:
     return 0
 
 
+def _add_code_flags(parser, budget: bool = False):
+    _add_spec_flags(parser)
+    _add_common_flags(parser, budget)
+
+
+def _add_shadow_flags(parser):
+    parser.add_argument("--grid", required=True, help="box dims, e.g. 2x3")
+    parser.add_argument("--v", type=int, required=True, help="degree bound")
+    parser.add_argument("--r", type=int, required=True, help="segment size")
+    parser.add_argument("--brute", action="store_true",
+                        help="also exhaust all r-subsets and compare")
+    _add_common_flags(parser, budget=True)
+
+
+def _add_footprint_flags(parser):
+    parser.add_argument("--grid", required=True, help="box dims, e.g. 2x3")
+    parser.add_argument("--lts", required=True, help="leading terms, e.g. \"1,1;0,2\"")
+    _add_common_flags(parser)
+
+
+def _add_maxzeros_flags(parser):
+    _add_spec_flags(parser)
+    parser.add_argument("--r", type=int, required=True, help="family size")
+    _add_common_flags(parser)
+
+
+# name -> (help line, function that adds the subcommand's flags, handler)
+_COMMANDS = {
+    "hierarchy": ("weight hierarchy of a code", _add_code_flags, _cmd_hierarchy),
+    "dual": ("dual generator matrix and hierarchy", _add_code_flags, _cmd_dual),
+    "verify": ("closed forms vs exhaustive oracles",
+               lambda parser: _add_code_flags(parser, budget=True), _cmd_verify),
+    "shadow": ("minimal shadow size of a lex segment", _add_shadow_flags, _cmd_shadow),
+    "footprint": ("common-zero bound from leading terms", _add_footprint_flags, _cmd_footprint),
+    "maxzeros": ("maximal common zeros and attaining family", _add_maxzeros_flags, _cmd_maxzeros),
+}
+
+
+def _add_command(parser, name: str) -> argparse.ArgumentParser:
+    _, add_flags, handler = _COMMANDS[name]
+    add_flags(parser)
+    parser.set_defaults(command=name, func=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccodes",
         description="Affine Cartesian codes: weight hierarchies, duals, oracles.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hierarchy", help="weight hierarchy of a code")
-    _add_spec_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=_cmd_hierarchy)
-
-    p = sub.add_parser("dual", help="dual generator matrix and hierarchy")
-    _add_spec_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=_cmd_dual)
-
-    p = sub.add_parser("verify", help="closed forms vs exhaustive oracles")
-    _add_spec_flags(p)
-    _add_common_flags(p, budget=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("shadow", help="minimal shadow size of a lex segment")
-    p.add_argument("--grid", required=True, help="box dims, e.g. 2x3")
-    p.add_argument("--v", type=int, required=True, help="degree bound")
-    p.add_argument("--r", type=int, required=True, help="segment size")
-    p.add_argument("--brute", action="store_true",
-                   help="also exhaust all r-subsets and compare")
-    _add_common_flags(p, budget=True)
-    p.set_defaults(func=_cmd_shadow)
-
-    p = sub.add_parser("footprint", help="common-zero bound from leading terms")
-    p.add_argument("--grid", required=True, help="box dims, e.g. 2x3")
-    p.add_argument("--lts", required=True,
-                   help="leading terms, e.g. \"1,1;0,2\"")
-    _add_common_flags(p)
-    p.set_defaults(func=_cmd_footprint)
-
-    p = sub.add_parser("maxzeros", help="maximal common zeros and attaining family")
-    _add_spec_flags(p)
-    p.add_argument("--r", type=int, required=True, help="family size")
-    _add_common_flags(p)
-    p.set_defaults(func=_cmd_maxzeros)
-
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
 
 
+def _parse_args(argv):
+    """build_parser().parse_args(argv), by one subcommand's parser where it parses alike."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_command(argparse.ArgumentParser(prog=f"ccodes {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     # BudgetExceededError is a ValueError; too-large input ends in

@@ -19,7 +19,9 @@ and values_deg_ge lists a whole band of K tuples in O(K * m * d_m)
 without touching the tuples outside it.  rth_of_deg_le is the one
 unrank (at d = k it ranks the whole box): min_shadow_size, and the single
 GHW d_r = min_shadow_size(d, r), read its r-th tuple, while whole
-hierarchies come from values_deg_ge.
+hierarchies come from values_deg_ge.  lex_segment lists the first r
+tuples of a band in O(r * m), each from the one before, and checks that
+the walk ends on the r-th tuple that rth_of_deg_le unranks.
 
 The shadow of a subset S is every box tuple that dominates some element
 of S coordinatewise (divides, which hilbert's monomial ideals share).
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvariantError
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -197,9 +199,31 @@ def rth_of_deg_le(shape: GridShape, d: int, r: int) -> tuple:
 
 
 def lex_segment(shape: GridShape, d: int, r: int) -> list:
-    """First r tuples of degree <= d in decreasing lex order."""
+    """First r tuples of degree <= d in decreasing lex order, in O(r * m).
+
+    Walks down the band from its lex-largest tuple.  The next tuple lowers
+    the rightmost nonzero digit by one and refills the zeros to its right
+    greedily, each with as much of the degree budget left as fits.
+    """
     _check_rank_le(shape, d, r)
-    return [rth_of_deg_le(shape, d, j) for j in range(1, r + 1)]
+    digits, budget = [], d  # budget: d minus the digits' degree
+    for dim in shape.dims:
+        digits.append(min(dim - 1, budget))
+        budget -= digits[-1]
+    segment = [tuple(digits)]
+    for _ in range(r - 1):
+        i = len(digits) - 1
+        while not digits[i]:
+            i -= 1
+        digits[i] -= 1
+        budget += 1
+        for j in range(i + 1, len(digits)):
+            digits[j] = min(shape.dims[j] - 1, budget)
+            budget -= digits[j]
+        segment.append(tuple(digits))
+    if segment[-1] != rth_of_deg_le(shape, d, r):
+        raise InvariantError(f"lex walk ended at {segment[-1]}, not the {r}-th tuple")
+    return segment
 
 
 def values_deg_ge(shape: GridShape, u: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import io
 import json
 import time
 import tracemalloc
@@ -722,6 +723,113 @@ def test_outputs_match_recorded_digests(capsys):
             changed.append(text)
     assert changed == []
     assert time.process_time() - start < 2.0
+
+
+# sha256 of repr((exit code, stdout, stderr)) with COLUMNS=80: help and usage
+# text printed before argparse exits, recorded with one parser holding every
+# subcommand
+RECORDED_HELP_DIGESTS = {
+    "--help":
+        "09bc256e8ed7795b9ef8c607786682c07511c3c1ce11ef2c68c9c3d1f9768c9e",
+    "-h":
+        "09bc256e8ed7795b9ef8c607786682c07511c3c1ce11ef2c68c9c3d1f9768c9e",
+    "":
+        "c634bb7491dcb4f00ecb289ea2ef3c51ebc2d8aa5016cd38bcbad4e0a7ac0416",
+    "frobnicate":
+        "ab5a9d372df948274b3ac0106efabdb6a29cf78823477b45c131954ec72feacc",
+    "hierarchy --help":
+        "0dee89422c2d811901571b1c4422a1c53dbebe1285b0b6b3a58b214d07b18136",
+    "dual --help":
+        "1200c1d4bb2e986071077ce3422554e53e3edb04ea9eeed5e2ef9a645ed8b8bd",
+    "verify --help":
+        "b193d53bc3f3b9246e26279c60dc5e017197ff29299b7746ceaa93bb4313eecb",
+    "shadow --help":
+        "b59452c3628f86c6c458dc11e1a6eaadc2ae8bf3d99fe1cfd154a58026be22f3",
+    "footprint --help":
+        "aef017523cdf156810ec9c59558310812a6b9d3b17a226c70ae8a84ccf9d524d",
+    "maxzeros --help":
+        "0cf8bf61ba1133c48fd46d04fd453666a87cbc1dcc59d11c3660981cc3ce424c",
+    "dual --field 2 --sets 0,1 --d 1 stray":
+        "f1a077df1880887c043223e20c889e0521c0ee0a25b156520ab35782bef51cd6",
+}
+
+
+def run_cli_to_exit(capsys, *argv):
+    """run_cli, with the code of an argparse exit in place of a status."""
+    try:
+        status = main(list(argv))
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+def test_help_and_usage_match_recorded_digests(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    changed = [text for text, digest in RECORDED_HELP_DIGESTS.items()
+               if hashlib.sha256(repr(run_cli_to_exit(capsys, *text.split())).encode())
+               .hexdigest() != digest]
+    assert changed == []
+
+
+_SPEC_PAIRS = [("--field", "2^1"), ("--field", "3"), ("--sets", "0,1;0,1"), ("--d", "1"),
+               ("--spec-file", "spec.json"), ("--format", "json"), ("--form", "table")]
+_GOOD_PAIRS = {  # flags and good values of each subcommand, with abbreviations
+    "hierarchy": _SPEC_PAIRS,
+    "dual": _SPEC_PAIRS,
+    "verify": _SPEC_PAIRS + [("--budget", "0"), ("--bud", "7")],
+    "shadow": [("--grid", "2x3"), ("--v", "2"), ("--r", "1"), ("--brute",), ("--budget", "9"),
+               ("--format", "json")],
+    "footprint": [("--grid", "2x3"), ("--lts", "1,1;0,2"), ("--format", "table")],
+    "maxzeros": _SPEC_PAIRS + [("--r", "2")],
+}
+_FLAGS = ["--field", "--sets", "--d", "--spec-file", "--format", "--budget", "--grid", "--v",
+          "--r", "--brute", "--lts", "-h", "--help", "--form", "--bud", "--f", "--s", "--"]
+_VALUES = ["2^1", "0,1", "-3", "x", "json", "xml", "1,1", "stray", "hierarchy"]
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv lists: a subcommand or not, its flags with good values, and maybe noise."""
+    if draw(st.integers(0, 9)) == 0:
+        return []
+    head = draw(st.sampled_from([*_GOOD_PAIRS, "frobnicate", "hier", "-h", "--help", "--"]))
+    good = draw(st.lists(st.sampled_from(_GOOD_PAIRS.get(head, _SPEC_PAIRS)), max_size=6))
+    noise = draw(st.lists(st.one_of(st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)),
+                                    st.tuples(st.sampled_from(_FLAGS + _VALUES))), max_size=2))
+    cut = draw(st.integers(0, len(good)))  # noise goes anywhere among the good flags
+    return [head, *(token for pair in good[:cut] + noise + good[cut:] for token in pair)]
+
+
+def _parse_outcome(parse, argv):
+    """vars() of the namespace parse(argv) returns, or the exit code, plus the output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs())
+def test_one_subcommand_parser_parses_like_the_full_parser(argv):
+    assert _parse_outcome(cli._parse_args, argv) == \
+        _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+
+
+def test_a_subcommand_call_builds_no_full_parser(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("built the parser of every subcommand")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    spec = ("--field", "2^1", "--sets", "0,1;0,1", "--d", "1")
+    for argv in [("hierarchy", *spec), ("dual", *spec, "--format", "json"),
+                 ("verify", *spec, "--budget", "100"), ("maxzeros", *spec, "--r", "2"),
+                 ("shadow", "--grid", "2x3", "--v", "2", "--r", "1", "--brute"),
+                 ("footprint", "--grid", "2x3", "--lts", "1,1")]:
+        assert run_cli(capsys, *argv)[0] == 0, argv
 
 
 # -- decimal writer ----------------------------------------------------------------------
