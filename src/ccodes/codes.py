@@ -15,13 +15,14 @@ All matrix work runs on numpy arrays of integer codes indexed through the
 field's lookup tables.  One row-wise Kronecker product, _kron_rows, has
 three users.  An evaluation matrix is the product of per-coordinate
 power ladders and the dual's column scalars that of the per-set
-derivatives g_i', both on mul_table lookups.  The coefficients of an
-extremal f_b are the product of ladders of partial products of
-(x - gamma), on Field.mul over arrays, so the families need no tables
-and work over every field.  rank eliminates one-sidedly, updating only
-the later rows that are nonzero in a pivot column, with no back
-substitution; and the exhaustive oracles sweep subspaces and codewords
-in chunks of fixed size, whatever their budget.
+derivatives g_i', both on mul_table lookups.  An extremal f_b is the
+product of ladders of the nonzero terms of partial products of
+(x - gamma), on Field.mul over arrays, so the families need no tables,
+work over every field and hold only the terms they print.  rank
+eliminates one-sidedly, updating only the later rows that are nonzero in
+a pivot column, with no back substitution; and the exhaustive oracles
+sweep subspaces and codewords in chunks of fixed size, whatever their
+budget.
 Every sum of arrays of codes is one call of _sum_into: XOR in
 characteristic 2, where a code's base-2 digits are its bits, and
 otherwise one lookup in the flat addition table.  The oracles build each
@@ -69,7 +70,6 @@ from .grid import (
     lex_segment,
     min_shadow_size,
     mixed_radix_value,
-    rth_of_deg_le,
     tuples_deg_le,
     values_deg_ge,
 )
@@ -344,8 +344,7 @@ def max_common_zeros(spec: CartesianCodeSpec, r: int) -> int:
     """Maximum number of common grid zeros of r independent polynomials."""
     if not 1 <= r <= spec.dimension:
         raise ValueError(f"rank {r} outside [1, {spec.dimension}]")
-    b = rth_of_deg_le(spec.shape, spec.d, r)
-    return mixed_radix_value(spec.shape, b)
+    return spec.n - min_shadow_size(spec.shape, spec.d, r)
 
 
 def _hierarchy_at_degree(shape: GridShape, d: int) -> np.ndarray:
@@ -397,12 +396,14 @@ def extremal_polynomials(spec: CartesianCodeSpec, r: int) -> list:
     (x_s - gamma) over the first b_s elements of each set A_s.  It vanishes
     exactly where some coordinate s hits one of those elements, and its
     leading term is x^b under any graded order.  Row t of coordinate s's
-    ladder holds the coefficients, degree 0 first, of the product over the
-    first t elements of A_s, each row built from the one before.  The
-    coefficients of f_b are the _kron_rows product of the rows b_s of the
-    coordinates with b_s > 0, on Field.mul, so the family needs no tables
-    and works over every field.  Each f_b is returned as its terms,
-    {exponent tuple: nonzero code}, in itertools.product order.
+    ladder holds the nonzero terms of the product over the first t
+    elements of A_s, as exponents and a 1 x terms array of codes.  A field
+    has no zero divisors, so f_b's terms are the _kron_rows product, on
+    Field.mul, of the rows b_s of the coordinates with b_s > 0, at the
+    itertools.product of the rows' exponents: memory follows the terms, not
+    the box prod(b_s + 1).  The family needs no tables and works over every
+    field.  Each f_b is returned as its terms, {exponent tuple: nonzero
+    code}, in itertools.product order.
     """
     if not 1 <= r <= spec.dimension:
         raise ValueError(f"rank {r} outside [1, {spec.dimension}]")
@@ -410,20 +411,21 @@ def extremal_polynomials(spec: CartesianCodeSpec, r: int) -> list:
     tuples = lex_segment(spec.shape, spec.d, r)
     ladders = []
     for s, gammas in enumerate(spec.sets):
-        top = max(b[s] for b in tuples)
-        ladder = [np.eye(1, top + 1, dtype=np.int64)[0]]
-        for gamma in gammas[:top]:
-            # the previous row ends in 0, so x times it is the row shifted up
-            prev = ladder[-1]
-            ladder.append(field.add(np.concatenate(([0], prev[:-1])),
-                                    field.mul(field.neg(gamma), prev)))
-        ladders.append(np.array(ladder))
+        row = np.ones(1, dtype=np.int64)
+        ladder = [([0], row[None, :])]
+        for gamma in gammas[:max(b[s] for b in tuples)]:
+            # x times the row is the row shifted up one degree
+            row = field.add(np.append(0, row), field.mul(field.neg(gamma), np.append(row, 0)))
+            exponents = np.flatnonzero(row)
+            ladder.append((exponents.tolist(), row[None, exponents]))
+        ladders.append(ladder)
     family = []
     for b in tuples:
-        factors = [ladders[s][b_s, None, :b_s + 1] for s, b_s in enumerate(b) if b_s]
-        coeffs = _kron_rows(field.mul, factors)[0].tolist()
-        monos = itertools.product(*(range(b_s + 1) for b_s in b))
-        family.append({mono: c for mono, c in zip(monos, coeffs) if c})
+        rows = [ladders[s][b_s] for s, b_s in enumerate(b)]
+        coeffs = _kron_rows(field.mul, [c for (_, c), b_s in zip(rows, b) if b_s])[0].tolist()
+        if not all(coeffs):
+            raise InvariantError(f"f_{b} has a zero coefficient, but a field has no zero divisors")
+        family.append(dict(zip(itertools.product(*(exps for exps, _ in rows)), coeffs)))
     return family
 
 

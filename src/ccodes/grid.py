@@ -11,17 +11,16 @@ and the 1-based rank of a in that order is r = n - value(a).  Decreasing
 lex order is the one order of the library: the generator's rows, lex
 segments and every box list follow it.
 
-The closed forms never walk the box.  They rest on one table per shape,
-the suffix level counts: the number of tuples of dims[i:] of each total
-degree, cumulated over degrees (_suffix_counts).  From it rth_of_deg_le
-unranks a degree band digit by digit in O(m * d_m) exact integer steps,
-and values_deg_ge lists a whole band of K tuples in O(K * m * d_m)
-without touching the tuples outside it.  rth_of_deg_le is the one
-unrank (at d = k it ranks the whole box): min_shadow_size, and the single
-GHW d_r = min_shadow_size(d, r), read its r-th tuple, while whole
-hierarchies come from values_deg_ge.  lex_segment lists the first r
-tuples of a band in O(r * m), each from the one before, and checks that
-the walk ends on the r-th tuple that rth_of_deg_le unranks.
+The closed forms never walk the box.  rth_of_deg_le unranks a degree
+band digit by digit in O(m * d_m) exact integer steps from one table per
+shape, the suffix level counts of dims[i:] cumulated over degrees
+(_suffix_counts).  It is the one unrank (at d = k it ranks the whole
+box): min_shadow_size, hence the single GHW d_r, reads its r-th tuple.
+values_deg_ge is the one band listing: the tuples of degree >= u in
+increasing lex order, as values, all K of them or the first r, in
+O(K * m * d_m) or O(r * m * d_m) without touching the others.
+Hierarchies are whole bands; lex_segment is a cut band read through
+t -> top - t, and checks that it ends on rth_of_deg_le's r-th tuple.
 
 The shadow of a subset S is every box tuple that dominates some element
 of S coordinatewise (divides, which hilbert's monomial ideals share).
@@ -198,44 +197,16 @@ def rth_of_deg_le(shape: GridShape, d: int, r: int) -> tuple:
     return tuple(digits)
 
 
-def lex_segment(shape: GridShape, d: int, r: int) -> list:
-    """First r tuples of degree <= d in decreasing lex order, in O(r * m).
-
-    Walks down the band from its lex-largest tuple.  The next tuple lowers
-    the rightmost nonzero digit by one and refills the zeros to its right
-    greedily, each with as much of the degree budget left as fits.
-    """
-    _check_rank_le(shape, d, r)
-    digits, budget = [], d  # budget: d minus the digits' degree
-    for dim in shape.dims:
-        digits.append(min(dim - 1, budget))
-        budget -= digits[-1]
-    segment = [tuple(digits)]
-    for _ in range(r - 1):
-        i = len(digits) - 1
-        while not digits[i]:
-            i -= 1
-        digits[i] -= 1
-        budget += 1
-        for j in range(i + 1, len(digits)):
-            digits[j] = min(shape.dims[j] - 1, budget)
-            budget -= digits[j]
-        segment.append(tuple(digits))
-    if segment[-1] != rth_of_deg_le(shape, d, r):
-        raise InvariantError(f"lex walk ended at {segment[-1]}, not the {r}-th tuple")
-    return segment
-
-
-def values_deg_ge(shape: GridShape, u: int) -> np.ndarray:
-    """Mixed-radix values of the tuples of degree >= u, ascending.
+def values_deg_ge(shape: GridShape, u: int, r=None) -> np.ndarray:
+    """Mixed-radix values of the tuples of degree >= u, ascending; the first r.
 
     Expands one coordinate at a time and keeps only the prefixes whose
-    degree plus the rest's maximum degree still reaches u.  Every kept
-    prefix has a completion, so no level holds more prefixes than the band
-    has tuples (K): work is O(K * m * d_m) and memory O(K * d_m), never O(n).
-    Each new digit is the least significant, so values stay sorted.
-    The array is int64 while n fits, else of dtype object holding exact
-    Python ints.
+    degree plus the rest's maximum degree still reaches u, at most r of
+    them.  Every kept prefix has a completion, so no level holds more
+    prefixes than the listing has values (K): work is O(K * m * d_m) and
+    memory O(K * d_m), never O(n).  Each new digit is the least significant,
+    so values stay sorted and the first r descend from the first r prefixes.
+    The array is int64 while n fits, else of dtype object of exact ints.
     """
     _check_deg(shape, u)
     dtype = np.int64 if shape.n <= np.iinfo(np.int64).max else object
@@ -248,8 +219,26 @@ def values_deg_ge(shape: GridShape, u: int) -> np.ndarray:
         degrees = (degrees[:, None] + digits).ravel()
         values = (values[:, None] * dim + digits.astype(dtype)).ravel()
         keep = degrees + rest >= u
-        degrees, values = degrees[keep], values[keep]
+        degrees, values = degrees[keep][:r], values[keep][:r]
     return values
+
+
+def lex_segment(shape: GridShape, d: int, r: int) -> list:
+    """First r tuples of degree <= d in decreasing lex order.
+
+    They are top - t for the first r tuples t of degree >= k - d, ascending,
+    as values_deg_ge lists them; the last must be rth_of_deg_le's r-th.
+    """
+    _check_rank_le(shape, d, r)
+    values = values_deg_ge(shape, shape.k - d, r)
+    dims = np.array(shape.dims, dtype=values.dtype)
+    place_values = np.array(shape.place_values, dtype=values.dtype)
+    digits = dims - 1 - values[:, None] // place_values % dims
+    segment = list(map(tuple, digits.tolist()))
+    if len(segment) != r or segment[-1] != rth_of_deg_le(shape, d, r):
+        raise InvariantError(f"lex segment of {len(segment)} tuples does not end "
+                             f"on the {r}-th tuple of degree <= {d}")
+    return segment
 
 
 def divides(a, b) -> bool:

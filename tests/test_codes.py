@@ -79,6 +79,10 @@ def test_spec_validation():
         CartesianCodeSpec(f3, [[3]], 1)  # code 3 is no element of GF(3)
     with pytest.raises(ValueError, match=exactly("all sets are singletons; no degrees available")):
         CartesianCodeSpec(f3, [e[:1]], 1)  # singleton grid has k = 0
+    with pytest.raises(ValueError, match=exactly("at least one evaluation set required")):
+        CartesianCodeSpec(f3, [], 1)
+    with pytest.raises(ValueError, match=exactly("evaluation sets must be nonempty")):
+        CartesianCodeSpec(f3, [[]], 1)
 
 
 def test_spec_parsing():
@@ -138,6 +142,18 @@ def test_linear_code_rejects_dependent_rows():
         LinearCode(f2, [[1, 0, 1], [1, 0, 1]])
     with pytest.raises(ValueError):
         LinearCode(f2, [[0, 2]])
+
+
+def test_linear_code_rejects_a_one_dimensional_matrix():
+    with pytest.raises(ValueError, match=exactly("generator matrix must be two-dimensional")):
+        LinearCode(field_create(3), [0, 1, 2])
+
+
+def test_reprs_match_readme():
+    spec = spec_from_parts("3^1", "0,1,2;0,1,2", 2)
+    assert repr(generator_matrix(spec)) == "LinearCode([9,6] over GF(3))"
+    assert repr(dual_code(spec)) == "LinearCode([9,3] over GF(3))"
+    assert repr(spec) == "CartesianCodeSpec(GF(3), [0,1,2;0,1,2], d=2)"
 
 
 @pytest.mark.parametrize("build", [generator_matrix, dual_code])
@@ -494,6 +510,29 @@ def test_extremal_family_matches_scalar_expansion(pe, data):
     assert all(type(c) is int for f in family for c in f.values())
 
 
+def test_extremal_family_memory_follows_its_terms():
+    # f_b for b = (1, ..., 1) is the one term x1*...*x20; its box has 2^20
+    # exponents, which a dense expansion would hold
+    spec = spec_from_parts("2^1", ";".join(["0,1"] * 20), 20)
+    tracemalloc.start()
+    try:
+        family = extremal_polynomials(spec, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert family[0] == {(1,) * 20: 1}
+    assert [len(f) for f in family] == [1, 1, 1]
+    assert peak < 2 ** 20, f"peak {peak} bytes"
+
+
+def test_extremal_zero_coefficient_is_an_invariant_failure(monkeypatch):
+    # a field has no zero divisors, so a product of nonzero terms is nonzero
+    spec = spec_from_parts("3^1", "0,1,2", 2)
+    monkeypatch.setattr(codes, "_kron_rows", lambda product, factors: np.array([[1, 0]]))
+    with pytest.raises(InvariantError, match="zero coefficient"):
+        extremal_polynomials(spec, 1)
+
+
 def test_extremal_validation():
     spec = spec_from_parts("2^1", "0,1;0,1", 1)
     with pytest.raises(ValueError, match=exactly("rank 4 outside [1, 3]")):
@@ -547,6 +586,8 @@ def test_dual_at_top_degree_is_zero_code():
     dual = dual_code(spec)
     assert dual.matrix.shape == (0, 4)
     assert dual_hierarchy(spec) == ()
+    with pytest.raises(ValueError, match=exactly("the zero code has no nonzero codewords")):
+        brute_min_weight(dual)
 
 
 def _lagrange_specs():

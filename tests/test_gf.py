@@ -212,6 +212,17 @@ def test_miller_rabin_on_large_numbers():
             Field(too_large)
 
 
+def test_field_equality_hash_and_repr():
+    # a Field equals every other instance of its (p, e, modulus), cached or not
+    gf4 = field_create(2, 2)
+    assert Field(2, 2) == gf4 and Field(2, 2) is not gf4
+    assert hash(Field(2, 2)) == hash(gf4)
+    assert repr(Field(2, 2)) == repr(gf4) == "GF(4)"
+    assert len({Field(2, 2), gf4, field_create(2, 1)}) == 2
+    assert Field(2, 2) != field_create(2, 1) and Field(3) != Field(5)
+    assert Field(3) != 3 and Field(3).__eq__(3) is NotImplemented
+
+
 def test_degree_out_of_range_rejected():
     with pytest.raises(ValueError, match=exactly("extension degree must be in [1, 16], got 0")):
         field_create(2, 0)

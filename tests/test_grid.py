@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccodes.codes import _hierarchy_at_degree
-from ccodes.errors import BudgetExceededError
+from ccodes import grid
+from ccodes.errors import BudgetExceededError, InvariantError
 from ccodes.grid import (
     GridShape,
     all_tuples,
@@ -176,6 +177,49 @@ def test_lex_segment_is_prefix_of_walk():
             le = tuples_deg_le(shape, d)
             for r in range(1, len(le) + 1):
                 assert lex_segment(shape, d, r) == le[:r]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=6), st.data())
+def test_band_listing_cut_at_r_is_its_prefix(dims, data):
+    shape = GridShape(tuple(sorted(dims)))
+    for u in range(shape.k + 1):
+        band = values_deg_ge(shape, u)
+        r = data.draw(st.integers(1, band.size + 2), label=f"r at u={u}")
+        assert values_deg_ge(shape, u, r).tolist() == band[:r].tolist()
+
+
+def test_lex_segment_past_int64_is_exact():
+    # n = 2^70 lists values of dtype object; the digits come back as ints
+    shape = GridShape((2,) * 70)
+    segment = lex_segment(shape, 3, 500)
+    assert [segment[r - 1] for r in (1, 2, 250, 500)] == \
+        [rth_of_deg_le(shape, 3, r) for r in (1, 2, 250, 500)]
+    assert all(type(x) is int for t in segment for x in t)
+
+
+def test_lex_segment_lists_only_its_tuples():
+    # the degree <= 12 band of 2^24 has 9,740,686 tuples; three are asked for
+    shape = GridShape((2,) * 24)
+    tracemalloc.start()
+    try:
+        segment = lex_segment(shape, 12, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert segment == [rth_of_deg_le(shape, 12, r) for r in (1, 2, 3)]
+    assert peak < 2 ** 20, f"peak {peak} bytes"
+
+
+def test_lex_segment_checks_the_listing(monkeypatch):
+    shape = GridShape((2, 3))
+    listing = values_deg_ge
+    monkeypatch.setattr(grid, "values_deg_ge", lambda shape, u, r: listing(shape, u, r)[::-1])
+    with pytest.raises(InvariantError, match="lex segment"):
+        lex_segment(shape, 2, 3)
+    monkeypatch.setattr(grid, "values_deg_ge", lambda shape, u, r: listing(shape, u, r)[:-1])
+    with pytest.raises(InvariantError, match="lex segment"):
+        lex_segment(shape, 2, 3)
 
 
 # -- shadows ----------------------------------------------------------------------

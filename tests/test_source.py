@@ -128,6 +128,17 @@ def test_one_kronecker_product_and_no_field_call_per_coefficient():
     assert not scalar
 
 
+def test_lex_segment_is_a_view_of_the_band_listing():
+    # one closed-form band listing: lex_segment decodes values_deg_ge's
+    # values and walks no tuples of its own
+    tree = ast.parse((Path(ccodes.__file__).parent / "grid.py").read_text(encoding="utf-8"))
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "lex_segment"]
+    assert "values_deg_ge" in _calls(node)
+    loops = [n for n in ast.walk(node)
+             if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+    assert not loops
+
+
 def test_both_sweeps_step_their_slow_digits_through_one_walk():
     # no mixed-radix counter of their own, such as itertools.product
     bodies = _oracle_bodies("codes.py")
