@@ -14,12 +14,16 @@ Only verify and shadow take --budget, the oracle work cap: a non-negative
 integer, 10^7 by default, where 0 runs no oracle.  verify reports a check
 whose oracle refuses it as skipped.  hierarchy summarises a dual hierarchy
 too long to list by its length and its first and last weights.
-Exit codes: 0 ok, 1 verification mismatch, 2 parse or validation error.
 
-The subcommands are one table, _COMMANDS (help line, flags, handler).
-A call parses with its own subcommand's parser (_parse_args); the full
-parser, build_parser, is built only where its top level prints help or
-an error: no subcommand, an unknown one, or arguments left over.
+Every subcommand prints a table, or with --format json one JSON object.
+Hierarchies and dual matrices go to text through _decimal, every other
+value through json.dumps or str, and the bytes are those that
+json.dumps(..., separators=(",", ":")) and str print.  The subcommands
+are one table, _COMMANDS, and _parse_args parses a call.
+
+Exit codes: 0 ok, 1 verification mismatch, 2 parse or validation error.
+Exit 2 prints argparse's usage message, or one "error: ..." line for bad
+input, never a traceback.
 """
 
 from __future__ import annotations
@@ -337,6 +341,7 @@ def _add_command(parser, name: str) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, one subparser per row of _COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="ccodes",
         description="Affine Cartesian codes: weight hierarchies, duals, oracles.")
@@ -347,7 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv):
-    """build_parser().parse_args(argv), by one subcommand's parser where it parses alike."""
+    """build_parser().parse_args(argv), by one subcommand's parser where it parses alike.
+
+    When argv[0] names a subcommand, only that subcommand's parser is
+    built, as prog "ccodes <name>", and its namespace is returned if it
+    leaves no argument over.  Otherwise (no subcommand, an unknown one,
+    or arguments left over) the full parser parses argv, so every help
+    and usage text is the one build_parser prints.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _COMMANDS:
         parser = _add_command(argparse.ArgumentParser(prog=f"ccodes {argv[0]}"), argv[0])

@@ -5,53 +5,42 @@ one field, with ascending sizes d_1 <= ... <= d_m) plus a total-degree
 bound d.  The code is the image of all polynomials of total degree <= d
 and per-variable degree < d_i under evaluation at every grid point.
 
-Everything that matters is deterministic and bit-reproducible: points
-are enumerated with the leftmost coordinate slowest, the generator rows
-follow the degree-<=d exponent tuples in decreasing lex order, and field
-elements are their canonical integer codes throughout: in the sets, the
-points, the matrices and the polynomial coefficients.
+Sections, in file order: specs and LinearCode; linear algebra on
+integer-coded matrices (rank, matmul); code construction
+(monomial_evaluations, generator_matrix); closed forms
+(max_common_zeros, hierarchy, dual_hierarchy); extremal polynomial
+families; duals (dual_code, wei_duality_check); exhaustive oracles
+(brute_ghw, brute_min_weight); code_summary, the CLI's view of a code.
 
-All matrix work runs on numpy arrays of integer codes indexed through the
-field's lookup tables.  One row-wise Kronecker product, _kron_rows, has
-three users.  An evaluation matrix is the product of per-coordinate
-power ladders and the dual's column scalars that of the per-set
-derivatives g_i', both on mul_table lookups.  An extremal f_b is the
-product of ladders of the nonzero terms of partial products of
-(x - gamma), on Field.mul over arrays, so the families need no tables,
-work over every field and hold only the terms they print.  rank
-eliminates one-sidedly, updating only the later rows that are nonzero in
-a pivot column, with no back substitution; and the exhaustive oracles
-sweep subspaces and codewords in chunks of fixed size, whatever their
-budget.
-Every sum of arrays of codes is one call of _sum_into: XOR in
-characteristic 2, where a code's base-2 digits are its bits, and
-otherwise one lookup in the flat addition table.  The oracles build each
-span of rows as the Kronecker sum of the spans of its two halves, and
-both step the slow digits of their counters, first digit slowest,
-through one generator, _digit_walk.  The subspace oracle packs each
-support into a 64-bit mask.  It keeps nothing from one pivot set to the
-next.  Within one, the masks of a basis row that no chunk changes are
-built once: read from a table of the supports of G[p] + a G[c], built
-once per code and rank, or found by comparing the two halves of the
-row's span.  Masks come from bit planes: each
-operand is cut into one 64-bit word per bit of the codes, and two words
-differ where some pair of their planes does.  The codeword oracle sums
-each word's nonzero entries over a column-major copy of its span.  Each
-oracle raises InvariantError unless it covered exactly the
-gaussian_binomial(K, r, q) subspaces or q^K codewords it should.  Each
-extremal f_b is returned as its terms, a dict from exponent tuples to
-nonzero codes.
-The minimum distance is d_1 of the hierarchy.  Only _hierarchy_at_degree
-decides whether a hierarchy is short enough to list.  It returns the
-weights as a read-only array (int64, or dtype object past int64), which
-code_summary holds as it is, so the CLI writes them without a Python int
-per weight; hierarchy and dual_hierarchy return tuples of ints.
-wei_duality_check returns a bool: whether the hierarchy and the reflected
-dual hierarchy partition {1, ..., n}, as Wei's duality theorem requires.
-Bad input raises ValueError, generator entries that are not integer codes
-in [0, q) included.  Its one subclass, BudgetExceededError,
+Everything is deterministic and bit-reproducible: points are enumerated
+with the leftmost coordinate slowest, the generator rows follow the
+degree-<=d exponent tuples in decreasing lex order, and field elements
+are their canonical integer codes throughout: in the sets, the points,
+the matrices and the polynomial coefficients.  A polynomial is its
+terms, a dict from exponent tuples to nonzero codes.
+
+The closed forms read grid's ranked tuples and never build a matrix.
+The oracles, brute_ghw and brute_min_weight with their helpers, read a
+LinearCode's matrix and call no closed form; tests/test_source.py holds
+both sides to that wall.
+
+Rules that span functions.  Every sum of arrays of codes is one call of
+_sum_into, the one reader of the addition table.  _kron_rows is the one
+Kronecker product, of evaluation matrices, the dual's column scalars
+and the extremal families.  Matrix work indexes the field's lookup
+tables; the extremal families multiply with Field.mul over arrays and
+need none.  Both oracles hold at most _ORACLE_CHUNK subspaces or
+codewords at once, whatever their budget, step their slow digits
+through _digit_walk, and raise InvariantError unless they covered
+exactly the gaussian_binomial(K, r, q) subspaces or q^K codewords they
+should.  Only _hierarchy_at_degree decides whether a hierarchy is short
+enough to list.
+
+Errors: bad input raises ValueError, generator entries that are not
+integer codes in [0, q) included.  Its one subclass, BudgetExceededError,
 marks work past a limit (an oracle's budget, the hierarchy length), so
 verify can tell a check its oracle refused from an error.
+InvariantError marks a broken internal invariant, a bug.
 """
 
 from __future__ import annotations
@@ -69,7 +58,6 @@ from .grid import (
     count_deg_le,
     lex_segment,
     min_shadow_size,
-    mixed_radix_value,
     tuples_deg_le,
     values_deg_ge,
 )
@@ -108,10 +96,6 @@ class CartesianCodeSpec:
             raise ValueError("all sets are singletons; no degrees available")
         if not 1 <= d <= shape.k:
             raise ValueError(f"degree {d} outside [1, {shape.k}]")
-        # mixed-radix self check: n - 1 must decompose on the top tuple
-        top = tuple(x - 1 for x in dims)
-        if shape.n - 1 != mixed_radix_value(shape, top):
-            raise InvariantError(f"top tuple {top} does not have value n - 1")
         self.field = field
         self.sets = sets
         self.d = d
@@ -199,7 +183,8 @@ def _sum_into(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
     The one addition of codes in this module: a ^ b in characteristic 2,
     where a code's base-2 digits are its bits, else one lookup in the flat
     addition table at a * q + b, indexed in the smallest unsigned type that
-    holds q^2 - 1.  If b broadcasts to a, a may be overwritten: never pass
+    holds q^2 - 1, so no 8-byte index array the size of a span is made.
+    If b broadcasts to a, a may be overwritten: never pass
     a span kept across chunks.  Otherwise the sum is a new row-major array.
     """
     full = np.broadcast(a, b).shape == a.shape
@@ -250,7 +235,12 @@ def rank(matrix, field: Field) -> int:
 
 
 def matmul(a, b, field: Field) -> np.ndarray:
-    """Product of integer-coded matrices over the field."""
+    """Product of integer-coded matrices over the field.
+
+    One pass per inner index t adds the outer product of a[:, t] and b[t],
+    by mul_table lookups, into the result, so the cost grows with the
+    inner dimension.
+    """
     a = np.asarray(a, dtype=field.int_dtype)
     b = np.asarray(b, dtype=field.int_dtype)
     if a.shape[1] != b.shape[0]:
@@ -348,14 +338,14 @@ def max_common_zeros(spec: CartesianCodeSpec, r: int) -> int:
 
 
 def _hierarchy_at_degree(shape: GridShape, d: int) -> np.ndarray:
-    """Weight hierarchy of the degree-d code on this grid; d >= 0.
+    """Weight hierarchy of the degree-d code on this grid, 0 <= d <= k.
 
-    d_r is 1 + the value of the r-th tuple of degree >= k - d, ascending.
-    The weights are a read-only array: int64 while n fits, else of dtype
-    object holding exact Python ints.
+    count_deg_ge checks the degree, as k - d.  d_r is 1 + the value of
+    the r-th tuple of degree >= k - d, ascending.  A hierarchy past
+    _MAX_HIERARCHY_LENGTH weights raises BudgetExceededError.  The weights
+    are a read-only array: int64 while n fits, else of dtype object
+    holding exact Python ints.
     """
-    if not 0 <= d <= shape.k:
-        raise ValueError(f"degree {d} outside [0, {shape.k}]")
     length = count_deg_ge(shape, shape.k - d)
     if length > _MAX_HIERARCHY_LENGTH:
         raise BudgetExceededError(
@@ -376,7 +366,10 @@ def _dual_weights(spec: CartesianCodeSpec) -> np.ndarray:
 
 
 def hierarchy(spec: CartesianCodeSpec) -> tuple:
-    """All generalized Hamming weights (d_1, ..., d_K), strictly increasing."""
+    """All generalized Hamming weights (d_1, ..., d_K), strictly increasing.
+
+    A tuple of ints, from _hierarchy_at_degree's array.
+    """
     return tuple(_hierarchy_at_degree(spec.shape, spec.d).tolist())
 
 
@@ -438,7 +431,9 @@ def dual_point_weights(spec: CartesianCodeSpec) -> np.ndarray:
 
     g_i is the monic vanishing polynomial of A_i, so g_i' at a member
     gamma_{i,t} is the product of (gamma_{i,t} - gamma_{i,s}) over s != t.
-    The result is a read-only array in point order.
+    The products over the points are the _kron_rows product of the
+    per-set rows of g_i' values.  The result is a read-only array in
+    point order.
     """
     f = spec.field
     derivs = []
@@ -682,7 +677,7 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     held once.  Each combination of the other rows, stepped through
     _digit_walk, is compared against the whole span, so one chunk covers
     at most _ORACLE_CHUNK codewords.  The words compared are counted and
-    must number q^K.
+    must number q^K.  Unlike brute_ghw, it takes codes of any length.
     """
     K, n = code.dimension, code.length
     field = code.field

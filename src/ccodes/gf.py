@@ -11,22 +11,26 @@ The modulus is always the lexicographically smallest monic irreducible
 polynomial of degree e, comparing coefficient vectors from the constant
 term upward, so fields and everything derived from them are reproducible
 across runs and machines.  For e = 1 the modulus is x and arithmetic is
-plain arithmetic mod p.  Candidates are counted up lazily from constant
-term 1 (a constant term 0 means a factor x), and each is decided by one
-Rabin test in the ring GF(p)[x]/(candidate), so the search never scans
-GF(p).  p is proved prime by a deterministic Miller-Rabin test, exact
-below MAX_CHARACTERISTIC.
+plain arithmetic mod p.
 
-Arithmetic modulo a monic polynomial is defined once, as the private
-functions _add, _mul and _pow on codes: digit by digit in base p, with
-products reduced by the modulus.  The modulus search runs on them, and so
-do the Field methods add, mul and pow (neg and inv derive from mul and
-pow).  Those take int codes or numpy arrays of codes; arrays are widened
-to a signed dtype no step can overflow, or to Python ints (dtype object)
-when int64 has no room.  The dense tables that matrix work indexes
-(orders up to TABLE_ORDER_LIMIT) are add and mul on every pair of codes,
-the row of -1 in the products, and the position of 1 in each row.
-The tests check all of them against tuple long division.
+Sections, in file order: the primality test (_is_prime); arithmetic on
+codes modulo a monic polynomial (_add, _mul, _pow); the modulus search
+(is_irreducible, smallest_irreducible); Field, its methods and its
+lookup tables; field_create and parse_field.
+
+Arithmetic modulo a monic polynomial is defined once, as _add, _mul and
+_pow on codes.  The modulus search runs on them, and so do the Field
+methods add, mul and pow, which take int codes or numpy arrays of codes
+(neg and inv derive from mul and pow).  The dense tables that matrix
+work indexes are a cache of add and mul on every pair of codes, never a
+second arithmetic.  The tests check all of them against tuple long
+division.
+
+Errors: bad input raises ValueError: a characteristic that is not a
+prime below MAX_CHARACTERISTIC, an extension degree outside
+[1, MAX_EXTENSION_DEGREE], a code outside [0, q), an array of codes
+that are not integers, a negative exponent, a table for an order past
+TABLE_ORDER_LIMIT, or field text that is not p^e.
 """
 
 from __future__ import annotations
@@ -146,7 +150,8 @@ def smallest_irreducible(p: int, e: int):
 
     Candidate coefficient vectors are compared from the constant term
     upward, so the result is the same on every run.  They are counted up
-    lazily from constant term 1; an irreducible exists, so the count ends.
+    lazily from constant term 1, since a constant term 0 means a factor x;
+    an irreducible exists, so the count ends.
     """
     if e == 1:
         return (0, 1)
@@ -169,8 +174,8 @@ class Field:
 
     Prefer field_create(), which caches instances so lookup tables are
     shared.  Instances are immutable and safe to share between threads.
-    add, mul and pow widen their operands and call _add, _mul and _pow,
-    the arithmetic that the modulus search runs on too.
+    add, mul and pow widen their operands (_wide) and call _add, _mul
+    and _pow.
     """
 
     def __init__(self, p: int, e: int = 1):
@@ -215,8 +220,10 @@ class Field:
     def _wide(self, a):
         """Codes as a Python int, or as an array whose steps cannot wrap.
 
-        An array must hold integers or Python ints (dtype object): a cast
-        from floats would truncate them, or round codes past 2^53.
+        An array is cast to the narrowest signed dtype that no step of
+        _add, _mul or _pow can overflow, or to Python ints (dtype object)
+        when int64 has no room.  It must hold integers or Python ints: a
+        cast from floats would truncate them, or round codes past 2^53.
         """
         if isinstance(a, np.ndarray):
             if a.dtype.kind not in "iuO":

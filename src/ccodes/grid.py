@@ -270,7 +270,12 @@ def min_shadow_size(shape: GridShape, v: int, r: int) -> int:
 
 def brute_min_shadow(shape: GridShape, v: int, r: int,
                      budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum shadow size over every r-subset of degree <= v (oracle)."""
+    """Minimum shadow size over every r-subset of degree <= v (oracle).
+
+    The pool is listed by a scan of the box before its subsets are counted
+    against the budget: counting it without the scan would need
+    count_deg_le, a closed form no oracle may call.
+    """
     pool = tuples_deg_le(shape, v)
     if not 1 <= r <= len(pool):
         raise ValueError(f"rank {r} outside [1, {len(pool)}] for degree <= {v}")

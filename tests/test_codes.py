@@ -1,6 +1,7 @@
 """Code construction, closed forms, duals, and the exhaustive oracles."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,7 @@ from ccodes.errors import BudgetExceededError, InvariantError
 from ccodes.gf import field_create
 from ccodes.grid import lex_segment, min_shadow_size
 from ccodes.hilbert import graded_lex_key
+from ccodes.verification import verify
 
 from corpus import evaluate, exactly
 
@@ -1003,3 +1005,34 @@ def test_hierarchy_invariant_raises(monkeypatch):
     monkeypatch.setattr(codes_module, "values_deg_ge", lambda shape, u: np.array([0, 2, 2]))
     with pytest.raises(InvariantError):
         hierarchy(spec_from_parts("2^1", "0,1;0,1", 1))
+
+
+# Table fields that the acceptance corpus (GF(2) to GF(5)) never uses.
+UNCORPUSED_FIELDS = [(7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
+
+
+@st.composite
+def uncorpused_specs(draw):
+    """A spec over one of UNCORPUSED_FIELDS with n <= 64 whose ghw r=1 fits 10^4."""
+    f = field_create(*draw(st.sampled_from(UNCORPUSED_FIELDS), label="field"))
+    dims = [1] * draw(st.integers(0, 1), label="singletons")
+    for _ in range(draw(st.integers(1, 4), label="sets")):
+        low, high = max([2, *dims]), min(f.q, 64 // math.prod(dims))
+        if low > high:
+            break
+        dims.append(draw(st.integers(low, high), label="size"))
+    assume(max(dims) >= 2)
+    sets = [draw(st.lists(st.integers(0, f.q - 1), min_size=size, max_size=size, unique=True),
+                 label="set") for size in dims]
+    degrees = [d for d in range(1, sum(dims) - len(dims) + 1)
+               if gaussian_binomial(CartesianCodeSpec(f, sets, d).dimension, 1, f.q) <= 10 ** 4]
+    assume(degrees)
+    return CartesianCodeSpec(f, sets, draw(st.sampled_from(degrees), label="d"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(uncorpused_specs())
+def test_verify_over_fields_the_corpus_never_uses(spec):
+    report = verify(spec, 10 ** 4)
+    assert report.ok, report.checks
+    assert any(name.startswith("ghw r=") for name, _, _ in report.checks)

@@ -3,6 +3,7 @@
 import ast
 import collections
 import fnmatch
+import re
 from pathlib import Path
 
 import pytest
@@ -277,3 +278,13 @@ def test_every_public_name_has_a_library_caller():
             uncalled.add(key)
     assert sorted(uncalled - set(REFERENCE_ONLY)) == []
     assert sorted(set(REFERENCE_ONLY) - uncalled) == []  # no stale entries
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # pyproject declares requires-python = ">=X.Y"; CI runs a newer Python,
+    # so syntax that X.Y lacks would go unnoticed there
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, flags=re.M)
+    version = (int(floor[1]), int(floor[2]))
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=version)
