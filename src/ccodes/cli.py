@@ -1,15 +1,11 @@
 """Command-line front end.
 
-Subcommands:
-    hierarchy   length, dimension and the full weight hierarchy of a code
-    dual        dual generator matrix and dual hierarchy
-    verify      closed forms vs exhaustive oracles (ccodes.verify); exit 1 on mismatch
-    shadow      minimal shadow size of a lex segment, optional brute check
-    footprint   upper bound on common zeros from leading terms
-    maxzeros    maximal common-zero count and the polynomials attaining it
+_COMMANDS holds one row per subcommand (help line, flags, handler), and
+ccodes --help lists them.  _parse_args parses a call.
 
 Code specs are given inline (--field p^e --sets "a,b;c,d,e" --d D) or via
---spec-file pointing at JSON or key=value text with the same three parts.
+--spec-file pointing at JSON or key=value text with the same three parts;
+a text line may also read key: value.
 Only verify and shadow take --budget, the oracle work cap: a non-negative
 integer, 10^7 by default, where 0 runs no oracle.  verify reports a check
 whose oracle refuses it as skipped.  hierarchy summarises a dual hierarchy
@@ -18,8 +14,7 @@ too long to list by its length and its first and last weights.
 Every subcommand prints a table, or with --format json one JSON object.
 Hierarchies and dual matrices go to text through _decimal, every other
 value through json.dumps or str, and the bytes are those that
-json.dumps(..., separators=(",", ":")) and str print.  The subcommands
-are one table, _COMMANDS, and _parse_args parses a call.
+json.dumps(..., separators=(",", ":")) and str print.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 parse or validation error.
 Exit 2 prints argparse's usage message, or one "error: ..." line for bad
@@ -102,20 +97,6 @@ def _spec_from_args(args) -> codes.CartesianCodeSpec:
     if not field_text or not sets_text or d is None:
         raise ValueError("need --field, --sets and --d (inline or via --spec-file)")
     return codes.spec_from_parts(field_text, sets_text, int(d))
-
-
-def _add_spec_flags(parser):
-    parser.add_argument("--field", help="field as p^e, e.g. 2^1 or 3^2")
-    parser.add_argument("--sets", help="evaluation sets, e.g. \"0,1;0,1,2\"")
-    parser.add_argument("--d", type=int, help="total-degree bound")
-    parser.add_argument("--spec-file", help="JSON or key=value file with field/sets/d")
-
-
-def _add_common_flags(parser, budget: bool = False):
-    parser.add_argument("--format", choices=("table", "json"), default="table")
-    if budget:  # only the subcommands that run an exhaustive oracle
-        parser.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
-                            help="oracle work cap; 0 runs no oracle (default 10^7)")
 
 
 # 10, 100, ..., 10^18: an int64 code has one more digit than the powers it reaches
@@ -295,53 +276,50 @@ def _cmd_maxzeros(args) -> int:
     return 0
 
 
-def _add_code_flags(parser, budget: bool = False):
-    _add_spec_flags(parser)
-    _add_common_flags(parser, budget)
+# A subcommand's flags are (flag, add_argument keywords) pairs, in help order.
+_SPEC_FLAGS = (
+    ("--field", {"help": "field as p^e, e.g. 2^1 or 3^2"}),
+    ("--sets", {"help": "evaluation sets, e.g. \"0,1;0,1,2\""}),
+    ("--d", {"type": int, "help": "total-degree bound"}),
+    ("--spec-file", {"help": "JSON or key=value file with field/sets/d"}),
+)
+_FORMAT = (("--format", {"choices": ("table", "json"), "default": "table"}),)
+# only the subcommands that run an exhaustive oracle
+_BUDGET = (("--budget", {"type": _budget, "default": DEFAULT_BUDGET,
+                         "help": "oracle work cap; 0 runs no oracle (default 10^7)"}),)
+_GRID = (("--grid", {"required": True, "help": "box dims, e.g. 2x3"}),)
 
-
-def _add_shadow_flags(parser):
-    parser.add_argument("--grid", required=True, help="box dims, e.g. 2x3")
-    parser.add_argument("--v", type=int, required=True, help="degree bound")
-    parser.add_argument("--r", type=int, required=True, help="segment size")
-    parser.add_argument("--brute", action="store_true",
-                        help="also exhaust all r-subsets and compare")
-    _add_common_flags(parser, budget=True)
-
-
-def _add_footprint_flags(parser):
-    parser.add_argument("--grid", required=True, help="box dims, e.g. 2x3")
-    parser.add_argument("--lts", required=True, help="leading terms, e.g. \"1,1;0,2\"")
-    _add_common_flags(parser)
-
-
-def _add_maxzeros_flags(parser):
-    _add_spec_flags(parser)
-    parser.add_argument("--r", type=int, required=True, help="family size")
-    _add_common_flags(parser)
-
-
-# name -> (help line, function that adds the subcommand's flags, handler)
+# name -> (help line, flags, handler)
 _COMMANDS = {
-    "hierarchy": ("weight hierarchy of a code", _add_code_flags, _cmd_hierarchy),
-    "dual": ("dual generator matrix and hierarchy", _add_code_flags, _cmd_dual),
-    "verify": ("closed forms vs exhaustive oracles",
-               lambda parser: _add_code_flags(parser, budget=True), _cmd_verify),
-    "shadow": ("minimal shadow size of a lex segment", _add_shadow_flags, _cmd_shadow),
-    "footprint": ("common-zero bound from leading terms", _add_footprint_flags, _cmd_footprint),
-    "maxzeros": ("maximal common zeros and attaining family", _add_maxzeros_flags, _cmd_maxzeros),
+    "hierarchy": ("weight hierarchy of a code", _SPEC_FLAGS + _FORMAT, _cmd_hierarchy),
+    "dual": ("dual generator matrix and hierarchy", _SPEC_FLAGS + _FORMAT, _cmd_dual),
+    "verify": ("closed forms vs exhaustive oracles", _SPEC_FLAGS + _FORMAT + _BUDGET,
+               _cmd_verify),
+    "shadow": ("minimal shadow size of a lex segment", _GRID + (
+        ("--v", {"type": int, "required": True, "help": "degree bound"}),
+        ("--r", {"type": int, "required": True, "help": "segment size"}),
+        ("--brute", {"action": "store_true", "help": "also exhaust all r-subsets and compare"}),
+    ) + _FORMAT + _BUDGET, _cmd_shadow),
+    "footprint": ("common-zero bound from leading terms", _GRID + (
+        ("--lts", {"required": True, "help": "leading terms, e.g. \"1,1;0,2\""}),
+    ) + _FORMAT, _cmd_footprint),
+    "maxzeros": ("maximal common zeros and attaining family", _SPEC_FLAGS + (
+        ("--r", {"type": int, "required": True, "help": "family size"}),
+    ) + _FORMAT, _cmd_maxzeros),
 }
 
 
 def _add_command(parser, name: str) -> argparse.ArgumentParser:
-    _, add_flags, handler = _COMMANDS[name]
-    add_flags(parser)
+    """parser with the flags of _COMMANDS[name], in order, and its handler."""
+    _, flags, handler = _COMMANDS[name]
+    for flag, keywords in flags:
+        parser.add_argument(flag, **keywords)
     parser.set_defaults(command=name, func=handler)
     return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser, one subparser per row of _COMMANDS."""
+    """The full parser: per row of _COMMANDS, a subparser with its help line and flags."""
     parser = argparse.ArgumentParser(
         prog="ccodes",
         description="Affine Cartesian codes: weight hierarchies, duals, oracles.")

@@ -67,6 +67,34 @@ def test_json_roundtrip_recompute(capsys):
     assert summary == payload
 
 
+# one --format json call per subcommand: verify skips checks over its budget,
+# shadow runs its brute check, and maxzeros works past the table limit
+JSON_CALLS = {
+    "hierarchy": ("--field", "2^1", "--sets", ";".join(["0,1"] * 12), "--d", "6"),
+    "dual": ("--field", "2^4", "--sets", "0,3,9;5,12,15", "--d", "2"),
+    "verify": ("--field", "2^2", "--sets", "0,1,2,3;0,1,2,3", "--d", "3", "--budget", "10"),
+    "shadow": ("--grid", "2x3", "--v", "3", "--r", "2", "--brute"),
+    "footprint": ("--grid", "2x3", "--lts", "1,1;0,2"),
+    "maxzeros": ("--field", "2^11", "--sets", "0,1,2047;5,6,2000", "--d", "2", "--r", "3"),
+}
+
+
+def test_json_calls_cover_every_subcommand():
+    assert JSON_CALLS.keys() == cli._COMMANDS.keys()
+
+
+@pytest.mark.parametrize("command", JSON_CALLS)
+def test_json_output_is_canonical(command, capsys):
+    # the bytes json.dumps(..., separators=(",", ":")) writes, on one line
+    status, out, err = run_cli(capsys, command, *JSON_CALLS[command], "--format", "json")
+    assert (status, err) == (0, "")
+    line = out.removesuffix("\n")
+    assert "\n" not in line
+    assert json.dumps(json.loads(line), separators=(",", ":")) == line
+    if command == "verify":
+        assert json.loads(line)["skipped"]
+
+
 def test_shadow_example(capsys):
     status, out, _ = run_cli(capsys, "shadow", "--grid", "2x3", "--v", "2", "--r", "1")
     assert status == 0

@@ -165,6 +165,18 @@ def test_cli_calls_lower_layers_by_imported_name():
     assert not through
 
 
+def test_cli_flags_are_added_in_one_place():
+    # each subcommand's flags are its row of cli._COMMANDS, so no helper adds
+    # flags of its own and no switch picks among them
+    tree = ast.parse((Path(ccodes.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Attribute) and n.func.attr == "add_argument"]
+    assert len(calls) == 1
+    switched = sorted(n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+                      and "budget" in {a.arg for a in ast.walk(n.args) if isinstance(a, ast.arg)})
+    assert not switched
+
+
 def test_verify_checks_the_printed_hierarchy():
     # the GHWs verify checks are the list `ccodes hierarchy` prints, not the
     # per-rank unrank that max_common_zeros, its other comparand, shares
