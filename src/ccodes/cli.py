@@ -353,9 +353,12 @@ def main(argv=None) -> int:
         return args.func(args)
     # BudgetExceededError is a ValueError; too-large input ends in
     # MemoryError or OverflowError, and exits 2 too: 1 means a mismatch.
-    # A bare MemoryError() has no message, so its type stands in.
+    # An error without a message, such as a bare MemoryError(), is named
+    # with its subcommand and type instead.
     except (ValueError, OSError, MemoryError, OverflowError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        name = type(exc).__name__
+        bare = f"out of memory ({name})" if isinstance(exc, MemoryError) else name
+        print(f"error: {str(exc) or f'{args.command}: {bare}'}", file=sys.stderr)
         return 2
 
 

@@ -33,8 +33,11 @@ need none.  Both oracles hold at most _ORACLE_CHUNK subspaces or
 codewords at once, whatever their budget, step their slow digits
 through _digit_walk, and raise InvariantError unless they covered
 exactly the gaussian_binomial(K, r, q) subspaces or q^K codewords they
-should.  Only _hierarchy_at_degree decides whether a hierarchy is short
-enough to list.
+should.  The subspace oracle packs bit planes once per code, into
+tables that _oracle_table keeps on the LinearCode: while a table fits
+one chunk, its sweep only gathers from the tables and ORs masks, and
+adds no codes.  Only _hierarchy_at_degree decides whether a hierarchy
+is short enough to list.
 
 Errors: bad input raises ValueError, generator entries that are not
 integer codes in [0, q) included.  Its one subclass, BudgetExceededError,
@@ -62,7 +65,7 @@ from .grid import (
     values_deg_ge,
 )
 
-# Support bitmasks in the subspace oracle live in uint64 words.
+# Support bitmasks in the subspace oracle live in unsigned words of at most 64 bits.
 _MAX_ORACLE_LENGTH = 64
 
 # Most subspaces or codewords an exhaustive oracle holds at once.
@@ -160,6 +163,8 @@ class LinearCode:
         matrix.flags.writeable = False
         self.field = field
         self.matrix = matrix
+        # the subspace oracle's tables, by name and chunk, built on first use
+        self._oracle_tables = {}
 
     @property
     def length(self) -> int:
@@ -475,70 +480,161 @@ def wei_duality_check(spec: CartesianCodeSpec) -> bool:
 # Exhaustive oracles
 # --------------------------------------------------------------------------
 
-def _bit_planes(codes: np.ndarray, n: int, bits: int) -> np.ndarray:
-    """Plane k of a word of codes is the uint64 whose bit j is bit k of entry j.
+def _mask_type(n: int) -> np.dtype:
+    """The narrowest unsigned type with a bit for each of n <= 64 coordinates."""
+    return np.min_scalar_type((1 << n) - 1)
 
-    codes holds words of n <= 64 entries along its last axis, or broadcasts
-    to them; the planes take shape (..., bits), the words' leading shape
-    followed by one plane per bit.  Each bit of every entry is written to
-    a byte of a 64-byte row per plane, and the rows are packed in one
-    contiguous pass.
+
+def _bit_planes(codes: np.ndarray, bits: int) -> np.ndarray:
+    """Plane k of a word of codes has bit j set where entry j has bit k set.
+
+    codes holds words of n <= 64 entries along its last axis; the planes
+    take shape (..., bits), the words' leading shape followed by one plane
+    per bit, of _mask_type(n).  Each bit of every entry is written to a
+    byte of a row as wide as that type's bits per plane, and the rows are
+    packed in one contiguous pass.
     """
-    if codes.shape[-1:] != (n,):
-        codes = np.broadcast_to(codes, codes.shape[:-1] + (n,))
-    flags = np.zeros((*codes.shape[:-1], bits, 64), dtype=np.uint8)
+    mask = _mask_type(codes.shape[-1])
+    flags = np.zeros((*codes.shape[:-1], bits, 8 * mask.itemsize), dtype=np.uint8)
     shifts = np.arange(bits, dtype=codes.dtype)[:, None]
-    np.bitwise_and(codes[..., None, :] >> shifts, 1, out=flags[..., :n], casting="unsafe")
-    return np.packbits(flags, axis=-1, bitorder="little").view("<u8")[..., 0]
+    np.bitwise_and(codes[..., None, :] >> shifts, 1, out=flags[..., :codes.shape[-1]],
+                   casting="unsafe")
+    packed = np.packbits(flags, axis=-1, bitorder="little")
+    return packed.view(f"<u{mask.itemsize}")[..., 0]
 
 
-def _support_masks(variants, zeros, q: int) -> np.ndarray:
-    """One uint64 per word: bit j is set where variants[..., j] != zeros[..., j].
+def _span_planes(code: LinearCode, rows, base: np.ndarray | None, negate: bool) -> np.ndarray:
+    """Planes of base plus each word of the span of G[rows], negated if negate.
 
-    variants and zeros, codes in [0, q), broadcast together to words of at
-    most 64 entries, and the masks take that shape less its last axis.
-    With zeros the codes of -v, the bits are the support of v + variants.
-    Each operand is cut into bit planes on its own (see _bit_planes), so
-    only the planes meet on the broadcast shape: two codes differ exactly
-    where some plane of theirs does, and a mask is the OR over the planes
-    of their XOR.  The cost grows with the log of q.
+    base holds N words, or is None for the span alone (N = 1); the planes
+    take shape (bits, N, q^len(rows)), the span's words in _span_words
+    order.  In characteristic 2 a sum is the XOR of codes and -x = x, so
+    the planes of a sum are the XOR of theirs: while _row_multiples keeps
+    the rows' multiples packed, only base is packed here.
     """
-    variants, zeros = np.asarray(variants), np.asarray(zeros)
-    n = max(variants.shape[-1:] + zeros.shape[-1:])
-    bits = max(1, (q - 1).bit_length())
-    a, z = _bit_planes(variants, n, bits), _bit_planes(zeros, n, bits)
-    masks = a[..., 0] ^ z[..., 0]
-    for k in range(1, bits):
-        masks |= a[..., k] ^ z[..., k]
+    field, rows = code.field, list(rows)
+    bits = max(1, (field.q - 1).bit_length())
+    multiples = _oracle_table(code, _row_multiples) if field.p == 2 else None
+    if multiples is not None:
+        if base is None:
+            planes = np.zeros((bits, 1, 1), dtype=multiples.dtype)
+        else:
+            planes = np.moveaxis(_bit_planes(base, bits), -1, 0)[:, :, None]
+        for c in rows:
+            planes = (planes[..., None] ^ multiples[:, c, None, None, :]).reshape(
+                bits, len(planes[0]), -1)
+        return planes
+    span = _span_words(code.matrix[rows], field)[None, :, :]
+    words = span if base is None else _sum_into(span, base[:, None, :], field)
+    if negate:
+        words = field.neg_table[words]
+    return np.moveaxis(_bit_planes(words, bits), -1, 0)
+
+
+def _oracle_table(code: LinearCode, build):
+    """build(code), kept on the code for the current _ORACLE_CHUNK.
+
+    The code's matrix is read-only, so a table stays valid for as long as
+    the code lives, and goes with it.  Each table is built on first use: a
+    sweep whose basis rows all read _pair_masks packs no _plane_tables.
+    """
+    key = (build.__name__, _ORACLE_CHUNK)
+    if key not in code._oracle_tables:
+        code._oracle_tables[key] = build(code)
+    return code._oracle_tables[key]
+
+
+def _plane_tables(code: LinearCode) -> tuple:
+    """(low, high, weights, steps): planes of the spans of the two sides.
+
+    The generator rows are cut at K // 2.  low holds the planes of every
+    word of the span of the rows before the cut, high those of the negated
+    span of the rows from it on, each of shape (bits, q^rows) and indexed
+    as _span_words lists them; a side past _ORACLE_CHUNK words has no
+    table (None).  A word's index in a table is its coefficients on the
+    side dotted with weights, and steps[c] holds the q multiples of
+    weights[c].
+    """
+    K, q = code.dimension, code.field.q
+    tables, weights = [], np.zeros(K, dtype=np.int64)
+    for negate, rows in enumerate((range(K // 2), range(K // 2, K))):
+        if q ** len(rows) > _ORACLE_CHUNK:
+            tables.append(None)
+            continue
+        tables.append(np.ascontiguousarray(_span_planes(code, rows, None, bool(negate))[:, 0]))
+        weights[rows.start:rows.stop] = [q ** (rows.stop - 1 - c) for c in rows]
+    steps = np.multiply.outer(weights, np.arange(q)) if q <= _ORACLE_CHUNK else None
+    return (*tables, weights, steps)
+
+
+def _row_multiples(code: LinearCode):
+    """Planes of a G[c] for every row c and code a, indexed [k, c, a], or None.
+
+    None past one chunk of words per plane, K q > _ORACLE_CHUNK.
+    """
+    field = code.field
+    if code.dimension * field.q > _ORACLE_CHUNK:
+        return None
+    planes = _bit_planes(field.mul_table[:, code.matrix], max(1, (field.q - 1).bit_length()))
+    return np.ascontiguousarray(planes.transpose(2, 1, 0))
+
+
+def _pair_masks(code: LinearCode):
+    """Masks of G[p] + a G[c], indexed [p, c, a], or None past one chunk.
+
+    A basis row with at most one free entry reads its masks here:
+    [p, c] for its one free row c, [p, p, :1] for G[p] alone.  A word is
+    zero where a G[c] equals -G[p], so each mask is the OR over the planes
+    of their XOR, all read off _row_multiples.
+    """
+    field = code.field
+    if code.dimension ** 2 * field.q > _ORACLE_CHUNK:
+        return None
+    multiples = _oracle_table(code, _row_multiples)
+    minus = multiples[:, :, field.neg_table[1], None, None]
+    masks = multiples[0, None] ^ minus[0]
+    for k in range(1, len(multiples)):
+        masks |= multiples[k, None] ^ minus[k]
     return masks
 
 
-def _mask_table(code: LinearCode):
-    """Masks of G[p] + a G[c], indexed [p, c, a], or None past one chunk.
+def _side_planes(code: LinearCode, side: int, coeffs: np.ndarray, cols) -> np.ndarray:
+    """Planes of one side of the words coeffs G plus any combination of G[cols].
 
-    All K * K * q supports are compared and packed in one pass.  The
-    table stays within _ORACLE_CHUNK words, so a large code or field
-    leaves its rows to _half_span_masks.
+    coeffs holds N coefficient vectors of length K; side 0 reads the rows
+    before the split of _plane_tables and side 1 those from it on, negated.
+    The planes take shape (bits, N, q^len(cols)), the first of cols
+    slowest: gathered from the side's table, or else built from the rows
+    themselves.
     """
-    G, field = code.matrix, code.field
-    if G.shape[0] ** 2 * field.q > _ORACLE_CHUNK:
-        return None
-    return _support_masks(field.mul_table[:, G].transpose(1, 0, 2)[None],
-                          field.neg_table[G][:, None, None, :], field.q)
+    low, high, weights, steps = _oracle_table(code, _plane_tables)
+    split = code.dimension // 2
+    rows = slice(0, split) if side == 0 else slice(split, code.dimension)
+    table = (low, high)[side]
+    if table is None:
+        base = matmul(coeffs[:, rows], code.matrix[rows], code.field)
+        return _span_planes(code, cols, base, bool(side))
+    index = coeffs[:, rows] @ weights[rows]
+    for c in cols:
+        index = np.add.outer(index, steps[c])
+    return np.take(table, index.reshape(len(coeffs), -1), axis=1)
 
 
-def _half_span_masks(halves, shift, field: Field) -> np.ndarray:
-    """Masks of shift plus every word of a span, given as its two halves.
+def _word_masks(code: LinearCode, coeffs: np.ndarray, cols) -> np.ndarray:
+    """Support masks of each word coeffs G plus each combination of G[cols].
 
-    halves holds the spans of the first k // 2 rows and of the others, so
-    word a q^(k - k // 2) + b of the span is first_a + second_b, as in
-    _span_words.  It is zero plus shift exactly where first_a equals
-    -(second_b + shift), so only the second half is shifted and the words
-    of the whole span are never added up.
+    Shape (N, q^len(cols)), the first of cols slowest.  A word is the sum
+    of its two sides, zero exactly where the side before the split equals
+    the negated side after it: the mask is the OR over the planes of their
+    XOR, one outer XOR per plane.
     """
-    first, second = halves
-    zeros = field.neg_table[_sum_into(shift, second, field)]
-    return _support_masks(first[:, None, :], zeros[None, :, :], field.q).ravel()
+    split = code.dimension // 2
+    low = _side_planes(code, 0, coeffs, [c for c in cols if c < split])
+    high = _side_planes(code, 1, coeffs, [c for c in cols if c >= split])
+    masks = low[0][:, :, None] ^ high[0][:, None, :]
+    for k in range(1, len(low)):
+        masks |= low[k][:, :, None] ^ high[k][:, None, :]
+    return masks.reshape(len(coeffs), -1)
 
 
 def _fast_digits(q: int) -> int:
@@ -549,73 +645,98 @@ def _fast_digits(q: int) -> int:
     return digits
 
 
-def _digit_walk(code: LinearCode, starts: np.ndarray, slow):
-    """Each combination of the slow digits, first digit slowest, as words.
+def _digit_walk(starts: np.ndarray, slow, variants):
+    """Each combination of the slow digits, first digit slowest, as arrays.
 
-    slow holds one (i, c) pair per digit, whose value a adds a G[c] to
-    starts[i].  Each combination yields starts plus all its a G[c] terms,
-    an array of its own; a digit's q words take one _sum_into per prefix.
+    slow holds one (i, c) pair per digit; its q values give starts[i] the
+    q rows of variants(starts[i], c) in turn.  Each combination yields an
+    array of its own.
     """
     if not slow:
         yield starts
         return
     (i, c), rest = slow[0], slow[1:]
-    field = code.field
-    variants = _sum_into(field.mul_table[:, code.matrix[c]], starts[i], field)
-    for word in variants:
+    for row in variants(starts[i], c):
         words = starts.copy()
-        words[i] = word
-        yield from _digit_walk(code, words, rest)
+        words[i] = row
+        yield from _digit_walk(words, rest, variants)
 
 
-def _subspace_supports(code: LinearCode, pivots, table):
+def _pivot_set_masks(code: LinearCode, pivots: tuple, suffixes: list):
     """Support masks of the subspaces with these echelon pivots, in chunks.
 
     Basis row i is G[pivots[i]] plus any combination of the rows G[c] with
-    c > pivots[i] not a pivot (its free entries).  The free entries of all
-    rows form one mixed-radix counter.  Its fastest digits, at most
-    _ORACLE_CHUNK combinations, are swept at once; _digit_walk steps the
-    slow ones, one prefix per chunk.  Let the last row with a slow digit be
-    row last.  Every earlier row has free entries, a superset of row
-    last's, that come before that digit in the counter, so they are all
-    slow: such a row is one word in each chunk.  Row last shifts the span
-    of its fast rows, built once, by its word in each chunk.  Every later
-    row has the same masks in all chunks: table's (see _mask_table) for at
-    most one fast free row, else _half_span_masks of its fast span.  They
-    are ORed together once.
+    c > pivots[i] not a pivot (its free entries), and the subspaces follow
+    the free entries of all rows as one counter, first slowest.  Row i and
+    everything after it depend only on pivots[i:], so suffixes[i] keeps
+    the masks of row i and the OR-product of rows i.., each while it fits
+    one chunk, for every pivot set with those last pivots.  The longest
+    product that fits is the tail of every chunk, and when it covers all
+    rows it is the one chunk, yielded as kept.  The rows before it are
+    ORed onto it in blocks if their own product fits one chunk, else
+    streamed: the fast digits of the last of them are swept at once, its
+    other digits and the rows before it stepped by _digit_walk, one piece
+    per step, and as many pieces as fit make a chunk.
     """
-    G, field = code.matrix, code.field
-    K, q = G.shape[0], field.q
-    free = [(i, c) for i, p in enumerate(pivots)
-            for c in range(p + 1, K) if c not in pivots]
-    cut = max(0, len(free) - _fast_digits(q))
-    slow, fast = free[:cut], free[cut:]
-    last = slow[-1][0] if slow else -1
-    cols = [[c for k, c in fast if k == i] for i in range(len(pivots))]
-
-    def halves(i):
-        """The spans of the first half of row i's fast rows and of the rest."""
-        rows = G[cols[i]]
-        half = len(rows) // 2
-        return _span_words(rows[:half], field), _span_words(rows[half:], field)
-
-    tail = None
-    for i in range(last + 1, len(pivots)):
-        p = pivots[i]
-        if len(cols[i]) < 2 and table is not None:
-            masks = table[p, cols[i][0]] if cols[i] else table[p, p, :1]
-        else:
-            masks = _half_span_masks(halves(i), G[p], field)
-        tail = masks if tail is None else np.bitwise_or.outer(tail, masks).ravel()
-    if not slow:
+    K, q = code.dimension, code.field.q
+    r = len(pivots)
+    others = [c for c in range(K) if c not in pivots]
+    free = [[c for c in others if c > p] for p in pivots]
+    fits = _fast_digits(q)
+    pairs = _oracle_table(code, _pair_masks)
+    mask = _mask_type(code.length)
+    rows, tails = [None] * r, [None] * r + [np.zeros(1, dtype=mask)]
+    for i in range(r - 1, -1, -1):
+        if suffixes[i] is not None and suffixes[i][0] == pivots[i:]:
+            _, rows[i], tails[i] = suffixes[i]
+            continue
+        p, cols = pivots[i], free[i]
+        if pairs is not None and len(cols) < 2:
+            rows[i] = pairs[p, cols[0]] if cols else pairs[p, p, :1]
+        elif len(cols) <= fits:
+            rows[i] = _word_masks(code, np.eye(1, K, p, dtype=np.int64), cols)[0]
+        if tails[i + 1] is not None and rows[i] is not None and (
+                rows[i].size * tails[i + 1].size <= _ORACLE_CHUNK):
+            tails[i] = np.bitwise_or.outer(rows[i], tails[i + 1]).ravel()
+        suffixes[i] = (pivots[i:], rows[i], tails[i])
+    first = next(i for i, tail in enumerate(tails) if tail is not None)
+    tail = tails[first]
+    batch = _ORACLE_CHUNK // tail.size
+    prefix = [(i, c) for i in range(first) for c in free[i]]
+    if not first:
         yield tail
         return
-    span = halves(last)
-    for words in _digit_walk(code, G[list(pivots[:last + 1])], slow):
-        acc = _half_span_masks(span, words[-1], field)
+    if len(prefix) <= fits:
+        head = np.zeros(1, dtype=mask)
+        for i in range(first - 1, -1, -1):
+            head = np.bitwise_or.outer(rows[i], head).ravel()
+        for start in range(0, head.size, batch):
+            yield np.bitwise_or.outer(head[start:start + batch], tail).ravel()
+        return
+    last = first - 1
+    fast = fits - sum(map(len, free[first:]))
+    slow, cols = prefix[:len(prefix) - fast], free[last][len(free[last]) - fast:]
+
+    def set_digit(row, c):
+        variants = np.repeat(row[None], q, axis=0)
+        variants[:, c] = np.arange(q)
+        return variants
+
+    starts = np.zeros((first, K), dtype=np.int64)
+    starts[range(first), pivots[:first]] = 1
+    piece = q ** fast * tail.size
+    chunk, filled = np.empty(batch // q ** fast * piece, dtype=mask), 0
+    for coeffs in _digit_walk(starts, slow, set_digit):
+        masks = _word_masks(code, coeffs[last:], cols)[0]
         if last:
-            acc |= np.bitwise_or.reduce(_support_masks(words[:-1], 0, q))
-        yield acc if tail is None else np.bitwise_or.outer(acc, tail).ravel()
+            masks |= np.bitwise_or.reduce(_word_masks(code, coeffs[:last], [])[:, 0])
+        np.bitwise_or.outer(masks, tail, out=chunk[filled:filled + piece].reshape(-1, tail.size))
+        filled += piece
+        if filled == chunk.size:
+            yield chunk
+            chunk, filled = np.empty_like(chunk), 0
+    if filled:
+        yield chunk[:filled]
 
 
 def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -623,11 +744,16 @@ def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
 
     Subspaces are enumerated once each through their reduced-echelon
     canonical bases (pivot columns, then free entries).  The support of a
-    subspace is the union of its basis rows' supports, tracked as bit
-    masks.  They are swept in chunks of at most _ORACLE_CHUNK subspaces,
-    one pivot set at a time with nothing kept between them, and the mask
-    table holds at most a chunk of words, so memory does not grow with
-    the budget.
+    subspace is the union of its basis rows' supports, as bit masks.  A
+    row's masks are read off the code's plane tables: each word is split
+    at the middle generator row, and it is zero where its first side
+    equals its negated second side, so its mask is the OR over the planes
+    of their XOR.  The pivot sets come in colexicographic order, so those
+    that share their last pivots are consecutive and share the masks of
+    those rows, kept in one list per call.  Chunks hold at most
+    _ORACLE_CHUNK subspaces, and the tables and the kept masks at most a
+    chunk of words per plane or per basis row, so memory does not grow
+    with the budget.
     """
     K, n = code.dimension, code.length
     q = code.field.q
@@ -641,9 +767,9 @@ def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
         raise BudgetExceededError(f"{total} subspaces exceed budget {budget}")
     best = n
     enumerated = 0
-    table = _mask_table(code)
-    for pivots in itertools.combinations(range(K), r):
-        for acc in _subspace_supports(code, pivots, table):
+    suffixes = [None] * r
+    for top in itertools.combinations(range(K - 1, -1, -1), r):
+        for acc in _pivot_set_masks(code, top[::-1], suffixes):
             enumerated += acc.size
             best = min(best, int(np.bitwise_count(acc).min()))
     if enumerated != total:
@@ -694,7 +820,10 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     best = n
     compared = 0
     zero = np.zeros((1, n), dtype=field.int_dtype)
-    for outer in _digit_walk(code, zero, [(0, c) for c in range(cut)]):
+    def add_multiples(word, c):
+        return _sum_into(field.mul_table[:, code.matrix[c]], word, field)
+
+    for outer in _digit_walk(zero, [(0, c) for c in range(cut)], add_multiples):
         # a word w + v is zero exactly where v == -w
         weights = (inner != field.neg_table[outer]).sum(axis=1, dtype=count)
         compared += weights.size

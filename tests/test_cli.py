@@ -552,10 +552,18 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
     status, out, err = run_cli(capsys, "dual", "--field", "2^1", "--sets", "0,1;0,1", "--d", "1")
     assert (status, out) == (2, "")
     assert err == "error: Unable to allocate 384. MiB for an array\n"
-    # a list too long to address raises a bare MemoryError before allocating
+    # a list too long to address raises a bare MemoryError before allocating;
+    # the message names the subcommand
     monkeypatch.setattr(codes, "dual_code", lambda spec: [0] * 2 ** 62)
     status, out, err = run_cli(capsys, "dual", "--field", "2^1", "--sets", "0,1;0,1", "--d", "1")
-    assert (status, out, err) == (2, "", "error: MemoryError\n")
+    assert (status, out, err) == (2, "", "error: dual: out of memory (MemoryError)\n")
+    # other errors without a message name their type
+    def dual_code(spec):
+        raise OverflowError
+
+    monkeypatch.setattr(codes, "dual_code", dual_code)
+    status, out, err = run_cli(capsys, "dual", "--field", "2^1", "--sets", "0,1;0,1", "--d", "1")
+    assert (status, out, err) == (2, "", "error: dual: OverflowError\n")
 
 
 # sha256 of repr((exit status, stdout, stderr)) per argv: any change to what

@@ -1,8 +1,10 @@
 """Code construction, closed forms, duals, and the exhaustive oracles."""
 
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -705,39 +707,21 @@ def weighted_sum(bits):
 @given(st.integers(1, 64), st.integers(0, 20), st.sampled_from(sorted(FIELDS_BY_ORDER)),
        st.integers(0, 2 ** 32 - 1))
 @example(64, 3, 1024, 0)
-def test_support_masks_match_power_of_two_sum(n, rows, q, seed):
+def test_bit_planes_match_power_of_two_sum(n, rows, q, seed):
     rng = np.random.default_rng(seed)
     field = field_create(*FIELDS_BY_ORDER[q])
-    # mostly zeros, so that sparse and empty supports come up; uint16 past GF(256)
-    variants = rng.integers(0, q, (rows, n)) * (rng.random((rows, n)) < 0.3)
-    variants = variants.astype(field.int_dtype)
-    offset = rng.integers(0, q, n).astype(field.int_dtype)
-    masks = codes._support_masks(variants, 0, q)
-    assert masks.dtype == np.uint64 and masks.shape == (rows,)
-    assert masks.tolist() == weighted_sum(variants != 0).tolist()
-    # with the codes of -offset as zeros, the masks are the supports of offset + variants
-    shifted = field.add_table[offset[None, :], variants]
-    assert (codes._support_masks(variants, field.neg_table[offset], q).tolist()
-            == weighted_sum(shifted != 0).tolist())
-    # a scalar zero on either side, and a nonzero scalar
-    assert codes._support_masks(0, variants, q).tolist() == masks.tolist()
-    assert (codes._support_masks(variants, q - 1, q).tolist()
-            == weighted_sum(variants != q - 1).tolist())
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(FIELDS_BY_ORDER)), st.integers(1, 4), st.integers(1, 64),
-       st.integers(0, 2 ** 32 - 1))
-def test_support_masks_broadcast_like_the_mask_table(q, K, n, seed):
-    # the mask table's operands: (1, K, q, n) against (K, 1, 1, n)
-    field = field_create(*FIELDS_BY_ORDER[q])
-    q_axis = min(q, 16)
-    rng = np.random.default_rng(seed)
-    variants = rng.integers(0, q, (1, K, q_axis, n)).astype(field.int_dtype)
-    zeros = rng.integers(0, q, (K, 1, 1, n)).astype(field.int_dtype)
-    masks = codes._support_masks(variants, zeros, q)
-    assert masks.dtype == np.uint64 and masks.shape == (K, K, q_axis)
-    assert masks.tolist() == weighted_sum(variants != zeros).tolist()
+    bits = (q - 1).bit_length()
+    # mostly zeros, so that sparse and empty planes come up; uint16 past GF(256)
+    words = rng.integers(0, q, (rows, n)) * (rng.random((rows, n)) < 0.3)
+    words = words.astype(field.int_dtype)
+    planes = codes._bit_planes(words, bits)
+    # the narrowest unsigned type with n bits
+    width = next(w for w in (8, 16, 32, 64) if n <= w)
+    assert planes.dtype == np.dtype(f"uint{width}") and planes.shape == (rows, bits)
+    for k in range(bits):
+        assert planes[:, k].tolist() == weighted_sum((words >> k) & 1).tolist()
+    # leading axes are kept
+    assert np.array_equal(codes._bit_planes(words[None, :, None], bits), planes[None, :, None])
 
 
 def span_reference(rows, field):
@@ -768,15 +752,92 @@ def test_span_words_list_combinations_first_row_slowest(pe, k, n, seed):
     assert np.array_equal(words, span_reference(rows, field))
 
 
+RANDOM_FIELDS = {4: (2, 2), 9: (3, 2), 16: (2, 4)}
+
+
 def random_code(data, q, max_k=4, max_n=7):
-    """A full-rank code of dimension <= max_k and length <= max_n drawn over GF(q)."""
-    field = field_create(*{4: (2, 2), 9: (3, 2)}.get(q, (q,)))
+    """A full-rank code of dimension <= max_k and length <= max_n drawn over GF(q).
+
+    One more column may be put in: all zeros, or a copy of another column.
+    """
+    field = field_create(*RANDOM_FIELDS.get(q, (q,)))
     k = data.draw(st.integers(1, max_k))
     n = data.draw(st.integers(k, max_n))
-    matrix = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
-                                min_size=k, max_size=k))
-    assume(rank(np.array(matrix), field) == k)
+    matrix = np.array(data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                                         min_size=k, max_size=k)), dtype=np.int64)
+    assume(rank(matrix, field) == k)
+    extra = data.draw(st.sampled_from(["none", "zero column", "repeated column"]))
+    if extra != "none":
+        column = matrix[:, data.draw(st.integers(0, n - 1))] * (extra == "repeated column")
+        matrix = np.insert(matrix, data.draw(st.integers(0, n)), column, axis=1)
     return LinearCode(field, matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 9, 16]), st.data())
+def test_plane_tables_match_field_arithmetic(q, data):
+    code = random_code(data, q, max_k=5, max_n=9)
+    field, G, K = code.field, code.matrix, code.dimension
+    bits = (q - 1).bit_length()
+    low, high, weights, steps = codes._plane_tables(code)
+    for table, rows, negate in ((low, range(K // 2), False), (high, range(K // 2, K), True)):
+        if q ** len(rows) > codes._ORACLE_CHUNK:
+            assert table is None
+            continue
+        assert table.shape == (bits, q ** len(rows))
+        assert table.dtype == codes._mask_type(code.length)
+        for index, coeffs in enumerate(itertools.product(range(q), repeat=len(rows))):
+            word = np.zeros(code.length, dtype=np.int64)
+            for a, c in zip(coeffs, rows):
+                word = field.add(word, field.mul(a, G[c]))
+            if negate:
+                word = field.neg(word)
+            assert int(np.dot(coeffs, weights[list(rows)])) == index
+            for k in range(bits):
+                assert int(table[k, index]) == sum(1 << j for j, x in enumerate(word) if x >> k & 1)
+    assert np.array_equal(steps, np.multiply.outer(weights, np.arange(q)))
+    multiples = codes._row_multiples(code)
+    assert multiples.shape == (bits, K, q)
+    for k, c, a in itertools.product(range(bits), range(K), range(q)):
+        word = np.atleast_1d(field.mul(a, G[c]))
+        assert int(multiples[k, c, a]) == sum(1 << j for j, x in enumerate(word) if x >> k & 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 9, 16]), st.data())
+def test_pair_masks_match_field_arithmetic(q, data):
+    code = random_code(data, q, max_k=5, max_n=9)
+    field, G, K = code.field, code.matrix, code.dimension
+    pairs = codes._pair_masks(code)
+    if K * K * q > codes._ORACLE_CHUNK:
+        assert pairs is None
+        return
+    assert pairs.shape == (K, K, q) and pairs.dtype == codes._mask_type(code.length)
+    for p, c, a in itertools.product(range(K), range(K), range(q)):
+        word = field.add(G[p], field.mul(a, G[c]))
+        assert int(pairs[p, c, a]) == sum(1 << j for j, x in enumerate(word) if x), (p, c, a)
+
+
+def test_plane_tables_stay_within_one_chunk(monkeypatch):
+    # a [27, 17] ternary code: 3^8 words before the cut, 3^9 past one chunk after it
+    code = generator_matrix(spec_from_parts("3^1", "0,1,2;0,1,2;0,1,2", 3))
+    low, high, _, _ = codes._plane_tables(code)
+    assert low.shape == (2, 3 ** 8) and high is None
+    assert codes._row_multiples(code).shape == (2, 17, 3)
+    assert codes._pair_masks(code).shape == (17, 17, 3)
+    # 64 rows over GF(1024) have 2^16 multiples, past one chunk: the one
+    # subspace of rank 64 is swept without them, in well under a megabyte
+    identity = LinearCode(field_create(2, 10), np.eye(64, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        assert brute_ghw(identity, 64) == 64
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes._row_multiples(identity) is None and peak < 2 ** 20, peak
+    monkeypatch.setattr(codes, "_ORACLE_CHUNK", 7)
+    assert codes._plane_tables(code)[:2] == (None, None)
+    assert codes._row_multiples(code) is None and codes._pair_masks(code) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -824,7 +885,7 @@ def reference_ranks(code) -> list:
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from([2, 3, 4, 9]), st.data())
+@given(st.sampled_from([2, 3, 4, 9, 16]), st.data())
 def test_subspace_sweep_matches_echelon_bases(q, data):
     code = random_code(data, q, max_k=5, max_n=8)
     for r in reference_ranks(code):
@@ -833,11 +894,31 @@ def test_subspace_sweep_matches_echelon_bases(q, data):
         with pytest.MonkeyPatch.context() as patch:
             for chunk in (1, 3, 7, codes._ORACLE_CHUNK):
                 patch.setattr(codes, "_ORACLE_CHUNK", chunk)
-                table = codes._mask_table(code)
+                # the kept suffixes are shared across pivot sets, in lex order too
+                suffixes = [None] * r
                 for pivots in pivot_sets:
-                    chunks = list(codes._subspace_supports(code, pivots, table))
+                    chunks = list(codes._pivot_set_masks(code, pivots, suffixes))
                     assert all(0 < c.size <= chunk for c in chunks), (chunk, pivots)
+                    # every chunk but the last is full: as many equal blocks as fit
+                    full = {c.size for c in chunks[:-1]}
+                    assert len(full) <= 1 and all(2 * size > chunk for size in full), (chunk, pivots)
                     assert np.concatenate(chunks).tolist() == expected[pivots], (chunk, pivots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4, 9, 16]), st.data())
+def test_brute_ghw_matches_echelon_bases_in_small_chunks(q, data):
+    # at chunks this small most sides have no plane table, and rows build
+    # their words from their own free rows
+    code = random_code(data, q, max_k=5, max_n=8)
+    expected = {r: min(bin(m).count("1")
+                       for pivots in itertools.combinations(range(code.dimension), r)
+                       for m in echelon_support_masks(code, pivots))
+                for r in reference_ranks(code)}
+    with pytest.MonkeyPatch.context() as patch:
+        for chunk in (1, 3, 7):
+            patch.setattr(codes, "_ORACLE_CHUNK", chunk)
+            assert {r: brute_ghw(code, r) for r in expected} == expected, chunk
 
 
 @settings(max_examples=15, deadline=None)
@@ -857,18 +938,18 @@ def test_brute_ghw_keeps_no_state_between_calls(q, data):
 def test_truncated_subspace_sweep_trips_the_count_invariant(monkeypatch):
     spec = spec_from_parts("3^1", "0,1,2;0,1,2", 2)
     code = generator_matrix(spec)
-    sweep = codes._subspace_supports
+    sweep = codes._pivot_set_masks
     # one free entry per chunk: pivot 0 alone has 3^5 subspaces in 81 chunks
     monkeypatch.setattr(codes, "_ORACLE_CHUNK", 3)
-    monkeypatch.setattr(codes, "_subspace_supports",
-                        lambda code, pivots, table: list(sweep(code, pivots, table)))
+    monkeypatch.setattr(codes, "_pivot_set_masks",
+                        lambda code, pivots, suffixes: list(sweep(code, pivots, suffixes)))
     assert brute_ghw(code, 1) == hierarchy(spec)[0]
 
-    def truncated(code, pivots, table):
-        chunks = list(sweep(code, pivots, table))
+    def truncated(code, pivots, suffixes):
+        chunks = list(sweep(code, pivots, suffixes))
         return chunks[:-1] if len(chunks) > 1 else chunks
 
-    monkeypatch.setattr(codes, "_subspace_supports", truncated)
+    monkeypatch.setattr(codes, "_pivot_set_masks", truncated)
     with pytest.raises(InvariantError, match="subspaces, expected"):
         brute_ghw(code, 1)
 
@@ -891,6 +972,9 @@ def test_oracle_memory_does_not_grow_with_the_budget():
     binary = [[(i * j + i + j) // 3 % 2 for j in range(48)] for i in range(16)]
     ternary_code = LinearCode(f3, np.hstack([np.eye(13, dtype=np.uint8), ternary]))
     binary_code = LinearCode(f2, np.hstack([np.eye(16, dtype=np.uint8), binary]))
+    # the [16, 10] GF(4) code of the verify benchmark: (4^10 - 1) / 3 = 349525
+    # subspaces at r = 1 and at r = 9, with its plane tables built on the first call
+    gf4_code = generator_matrix(spec_from_parts("2^2", "0,1,2,3;0,1,2,3", 3))
 
     def distance_oracles(code):
         return [lambda budget: brute_ghw(code, 1, budget=budget),
@@ -899,9 +983,12 @@ def test_oracle_memory_does_not_grow_with_the_budget():
     # the oracles of one group must agree at every budget.  The last group
     # sweeps the (3^13 - 1) / 2 = 797161 hyperplanes of the ternary code:
     # the four of its 13 pivot sets that leave out one of columns 9..12
-    # have more free entries than fast digits, so their first rows step
+    # have more free entries than one chunk holds, so their first rows are
+    # ORed in blocks onto the kept suffix
     for oracles in (distance_oracles(ternary_code), distance_oracles(binary_code),
-                    [lambda budget: brute_ghw(ternary_code, 12, budget=budget)]):
+                    [lambda budget: brute_ghw(ternary_code, 12, budget=budget)],
+                    [lambda budget: brute_ghw(gf4_code, 1, budget=budget)],
+                    [lambda budget: brute_ghw(gf4_code, 9, budget=budget)]):
         results = []
         for budget in (10 ** 6, 10 ** 7):
             for oracle in oracles:
@@ -914,6 +1001,16 @@ def test_oracle_memory_does_not_grow_with_the_budget():
                 assert peak < 4 * 2 ** 20, (oracle, budget, peak)
                 results.append(value)
         assert len(set(results)) == 1, oracles
+
+
+def test_oracle_tables_leave_with_their_code():
+    # the tables live on the code, not in a module-level cache
+    code = generator_matrix(spec_from_parts("2^2", "0,1,2,3;0,1,2,3", 2))
+    assert [brute_ghw(code, r) for r in range(1, code.dimension + 1)] == [8, 11, 12, 14, 15, 16]
+    ref = weakref.ref(code)
+    del code
+    gc.collect()
+    assert ref() is None
 
 
 def test_ghw_oracle_on_length_16_grid():

@@ -34,14 +34,15 @@ CLOSED_FORMS = (
 
 ORACLE_SIDE = (
     "shadow*", "all_tuples", "tuples_deg_*", "brute_*", "hilbert_fn", "box_ideal",
-    "_span_words", "_support_masks", "_bit_planes", "_subspace_supports", "_mask_table",
-    "_half_span_masks", "_digit_walk",
+    "_span_words", "_mask_type", "_bit_planes", "_span_planes", "_oracle_table",
+    "_plane_tables", "_row_multiples", "_pair_masks", "_side_planes", "_word_masks",
+    "_pivot_set_masks", "_digit_walk",
 )
 
 ORACLES = {
-    "codes.py": ("brute_ghw", "brute_min_weight", "_span_words", "_support_masks",
-                 "_bit_planes", "_subspace_supports", "_fast_digits", "_mask_table",
-                 "_half_span_masks", "_digit_walk"),
+    "codes.py": ("brute_ghw", "brute_min_weight", "_span_words", "_mask_type", "_bit_planes",
+                 "_span_planes", "_oracle_table", "_plane_tables", "_row_multiples", "_pair_masks",
+                 "_side_planes", "_word_masks", "_fast_digits", "_digit_walk", "_pivot_set_masks"),
     "grid.py": ("brute_min_shadow", "shadow"),
     "hilbert.py": ("hilbert_fn", "box_ideal"),
 }
@@ -143,7 +144,7 @@ def test_lex_segment_is_a_view_of_the_band_listing():
 def test_both_sweeps_step_their_slow_digits_through_one_walk():
     # no mixed-radix counter of their own, such as itertools.product
     bodies = _oracle_bodies("codes.py")
-    for name in ("_subspace_supports", "brute_min_weight"):
+    for name in ("_pivot_set_masks", "brute_min_weight"):
         names = _names(bodies[name])
         assert "_digit_walk" in names and "itertools" not in names, name
 
