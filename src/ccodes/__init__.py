@@ -13,6 +13,7 @@ from .codes import (
     code_summary,
     dual_code,
     dual_hierarchy,
+    extremal_family,
     extremal_polynomials,
     gaussian_binomial,
     generator_matrix,

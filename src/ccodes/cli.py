@@ -32,7 +32,7 @@ import numpy as np
 from . import codes
 from .errors import InvariantError
 from .grid import DEFAULT_BUDGET, GridShape, brute_min_shadow, min_shadow_size, parse_tuple
-from .hilbert import footprint_upper_bound, format_polynomial
+from .hilbert import footprint_upper_bound, format_polynomials
 from .verification import verify
 
 
@@ -269,7 +269,7 @@ def _cmd_footprint(args) -> int:
 def _cmd_maxzeros(args) -> int:
     spec = _spec_from_args(args)
     value = codes.max_common_zeros(spec, args.r)
-    polys = [format_polynomial(f) for f in codes.extremal_polynomials(spec, args.r)]
+    polys = format_polynomials(*codes.extremal_family(spec, args.r))
     payload = {"value": value, "polynomials": polys}
     _emit(args, payload, lambda: [str(value)]
           + [f"f{i}: {f}" for i, f in enumerate(polys, start=1)])

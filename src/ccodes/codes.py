@@ -17,7 +17,8 @@ with the leftmost coordinate slowest, the generator rows follow the
 degree-<=d exponent tuples in decreasing lex order, and field elements
 are their canonical integer codes throughout: in the sets, the points,
 the matrices and the polynomial coefficients.  A polynomial is its
-terms, a dict from exponent tuples to nonzero codes.
+terms, a dict from exponent tuples to nonzero codes; a family of them is
+held as flat arrays of all their terms (extremal_family).
 
 The closed forms read grid's ranked tuples and never build a matrix.
 The oracles, brute_ghw and brute_min_weight with their helpers, read a
@@ -26,23 +27,23 @@ both sides to that wall.
 
 Rules that span functions.  Every sum of arrays of codes is one call of
 _sum_into, the one reader of the addition table.  _kron_rows is the one
-Kronecker product, of evaluation matrices, the dual's column scalars
-and the extremal families.  Matrix work indexes the field's lookup
-tables; the extremal families multiply with Field.mul over arrays and
-need none.  Both oracles hold at most _ORACLE_CHUNK subspaces or
-codewords at once, whatever their budget, step their slow digits
-through _digit_walk, and raise InvariantError unless they covered
-exactly the gaussian_binomial(K, r, q) subspaces or q^K codewords they
-should.  The subspace oracle packs bit planes once per code, into
-tables that _oracle_table keeps on the LinearCode: while a table fits
-one chunk, its sweep only gathers from the tables and ORs masks, and
-adds no codes.  Only _hierarchy_at_degree decides whether a hierarchy
-is short enough to list.
+Kronecker product, of evaluation matrices and the dual's column scalars.
+Matrix work indexes the field's lookup tables.  The extremal families need
+none: a whole family is multiplied out with one Field.mul over arrays per
+coordinate, never per polynomial or term.  Both oracles hold at most
+_ORACLE_CHUNK subspaces or codewords at once, whatever their budget, step
+their slow digits through _digit_walk, and raise InvariantError unless they
+covered exactly the gaussian_binomial(K, r, q) subspaces or q^K codewords
+they should.  The subspace oracle packs bit planes once per code, into
+tables that _oracle_table keeps on the LinearCode: while a table fits one
+chunk, its sweep only gathers from the tables and ORs masks, and adds no
+codes.  Only _hierarchy_at_degree decides whether a hierarchy is short
+enough to list, and only extremal_family whether a family is.
 
 Errors: bad input raises ValueError, generator entries that are not
 integer codes in [0, q) included.  Its one subclass, BudgetExceededError,
-marks work past a limit (an oracle's budget, the hierarchy length), so
-verify can tell a check its oracle refused from an error.
+marks work past a limit (an oracle's budget, the length of a hierarchy
+or a family), so verify can tell a check its oracle refused from an error.
 InvariantError marks a broken internal invariant, a bug.
 """
 
@@ -59,7 +60,7 @@ from .grid import (
     GridShape,
     count_deg_ge,
     count_deg_le,
-    lex_segment,
+    lex_segment_digits,
     min_shadow_size,
     tuples_deg_le,
     values_deg_ge,
@@ -71,8 +72,10 @@ _MAX_ORACLE_LENGTH = 64
 # Most subspaces or codewords an exhaustive oracle holds at once.
 _ORACLE_CHUNK = 1 << 14
 
-# A hierarchy is held as a tuple of Python ints; refuse ones past this length.
-_MAX_HIERARCHY_LENGTH = DEFAULT_BUDGET
+# A hierarchy is held as a tuple of Python ints, and an extremal family as
+# arrays of its terms; refuse hierarchies of more weights, and families of
+# more polynomials or terms, than this.
+_MAX_LISTING = DEFAULT_BUDGET
 
 
 class CartesianCodeSpec:
@@ -244,7 +247,8 @@ def matmul(a, b, field: Field) -> np.ndarray:
 
     One pass per inner index t adds the outer product of a[:, t] and b[t],
     by mul_table lookups, into the result, so the cost grows with the
-    inner dimension.
+    inner dimension; an index whose column of a is all zero adds nothing
+    and is skipped.
     """
     a = np.asarray(a, dtype=field.int_dtype)
     b = np.asarray(b, dtype=field.int_dtype)
@@ -252,7 +256,7 @@ def matmul(a, b, field: Field) -> np.ndarray:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     mul = field.mul_table
     out = np.zeros((a.shape[0], b.shape[1]), dtype=field.int_dtype)
-    for t in range(a.shape[1]):
+    for t in np.flatnonzero(a.any(axis=0)):
         out = _sum_into(out, mul[a[:, t][:, None], b[t][None, :]], field)
     return out
 
@@ -273,17 +277,17 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
 # Code construction
 # --------------------------------------------------------------------------
 
-def _kron_rows(product, factors) -> np.ndarray:
-    """Row-wise Kronecker product of integer-coded factors over the field.
+def _kron_rows(factors, field: Field) -> np.ndarray:
+    """Row-wise Kronecker product of integer-coded factors, by mul_table lookups.
 
     factors[i] has shape (rows, d_i); the result has shape
     (rows, d_1 * ... * d_m) with the first factor's index slowest; no
-    factors give [[1]].  product(a, b) multiplies broadcast arrays of
-    codes: a mul_table lookup, or Field.mul where there are no tables.
+    factors give [[1]].
     """
     out, *rest = factors or [np.ones((1, 1), dtype=np.uint8)]
     for f in rest:
-        out = product(out[:, :, None], f[:, None, :]).reshape(len(f), out.shape[1] * f.shape[1])
+        out = field.mul_table[out[:, :, None], f[:, None, :]].reshape(
+            len(f), out.shape[1] * f.shape[1])
     return out
 
 
@@ -304,7 +308,7 @@ def monomial_evaluations(field: Field, sets, monos) -> np.ndarray:
         for _ in range(monos[:, i].max(initial=0)):
             ladder.append(mul[ladder[-1], codes])
         factors.append(np.array(ladder)[monos[:, i]])
-    return _kron_rows(lambda a, b: mul[a, b], factors)
+    return _kron_rows(factors, field)
 
 
 def _evaluation_code(spec: CartesianCodeSpec, degree: int, scale=None) -> LinearCode:
@@ -347,14 +351,14 @@ def _hierarchy_at_degree(shape: GridShape, d: int) -> np.ndarray:
 
     count_deg_ge checks the degree, as k - d.  d_r is 1 + the value of
     the r-th tuple of degree >= k - d, ascending.  A hierarchy past
-    _MAX_HIERARCHY_LENGTH weights raises BudgetExceededError.  The weights
+    _MAX_LISTING weights raises BudgetExceededError.  The weights
     are a read-only array: int64 while n fits, else of dtype object
     holding exact Python ints.
     """
     length = count_deg_ge(shape, shape.k - d)
-    if length > _MAX_HIERARCHY_LENGTH:
+    if length > _MAX_LISTING:
         raise BudgetExceededError(
-            f"hierarchy of {length} weights exceeds the limit {_MAX_HIERARCHY_LENGTH}")
+            f"hierarchy of {length} weights exceeds the limit {_MAX_LISTING}")
     values = values_deg_ge(shape, shape.k - d)
     if values.size != length or np.any(values[1:] <= values[:-1]):
         raise InvariantError(f"degree-{d} hierarchy on {shape} is not strictly increasing")
@@ -387,44 +391,93 @@ def dual_hierarchy(spec: CartesianCodeSpec) -> tuple:
 # Extremal polynomial families
 # --------------------------------------------------------------------------
 
-def extremal_polynomials(spec: CartesianCodeSpec, r: int) -> list:
-    """The r independent polynomials attaining max_common_zeros(spec, r).
+def extremal_family(spec: CartesianCodeSpec, r: int) -> tuple:
+    """The r independent polynomials attaining max_common_zeros(spec, r), as flat arrays.
 
     f_b, for b the r first tuples of degree <= d, is the product of
     (x_s - gamma) over the first b_s elements of each set A_s.  It vanishes
     exactly where some coordinate s hits one of those elements, and its
-    leading term is x^b under any graded order.  Row t of coordinate s's
-    ladder holds the nonzero terms of the product over the first t
-    elements of A_s, as exponents and a 1 x terms array of codes.  A field
-    has no zero divisors, so f_b's terms are the _kron_rows product, on
-    Field.mul, of the rows b_s of the coordinates with b_s > 0, at the
-    itertools.product of the rows' exponents: memory follows the terms, not
-    the box prod(b_s + 1).  The family needs no tables and works over every
-    field.  Each f_b is returned as its terms, {exponent tuple: nonzero
-    code}, in itertools.product order.
+    leading term is x^b under any graded order.  The family is returned as
+    (exponents, coeffs, starts): the terms of the i-th f_b are rows
+    starts[i]:starts[i + 1] of exponents (terms x m, of the narrowest
+    unsigned type below the largest set size) and of coeffs, their nonzero
+    codes, in itertools.product order of its factors' terms, the first
+    coordinate slowest.
+
+    Row t of coordinate s's ladder holds the product over the first t
+    elements of A_s, and each step multiplies every coordinate's row by
+    its next x - gamma at once.  A field has no zero divisors, so the
+    terms of f_b are the products of one nonzero term of each ladder row
+    b_s, and their count, the product of those rows' lengths, is known
+    before any is expanded: memory follows the terms, not the box
+    prod(b_s + 1).  A family of more than _MAX_LISTING polynomials or
+    terms raises BudgetExceededError.  Every term's digit on coordinate s
+    indexes the ladders' nonzero terms once, and the gathered codes are
+    multiplied with one Field.mul per coordinate after the first for the
+    whole family, so the family needs no tables and works over every
+    field.
     """
     if not 1 <= r <= spec.dimension:
         raise ValueError(f"rank {r} outside [1, {spec.dimension}]")
-    field = spec.field
-    tuples = lex_segment(spec.shape, spec.d, r)
-    ladders = []
-    for s, gammas in enumerate(spec.sets):
-        row = np.ones(1, dtype=np.int64)
-        ladder = [([0], row[None, :])]
-        for gamma in gammas[:max(b[s] for b in tuples)]:
-            # x times the row is the row shifted up one degree
-            row = field.add(np.append(0, row), field.mul(field.neg(gamma), np.append(row, 0)))
-            exponents = np.flatnonzero(row)
-            ladder.append((exponents.tolist(), row[None, exponents]))
-        ladders.append(ladder)
-    family = []
-    for b in tuples:
-        rows = [ladders[s][b_s] for s, b_s in enumerate(b)]
-        coeffs = _kron_rows(field.mul, [c for (_, c), b_s in zip(rows, b) if b_s])[0].tolist()
-        if not all(coeffs):
-            raise InvariantError(f"f_{b} has a zero coefficient, but a field has no zero divisors")
-        family.append(dict(zip(itertools.product(*(exps for exps, _ in rows)), coeffs)))
-    return family
+    if r > _MAX_LISTING:
+        raise BudgetExceededError(
+            f"extremal family of rank {r} exceeds the limit of {_MAX_LISTING} polynomials")
+    field, m = spec.field, spec.shape.m
+    tuples = lex_segment_digits(spec.shape, spec.d, r)
+    top = int(tuples.max())
+    # a ladder row past its coordinate's largest digit is never read, so the
+    # elements that pad a short set to top elements are arbitrary
+    minus = field.neg(np.array([list(s[:top]) + [0] * (top - len(s[:top])) for s in spec.sets]))
+    row = np.eye(1, top + 1, dtype=np.int64).repeat(m, axis=0)
+    ladder = [row]
+    for t in range(top):
+        # x times a row of degree t < top is the row shifted up one degree
+        shifted = np.concatenate((np.zeros((m, 1), dtype=np.int64), row[:, :-1]), axis=1)
+        row = field.add(shifted, field.mul(minus[:, t, None], row))
+        ladder.append(row)
+    ladder = np.stack(ladder, axis=1)  # [coordinate, row, degree]
+    nonzero = ladder != 0
+    ladder_exponents, ladder_coeffs = np.nonzero(nonzero)[2], ladder[nonzero]
+    lengths = nonzero.sum(axis=2)  # [coordinate, row]
+    firsts = np.cumsum(lengths).reshape(lengths.shape) - lengths
+    # each polynomial's ladder row on each coordinate: where its nonzero
+    # terms begin, and how many there are
+    firsts = firsts.astype(np.min_scalar_type(firsts.max()))[np.arange(m), tuples]
+    sizes = lengths.astype(np.min_scalar_type(top + 1))[np.arange(m), tuples]
+    counts = np.ones(r, dtype=np.int64)
+    for size in sizes.T:  # clipped, so that no product of row lengths can wrap
+        counts = np.minimum(counts * size, _MAX_LISTING + 1)
+    if counts.sum() > _MAX_LISTING:
+        raise BudgetExceededError(
+            f"extremal family of rank {r} exceeds the limit of {_MAX_LISTING} terms")
+    starts = np.zeros(r + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    owner = np.repeat(np.arange(r), counts)
+    rest = np.arange(starts[-1]) - starts[owner]  # each term's index in its polynomial
+    exponents = np.empty((starts[-1], m), dtype=np.min_scalar_type(spec.shape.dims[-1] - 1))
+    coeffs = None
+    for s in range(m - 1, -1, -1):  # the last coordinate's digit is the fastest
+        size = sizes[owner, s]
+        index = firsts[owner, s] + rest % size
+        rest //= size
+        exponents[:, s] = ladder_exponents[index]
+        coeffs = ladder_coeffs[index] if coeffs is None else field.mul(ladder_coeffs[index],
+                                                                       coeffs)
+    zeros = np.flatnonzero(coeffs == 0)
+    if zeros.size:
+        b = tuple(tuples[owner[zeros[0]]].tolist())
+        raise InvariantError(f"f_{b} has a zero coefficient, but a field has no zero divisors")
+    return exponents, coeffs, starts
+
+
+def extremal_polynomials(spec: CartesianCodeSpec, r: int) -> list:
+    """extremal_family(spec, r) as a list of terms dicts, {exponent tuple: code}.
+
+    Each dict holds its f_b's terms in extremal_family's order.
+    """
+    exponents, coeffs, starts = extremal_family(spec, r)
+    terms = list(zip(map(tuple, exponents.tolist()), coeffs.tolist()))
+    return [dict(terms[a:b]) for a, b in itertools.pairwise(starts.tolist())]
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +503,7 @@ def dual_point_weights(spec: CartesianCodeSpec) -> np.ndarray:
         for col in diffs.T[1:]:
             deriv = f.mul_table[deriv, col]
         derivs.append(deriv[None, :])
-    w = f.inv_table[_kron_rows(lambda a, b: f.mul_table[a, b], derivs)[0]]
+    w = f.inv_table[_kron_rows(derivs, f)[0]]
     w.flags.writeable = False
     return w
 
@@ -667,7 +720,10 @@ def _pivot_set_masks(code: LinearCode, pivots: tuple, suffixes: list):
 
     Basis row i is G[pivots[i]] plus any combination of the rows G[c] with
     c > pivots[i] not a pivot (its free entries), and the subspaces follow
-    the free entries of all rows as one counter, first slowest.  Row i and
+    the free entries of all rows as one counter, first slowest.  A row's
+    masks are read off _pair_masks while it has at most one free entry and
+    the code has them, else packed from G[p] itself when it has none, else
+    built by _word_masks while its free entries fit one chunk.  Row i and
     everything after it depend only on pivots[i:], so suffixes[i] keeps
     the masks of row i and the OR-product of rows i.., each while it fits
     one chunk, for every pivot set with those last pivots.  The longest
@@ -693,6 +749,8 @@ def _pivot_set_masks(code: LinearCode, pivots: tuple, suffixes: list):
         p, cols = pivots[i], free[i]
         if pairs is not None and len(cols) < 2:
             rows[i] = pairs[p, cols[0]] if cols else pairs[p, p, :1]
+        elif not cols:  # G[p] alone, zero where its entries are
+            rows[i] = _bit_planes((code.matrix[p] != 0).view(np.uint8)[None], 1)[0]
         elif len(cols) <= fits:
             rows[i] = _word_masks(code, np.eye(1, K, p, dtype=np.int64), cols)[0]
         if tails[i + 1] is not None and rows[i] is not None and (

@@ -19,12 +19,13 @@ codes modulo a monic polynomial (_add, _mul, _pow); the modulus search
 lookup tables; field_create and parse_field.
 
 Arithmetic modulo a monic polynomial is defined once, as _add, _mul and
-_pow on codes.  The modulus search runs on them, and so do the Field
-methods add, mul and pow, which take int codes or numpy arrays of codes
-(neg and inv derive from mul and pow).  The dense tables that matrix
-work indexes are a cache of add and mul on every pair of codes, never a
-second arithmetic.  The tests check all of them against tuple long
-division.
+_pow on codes; in characteristic 2, where a code's digits are its bits,
+_add is XOR and _mul a carry-less product.  The modulus search runs on
+them, and so do the Field methods add, mul and pow, which take int codes
+or numpy arrays of codes (neg and inv derive from mul and pow).  The
+dense tables that matrix work indexes are a cache of add and mul on
+every pair of codes, never a second arithmetic.  The tests check all of
+them against tuple long division.
 
 Errors: bad input raises ValueError: a characteristic that is not a
 prime below MAX_CHARACTERISTIC, an extension degree outside
@@ -68,7 +69,9 @@ def _is_prime(n: int) -> bool:
 # --------------------------------------------------------------------------
 
 def _add(a, b, p: int, e: int):
-    """a + b: the e base-p digits added mod p."""
+    """a + b: the e base-p digits added mod p, in characteristic 2 their XOR."""
+    if p == 2:
+        return a ^ b
     out = 0
     for k in range(e):
         w = p ** k  # a // w is digit k of a plus a multiple of p
@@ -77,10 +80,26 @@ def _add(a, b, p: int, e: int):
 
 
 def _mul(a, b, p: int, modulus):
-    """a * b: digit convolution, reduced by the monic modulus from the top."""
+    """a * b: digit convolution, reduced by the monic modulus from the top.
+
+    In characteristic 2 the digits are bits, so the convolution is the
+    XOR of a shifted by each set bit of b, and each reduction step XORs in
+    a shifted modulus: about 8e array operations, where the digit
+    convolution takes about 2e^2.
+    """
     e = len(modulus) - 1
     if e == 1:
         return a * b % p
+    if p == 2:
+        out = 0
+        for k in range(e):
+            bit = b >> k & 1
+            if type(bit) is not int or bit:  # int operands skip their zero bits
+                out = out ^ a * bit << k
+        code = sum(c << j for j, c in enumerate(modulus))
+        for k in range(2 * e - 2, e - 1, -1):
+            out = out ^ (out >> k & 1) * (code << k - e)
+        return out
     da, db = [], []  # the (position, digit) pairs; int operands skip zero digits
     for k in range(e):  # // and %, not divmod, which object arrays lack
         x, y = a % p, b % p
@@ -192,8 +211,9 @@ class Field:
         self.q = p ** e
         self.modulus = smallest_irreducible(p, e)
         # the narrowest dtype for the arithmetic's intermediates: digit
-        # convolutions stay below 2e * p^2 in size and digit sums below 2q
-        bound = 2 * max(e * p * p, self.q)
+        # convolutions stay below 2e * p^2 in size and digit sums below 2q;
+        # carry-less products in characteristic 2 below 2^(2e - 1)
+        bound = 2 ** (2 * e - 1) if p == 2 else 2 * max(e * p * p, self.q)
         self._wide_dtype = next((t for t in (np.int16, np.int32, np.int64)
                                  if bound <= np.iinfo(t).max), object)
 

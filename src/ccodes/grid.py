@@ -19,8 +19,9 @@ box): min_shadow_size, hence the single GHW d_r, reads its r-th tuple.
 values_deg_ge is the one band listing: the tuples of degree >= u in
 increasing lex order, as values, all K of them or the first r, in
 O(K * m * d_m) or O(r * m * d_m) without touching the others.
-Hierarchies are whole bands; lex_segment is a cut band read through
-t -> top - t, and checks that it ends on rth_of_deg_le's r-th tuple.
+Hierarchies are whole bands; lex_segment_digits is a cut band read
+through t -> top - t, and checks that it ends on rth_of_deg_le's r-th
+tuple.  lex_segment lists the same tuples as Python tuples.
 
 The shadow of a subset S is every box tuple that dominates some element
 of S coordinatewise (divides, which hilbert's monomial ideals share).
@@ -223,22 +224,29 @@ def values_deg_ge(shape: GridShape, u: int, r=None) -> np.ndarray:
     return values
 
 
-def lex_segment(shape: GridShape, d: int, r: int) -> list:
-    """First r tuples of degree <= d in decreasing lex order.
+def lex_segment_digits(shape: GridShape, d: int, r: int) -> np.ndarray:
+    """First r tuples of degree <= d in decreasing lex order, as r x m digits.
 
     They are top - t for the first r tuples t of degree >= k - d, ascending,
     as values_deg_ge lists them; the last must be rth_of_deg_le's r-th.
+    The digits are int64, whatever the dtype of the values.
     """
     _check_rank_le(shape, d, r)
     values = values_deg_ge(shape, shape.k - d, r)
     dims = np.array(shape.dims, dtype=values.dtype)
     place_values = np.array(shape.place_values, dtype=values.dtype)
-    digits = dims - 1 - values[:, None] // place_values % dims
-    segment = list(map(tuple, digits.tolist()))
-    if len(segment) != r or segment[-1] != rth_of_deg_le(shape, d, r):
-        raise InvariantError(f"lex segment of {len(segment)} tuples does not end "
+    digits = values[:, None] // place_values
+    digits %= dims
+    digits = np.subtract(dims - 1, digits, out=digits).astype(np.int64, copy=False)
+    if len(digits) != r or tuple(digits[-1].tolist()) != rth_of_deg_le(shape, d, r):
+        raise InvariantError(f"lex segment of {len(digits)} tuples does not end "
                              f"on the {r}-th tuple of degree <= {d}")
-    return segment
+    return digits
+
+
+def lex_segment(shape: GridShape, d: int, r: int) -> list:
+    """lex_segment_digits as a list of tuples of ints."""
+    return list(map(tuple, lex_segment_digits(shape, d, r).tolist()))
 
 
 def divides(a, b) -> bool:

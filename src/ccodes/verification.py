@@ -7,8 +7,10 @@ values_deg_ge listing): against the subspace oracle, and against n minus
 max_common_zeros, which unranks each rank with rth_of_deg_le instead.
 The minimum distance checked is d_1 of that hierarchy, against the
 codeword oracle, the one oracle that covers codes longer than 64.
-The extremal family is checked in its expanded form: the codes of its
-terms dicts times the evaluations of their monomials, in one matmul.
+The extremal family is checked in its expanded form: its flat term
+arrays scattered into a matrix of codes, one row per polynomial and one
+column per distinct monomial, times the evaluations of those monomials,
+in one matmul.
 Library calls go through the `codes` module, so patches there apply.
 """
 
@@ -57,9 +59,10 @@ def verify(spec: codes.CartesianCodeSpec, budget: int = DEFAULT_BUDGET) -> Verif
 
     # extremal families, evaluated from their expanded terms, attain the
     # closed-form zero counts
-    family = codes.extremal_polynomials(spec, K)
-    monos = sorted({mono for terms in family for mono in terms})
-    coeffs = [[terms.get(mono, 0) for mono in monos] for terms in family]
+    exponents, values, starts = codes.extremal_family(spec, K)
+    monos, column = np.unique(exponents, axis=0, return_inverse=True)
+    coeffs = np.zeros((K, len(monos)), dtype=spec.field.int_dtype)
+    coeffs[np.repeat(np.arange(K), np.diff(starts)), column.ravel()] = values
     evals = codes.matmul(coeffs, codes.monomial_evaluations(spec.field, spec.sets, monos),
                          spec.field)
     common = np.logical_and.accumulate(evals == 0, axis=0).sum(axis=1)

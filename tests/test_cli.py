@@ -393,6 +393,27 @@ def test_huge_grid_maxzeros_exact_and_hierarchy_refused(capsys):
         f"dual_hierarchy 4 ... {2 ** 64} ({2 ** 64 - 65} weights)"
 
 
+def test_maxzeros_refuses_families_past_the_limit(capsys):
+    # 10^11 polynomials are refused before the segment is listed, and the
+    # 2^24 terms of f1 = (x1 + 1)...(x24 + 1) before any term is expanded
+    binary = ("maxzeros", "--field", "2^1", "--sets")
+    start = time.process_time()
+    tracemalloc.start()
+    try:
+        polys = run_cli(capsys, *binary, ";".join(["0,1"] * 40), "--d", "20",
+                        "--r", "100000000000")
+        terms = run_cli(capsys, *binary, ";".join(["1,0"] * 24), "--d", "24", "--r", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.process_time() - start < 1.0
+    assert peak < 2 ** 20, f"peak {peak} bytes"
+    assert polys == (2, "", "error: extremal family of rank 100000000000 exceeds the limit "
+                            "of 10000000 polynomials\n")
+    assert terms == (2, "", "error: extremal family of rank 1 exceeds the limit "
+                            "of 10000000 terms\n")
+
+
 def test_hierarchy_summarises_a_dual_past_the_limit(capsys):
     # RM(3, 30): 4526 weights of its own, 2^30 - 4526 in the dual
     args = ("hierarchy", "--field", "2^1", "--sets", ";".join(["0,1"] * 30), "--d", "3")

@@ -21,6 +21,7 @@ from ccodes.codes import (
     dual_code,
     dual_hierarchy,
     dual_point_weights,
+    extremal_family,
     extremal_polynomials,
     gaussian_binomial,
     generator_matrix,
@@ -33,7 +34,7 @@ from ccodes.codes import (
     wei_duality_check,
 )
 from ccodes.errors import BudgetExceededError, InvariantError
-from ccodes.gf import field_create
+from ccodes.gf import Field, field_create
 from ccodes.grid import lex_segment, min_shadow_size
 from ccodes.hilbert import graded_lex_key
 from ccodes.verification import verify
@@ -311,6 +312,18 @@ def test_matmul_identity_and_mismatch():
         matmul(A, np.zeros((3, 2), dtype=int), f3)
 
 
+def test_matmul_skips_the_zero_columns_of_a(monkeypatch):
+    # an inner index whose column of a is all zero adds nothing to the product
+    f = field_create(2, 3)
+    a = np.array([[0, 3, 0, 1], [0, 5, 0, 0]])
+    b = np.arange(16).reshape(4, 4) % f.q
+    expected = matmul(a[:, [1, 3]], b[[1, 3]], f)
+    sums, calls = codes._sum_into, []
+    monkeypatch.setattr(codes, "_sum_into", lambda *args: calls.append(1) or sums(*args))
+    assert np.array_equal(matmul(a, b, f), expected)
+    assert len(calls) == 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1)]),
        st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
@@ -530,11 +543,29 @@ def test_extremal_family_memory_follows_its_terms():
 
 
 def test_extremal_zero_coefficient_is_an_invariant_failure(monkeypatch):
-    # a field has no zero divisors, so a product of nonzero terms is nonzero
-    spec = spec_from_parts("3^1", "0,1,2", 2)
-    monkeypatch.setattr(codes, "_kron_rows", lambda product, factors: np.array([[1, 0]]))
-    with pytest.raises(InvariantError, match="zero coefficient"):
-        extremal_polynomials(spec, 1)
+    # a field has no zero divisors, so a product of nonzero terms is nonzero.
+    # With every product zero the ladders still build (x - gamma is then x),
+    # but the product of f_(1, 1)'s two factors x1 and x2 vanishes
+    spec = spec_from_parts("2^1", "0,1;0,1", 2)
+    monkeypatch.setattr(Field, "mul", lambda self, a, b: np.multiply(a, b) * 0)
+    with pytest.raises(InvariantError, match=exactly(
+            "f_(1, 1) has a zero coefficient, but a field has no zero divisors")):
+        extremal_family(spec, 1)
+
+
+def test_extremal_family_multiplies_once_per_coordinate(monkeypatch):
+    # the ladder steps take one Field.mul each, and one more negates the
+    # elements; the family's products take one per coordinate after the
+    # first, however many polynomials and terms it has
+    spec = spec_from_parts("3^2", "0,1,2;3,4,5;0,4,7,8", 4)
+    mul, calls = Field.mul, []
+    monkeypatch.setattr(Field, "mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    for r in (1, 2, spec.dimension):
+        calls.clear()
+        exponents, coeffs, starts = extremal_family(spec, r)
+        steps = max(map(max, lex_segment(spec.shape, spec.d, r)))
+        assert len(calls) == 1 + steps + spec.shape.m - 1
+    assert len(coeffs) > spec.dimension > spec.shape.m  # terms, polynomials, coordinates
 
 
 def test_extremal_validation():
@@ -666,6 +697,18 @@ def test_brute_ghw_full_support_at_top_rank():
     spec = spec_from_parts("2^2", "0,1;0,1,2", 2)
     code = generator_matrix(spec)
     assert brute_ghw(code, code.dimension) == code.length
+
+
+def test_top_rank_sweep_packs_each_row_from_the_code(monkeypatch):
+    # the [64,64] code over GF(1024) is too large for pair masks or plane
+    # tables; at r = 64 each basis row is G[p] alone, whose mask is packed
+    # from the row itself, so the sweep adds no codes
+    eight = ",".join(map(str, range(8)))
+    code = generator_matrix(spec_from_parts("2^10", f"{eight};{eight}", 14))
+    sums, calls = codes._sum_into, []
+    monkeypatch.setattr(codes, "_sum_into", lambda *args: calls.append(1) or sums(*args))
+    assert brute_ghw(code, 64) == 64
+    assert calls == []
 
 
 def test_brute_ghw_matches_pair_oracle_gf4():

@@ -5,6 +5,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from ccodes.hilbert import (
     divides,
     footprint_upper_bound,
     format_polynomial,
+    format_polynomials,
     graded_lex_key,
     hilbert_fn,
     monomials_deg_le,
@@ -115,6 +117,51 @@ def test_polynomial_scalar_and_degrees():
     assert format_polynomial(f) == "3*x1*x2 + x2"
     assert format_polynomial({(0, 0): 3, (1, 0): 1}) == "x1 + 3"
     assert evaluate(f5, f, [1, 1]) == 4
+
+
+def reference_format(terms) -> str:
+    """format_polynomial's text built term by term, with Python strings."""
+    parts = []
+    for mono in sorted(terms, key=graded_lex_key, reverse=True):
+        coeff = terms[mono]
+        factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "")
+                   for i, e in enumerate(mono) if e]
+        if not factors:
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append("*".join(factors))
+        else:
+            parts.append("*".join([str(coeff)] + factors))
+    return " + ".join(parts) or "0"
+
+
+def test_polynomial_text_pieces():
+    # exponents past 9, a bare coefficient 1, a constant and multi-digit codes
+    f = {(12, 0, 3): 1, (0, 0, 0): 2046, (1, 10, 0): 1000, (0, 1, 0): 1, (0, 0, 11): 37}
+    text = "x1^12*x3^3 + 1000*x1*x2^10 + 37*x3^11 + x2 + 2046"
+    assert format_polynomial(f) == reference_format(f) == text
+    assert format_polynomial({(0, 0): 1}) == reference_format({(0, 0): 1}) == "1"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 7), (2, 11), (2 ** 61 - 1, 1)]), st.data())
+def test_family_text_matches_the_per_term_reference(pe, data):
+    # several polynomials, empty ones too, as one flat family and one by one
+    field = field_create(*pe)
+    m = data.draw(st.integers(1, 4), label="m")
+    mono = st.tuples(*[st.integers(0, 3) | st.integers(10, 40)] * m)
+    code = st.sampled_from([1, field.q - 1]) | st.integers(1, field.q - 1)
+    polys = data.draw(st.lists(st.dictionaries(mono, code, max_size=8), min_size=1, max_size=5),
+                      label="polys")
+    exponents = np.array([e for f in polys for e in f], dtype=np.int64).reshape(-1, m)
+    exponents = exponents.astype(np.min_scalar_type(exponents.max(initial=0)))
+    # the codes of a family past int64 are Python ints, of dtype object
+    coeffs = np.array([c for f in polys for c in f.values()],
+                      dtype=data.draw(st.sampled_from([np.int64, object]), label="dtype"))
+    starts = np.cumsum([0] + [len(f) for f in polys])
+    expected = [reference_format(f) for f in polys]
+    assert format_polynomials(exponents, coeffs, starts) == expected
+    assert [format_polynomial(f) for f in polys] == expected
 
 
 def test_polynomial_evaluate_constant_monomial_at_zero():

@@ -117,11 +117,12 @@ def _calls(node) -> set:
 
 
 def test_one_kronecker_product_and_no_field_call_per_coefficient():
-    # the evaluation matrix, the dual's column scalars and the extremal
-    # families share _kron_rows; field arithmetic goes over whole arrays
+    # the evaluation matrix and the dual's column scalars share _kron_rows;
+    # field arithmetic goes over whole arrays (the extremal families' one
+    # Field.mul per coordinate is counted in test_codes)
     tree = ast.parse((Path(ccodes.__file__).parent / "codes.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("monomial_evaluations", "dual_point_weights", "extremal_polynomials"):
+    for name in ("monomial_evaluations", "dual_point_weights"):
         assert "_kron_rows" in _calls(functions[name]), name
     comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     scalar = sorted(f"line {node.lineno}" for node in ast.walk(tree)
@@ -131,14 +132,16 @@ def test_one_kronecker_product_and_no_field_call_per_coefficient():
 
 
 def test_lex_segment_is_a_view_of_the_band_listing():
-    # one closed-form band listing: lex_segment decodes values_deg_ge's
-    # values and walks no tuples of its own
+    # one closed-form band listing: lex_segment_digits decodes values_deg_ge's
+    # values, lex_segment converts those digits, and neither walks tuples
     tree = ast.parse((Path(ccodes.__file__).parent / "grid.py").read_text(encoding="utf-8"))
-    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "lex_segment"]
-    assert "values_deg_ge" in _calls(node)
-    loops = [n for n in ast.walk(node)
-             if isinstance(n, (ast.For, ast.While, ast.comprehension))]
-    assert not loops
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert "values_deg_ge" in _calls(functions["lex_segment_digits"])
+    assert "lex_segment_digits" in _calls(functions["lex_segment"])
+    for name in ("lex_segment_digits", "lex_segment"):
+        loops = [n for n in ast.walk(functions[name])
+                 if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+        assert not loops, name
 
 
 def test_both_sweeps_step_their_slow_digits_through_one_walk():
@@ -254,6 +257,11 @@ REFERENCE_ONLY = {
     "FieldElement": "an empty placeholder that bench/spans.py names; it goes with a "
                     "change to the benchmark",
     "Field.inv": "element-wise reference for inv_table and the tests' Gauss-Jordan",
+    "lex_segment": "lex_segment_digits as tuples, which the grid tests compare and "
+                   "shadow takes",
+    "extremal_polynomials": "the extremal family as terms dicts, the form README shows",
+    "format_polynomial": "the text of one terms dict, the form README shows",
+    "graded_lex_key": "the order format_polynomials sorts by, as a key for max and sorted",
 }
 
 
