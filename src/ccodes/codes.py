@@ -37,8 +37,11 @@ covered exactly the gaussian_binomial(K, r, q) subspaces or q^K codewords
 they should.  The subspace oracle packs bit planes once per code, into
 tables that _oracle_table keeps on the LinearCode: while a table fits one
 chunk, its sweep only gathers from the tables and ORs masks, and adds no
-codes.  Only _hierarchy_at_degree decides whether a hierarchy is short
-enough to list, and only extremal_family whether a family is.
+codes.  _planes_differ is its one zero test, _plane_tables alone splits
+the rows, and _subspace_masks is its one sweep, which keeps the masks that
+consecutive pivot sets share for one call.  Only _hierarchy_at_degree
+decides whether a hierarchy is short enough to list, and only
+extremal_family whether a family is.
 
 Errors: bad input raises ValueError, generator entries that are not
 integer codes in [0, q) included.  Its one subclass, BudgetExceededError,
@@ -552,8 +555,8 @@ def _bit_planes(codes: np.ndarray, bits: int) -> np.ndarray:
     shifts = np.arange(bits, dtype=codes.dtype)[:, None]
     np.bitwise_and(codes[..., None, :] >> shifts, 1, out=flags[..., :codes.shape[-1]],
                    casting="unsafe")
-    packed = np.packbits(flags, axis=-1, bitorder="little")
-    return packed.view(f"<u{mask.itemsize}")[..., 0]
+    packed = np.packbits(flags, axis=None, bitorder="little")
+    return packed.view(f"<u{mask.itemsize}").reshape(flags.shape[:-1])
 
 
 def _span_planes(code: LinearCode, rows, base: np.ndarray | None, negate: bool) -> np.ndarray:
@@ -598,10 +601,10 @@ def _oracle_table(code: LinearCode, build):
 
 
 def _plane_tables(code: LinearCode) -> tuple:
-    """(low, high, weights, steps): planes of the spans of the two sides.
+    """(split, low, high, weights, steps): planes of the spans of the two sides.
 
-    The generator rows are cut at K // 2.  low holds the planes of every
-    word of the span of the rows before the cut, high those of the negated
+    The generator rows are cut at split = K // 2.  low holds the planes of
+    every word of the span of the rows before it, high those of the negated
     span of the rows from it on, each of shape (bits, q^rows) and indexed
     as _span_words lists them; a side past _ORACLE_CHUNK words has no
     table (None).  A word's index in a table is its coefficients on the
@@ -609,15 +612,16 @@ def _plane_tables(code: LinearCode) -> tuple:
     weights[c].
     """
     K, q = code.dimension, code.field.q
+    split = K // 2
     tables, weights = [], np.zeros(K, dtype=np.int64)
-    for negate, rows in enumerate((range(K // 2), range(K // 2, K))):
+    for negate, rows in enumerate((range(split), range(split, K))):
         if q ** len(rows) > _ORACLE_CHUNK:
             tables.append(None)
             continue
         tables.append(np.ascontiguousarray(_span_planes(code, rows, None, bool(negate))[:, 0]))
         weights[rows.start:rows.stop] = [q ** (rows.stop - 1 - c) for c in rows]
     steps = np.multiply.outer(weights, np.arange(q)) if q <= _ORACLE_CHUNK else None
-    return (*tables, weights, steps)
+    return (split, *tables, weights, steps)
 
 
 def _row_multiples(code: LinearCode):
@@ -632,62 +636,51 @@ def _row_multiples(code: LinearCode):
     return np.ascontiguousarray(planes.transpose(2, 1, 0))
 
 
+def _planes_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Support masks of x + y from the planes a of x and b of -y, broadcast together.
+
+    x + y is zero exactly where x equals -y: the OR over k of a[k] ^ b[k].
+    """
+    masks = a[0] ^ b[0]
+    for k in range(1, len(a)):
+        masks |= a[k] ^ b[k]
+    return masks
+
+
 def _pair_masks(code: LinearCode):
     """Masks of G[p] + a G[c], indexed [p, c, a], or None past one chunk.
 
     A basis row with at most one free entry reads its masks here:
-    [p, c] for its one free row c, [p, p, :1] for G[p] alone.  A word is
-    zero where a G[c] equals -G[p], so each mask is the OR over the planes
-    of their XOR, all read off _row_multiples.
+    [p, c] for its one free row c, [p, p, :1] for G[p] alone.  The
+    planes of a G[c] and of -G[p] are read off _row_multiples.
     """
-    field = code.field
-    if code.dimension ** 2 * field.q > _ORACLE_CHUNK:
+    if code.dimension ** 2 * code.field.q > _ORACLE_CHUNK:
         return None
     multiples = _oracle_table(code, _row_multiples)
-    minus = multiples[:, :, field.neg_table[1], None, None]
-    masks = multiples[0, None] ^ minus[0]
-    for k in range(1, len(multiples)):
-        masks |= multiples[k, None] ^ minus[k]
-    return masks
-
-
-def _side_planes(code: LinearCode, side: int, coeffs: np.ndarray, cols) -> np.ndarray:
-    """Planes of one side of the words coeffs G plus any combination of G[cols].
-
-    coeffs holds N coefficient vectors of length K; side 0 reads the rows
-    before the split of _plane_tables and side 1 those from it on, negated.
-    The planes take shape (bits, N, q^len(cols)), the first of cols
-    slowest: gathered from the side's table, or else built from the rows
-    themselves.
-    """
-    low, high, weights, steps = _oracle_table(code, _plane_tables)
-    split = code.dimension // 2
-    rows = slice(0, split) if side == 0 else slice(split, code.dimension)
-    table = (low, high)[side]
-    if table is None:
-        base = matmul(coeffs[:, rows], code.matrix[rows], code.field)
-        return _span_planes(code, cols, base, bool(side))
-    index = coeffs[:, rows] @ weights[rows]
-    for c in cols:
-        index = np.add.outer(index, steps[c])
-    return np.take(table, index.reshape(len(coeffs), -1), axis=1)
+    return _planes_differ(multiples[:, None], multiples[:, :, code.field.neg_table[1], None, None])
 
 
 def _word_masks(code: LinearCode, coeffs: np.ndarray, cols) -> np.ndarray:
     """Support masks of each word coeffs G plus each combination of G[cols].
 
-    Shape (N, q^len(cols)), the first of cols slowest.  A word is the sum
-    of its two sides, zero exactly where the side before the split equals
-    the negated side after it: the mask is the OR over the planes of their
-    XOR, one outer XOR per plane.
+    coeffs holds N coefficient vectors of length K; the masks take shape
+    (N, q^len(cols)), the first of cols slowest.  A word is the sum of its
+    sides before and after the split of _plane_tables.  The planes of each
+    side are gathered from its table, or built from its rows if it has none.
     """
-    split = code.dimension // 2
-    low = _side_planes(code, 0, coeffs, [c for c in cols if c < split])
-    high = _side_planes(code, 1, coeffs, [c for c in cols if c >= split])
-    masks = low[0][:, :, None] ^ high[0][:, None, :]
-    for k in range(1, len(low)):
-        masks |= low[k][:, :, None] ^ high[k][:, None, :]
-    return masks.reshape(len(coeffs), -1)
+    split, *tables, weights, steps = _oracle_table(code, _plane_tables)
+    sides = []
+    for negate, (rows, table) in enumerate(zip((slice(0, split), slice(split, None)), tables)):
+        side = [c for c in cols if (c >= split) == negate]
+        if table is None:
+            base = matmul(coeffs[:, rows], code.matrix[rows], code.field)
+            sides.append(_span_planes(code, side, base, bool(negate)))
+            continue
+        index = coeffs[:, rows] @ weights[rows]
+        for c in side:
+            index = np.add.outer(index, steps[c])
+        sides.append(np.take(table, index.reshape(len(coeffs), -1), axis=1))
+    return _planes_differ(sides[0][..., None], sides[1][:, :, None, :]).reshape(len(coeffs), -1)
 
 
 def _fast_digits(q: int) -> int:
@@ -715,86 +708,84 @@ def _digit_walk(starts: np.ndarray, slow, variants):
         yield from _digit_walk(words, rest, variants)
 
 
-def _pivot_set_masks(code: LinearCode, pivots: tuple, suffixes: list):
-    """Support masks of the subspaces with these echelon pivots, in chunks.
+def _subspace_masks(code: LinearCode, r: int, pivot_sets):
+    """Support masks of the r-dimensional subspaces, in chunks, pivot set by pivot set.
 
-    Basis row i is G[pivots[i]] plus any combination of the rows G[c] with
-    c > pivots[i] not a pivot (its free entries), and the subspaces follow
-    the free entries of all rows as one counter, first slowest.  A row's
-    masks are read off _pair_masks while it has at most one free entry and
-    the code has them, else packed from G[p] itself when it has none, else
-    built by _word_masks while its free entries fit one chunk.  Row i and
-    everything after it depend only on pivots[i:], so suffixes[i] keeps
-    the masks of row i and the OR-product of rows i.., each while it fits
-    one chunk, for every pivot set with those last pivots.  The longest
-    product that fits is the tail of every chunk, and when it covers all
-    rows it is the one chunk, yielded as kept.  The rows before it are
-    ORed onto it in blocks if their own product fits one chunk, else
-    streamed: the fast digits of the last of them are swept at once, its
-    other digits and the rows before it stepped by _digit_walk, one piece
-    per step, and as many pieces as fit make a chunk.
+    pivot_sets yields ascending r-tuples of echelon pivots, each read once
+    the chunks of the one before are out.  Basis row i is G[pivots[i]]
+    plus any combination of the rows G[c], c > pivots[i] not a pivot (its
+    free entries); a set's subspaces follow the free entries of all rows
+    as one counter, first slowest.  A row's masks are read off _pair_masks
+    while it has at most one free entry and the code has them, else packed
+    from G[p] itself when it has none, else built by _word_masks while its
+    free entries fit one chunk.  Rows i.. depend only on suffixes[i] =
+    pivots[i:], so rows[i], the masks of row i, and tails[i], the
+    OR-product of rows i.., each while it fits one chunk, stay for the
+    next sets with those last pivots.  The longest product that fits is
+    the tail of every chunk, the one chunk if it covers all rows.  The rows
+    before it are ORed onto it in blocks if their own product fits one
+    chunk, else streamed: _digit_walk steps the rows before the last and
+    all but the fast digits of the last, one piece per step.
     """
     K, q = code.dimension, code.field.q
-    r = len(pivots)
-    others = [c for c in range(K) if c not in pivots]
-    free = [[c for c in others if c > p] for p in pivots]
     fits = _fast_digits(q)
     pairs = _oracle_table(code, _pair_masks)
     mask = _mask_type(code.length)
-    rows, tails = [None] * r, [None] * r + [np.zeros(1, dtype=mask)]
-    for i in range(r - 1, -1, -1):
-        if suffixes[i] is not None and suffixes[i][0] == pivots[i:]:
-            _, rows[i], tails[i] = suffixes[i]
-            continue
-        p, cols = pivots[i], free[i]
-        if pairs is not None and len(cols) < 2:
-            rows[i] = pairs[p, cols[0]] if cols else pairs[p, p, :1]
-        elif not cols:  # G[p] alone, zero where its entries are
-            rows[i] = _bit_planes((code.matrix[p] != 0).view(np.uint8)[None], 1)[0]
-        elif len(cols) <= fits:
-            rows[i] = _word_masks(code, np.eye(1, K, p, dtype=np.int64), cols)[0]
-        if tails[i + 1] is not None and rows[i] is not None and (
-                rows[i].size * tails[i + 1].size <= _ORACLE_CHUNK):
-            tails[i] = np.bitwise_or.outer(rows[i], tails[i + 1]).ravel()
-        suffixes[i] = (pivots[i:], rows[i], tails[i])
-    first = next(i for i, tail in enumerate(tails) if tail is not None)
-    tail = tails[first]
-    batch = _ORACLE_CHUNK // tail.size
-    prefix = [(i, c) for i in range(first) for c in free[i]]
-    if not first:
-        yield tail
-        return
-    if len(prefix) <= fits:
-        head = np.zeros(1, dtype=mask)
-        for i in range(first - 1, -1, -1):
-            head = np.bitwise_or.outer(rows[i], head).ravel()
-        for start in range(0, head.size, batch):
-            yield np.bitwise_or.outer(head[start:start + batch], tail).ravel()
-        return
-    last = first - 1
-    fast = fits - sum(map(len, free[first:]))
-    slow, cols = prefix[:len(prefix) - fast], free[last][len(free[last]) - fast:]
+    zero = np.zeros(1, dtype=mask)  # the OR-product of no rows
 
     def set_digit(row, c):
         variants = np.repeat(row[None], q, axis=0)
         variants[:, c] = np.arange(q)
         return variants
 
-    starts = np.zeros((first, K), dtype=np.int64)
-    starts[range(first), pivots[:first]] = 1
-    piece = q ** fast * tail.size
-    chunk, filled = np.empty(batch // q ** fast * piece, dtype=mask), 0
-    for coeffs in _digit_walk(starts, slow, set_digit):
-        masks = _word_masks(code, coeffs[last:], cols)[0]
-        if last:
-            masks |= np.bitwise_or.reduce(_word_masks(code, coeffs[:last], [])[:, 0])
-        np.bitwise_or.outer(masks, tail, out=chunk[filled:filled + piece].reshape(-1, tail.size))
-        filled += piece
-        if filled == chunk.size:
-            yield chunk
-            chunk, filled = np.empty_like(chunk), 0
-    if filled:
-        yield chunk[:filled]
+    suffixes, rows, tails = [None] * r, [None] * r, [None] * r + [zero]
+    for pivots in pivot_sets:
+        free = [[c for c in range(p + 1, K) if c not in pivots] for p in pivots]
+        for i in range(r - 1, -1, -1):
+            if suffixes[i] == pivots[i:]:
+                continue
+            p, cols = pivots[i], free[i]
+            suffixes[i], rows[i], tails[i] = pivots[i:], None, None
+            if pairs is not None and len(cols) < 2:
+                rows[i] = pairs[p, cols[0]] if cols else pairs[p, p, :1]
+            elif not cols:  # G[p] alone, zero where its entries are
+                rows[i] = _bit_planes((code.matrix[p] != 0).view(np.uint8)[None], 1)[0]
+            elif len(cols) <= fits:
+                rows[i] = _word_masks(code, np.eye(1, K, p, dtype=np.int64), cols)[0]
+            if tails[i + 1] is not None and rows[i] is not None and (
+                    rows[i].size * tails[i + 1].size <= _ORACLE_CHUNK):
+                tails[i] = np.bitwise_or.outer(rows[i], tails[i + 1]).ravel()
+        first, tail = next((i, tail) for i, tail in enumerate(tails) if tail is not None)
+        if not first:
+            yield tail
+            continue
+        batch = _ORACLE_CHUNK // tail.size
+        prefix = [(i, c) for i in range(first) for c in free[i]]
+        if len(prefix) <= fits:
+            head = zero
+            for i in range(first - 1, -1, -1):
+                head = np.bitwise_or.outer(rows[i], head).ravel()
+            for start in range(0, head.size, batch):
+                yield np.bitwise_or.outer(head[start:start + batch], tail).ravel()
+            continue
+        last = first - 1
+        fast = fits - sum(map(len, free[first:]))
+        slow, cols = prefix[:len(prefix) - fast], free[last][len(free[last]) - fast:]
+        starts = np.eye(K, dtype=np.int64)[list(pivots[:first])]
+        piece = q ** fast * tail.size
+        chunk, filled = np.empty(batch // q ** fast * piece, dtype=mask), 0
+        for coeffs in _digit_walk(starts, slow, set_digit):
+            masks = _word_masks(code, coeffs[last:], cols)[0]
+            if last:
+                masks |= np.bitwise_or.reduce(_word_masks(code, coeffs[:last], [])[:, 0])
+            np.bitwise_or.outer(masks, tail,
+                                out=chunk[filled:filled + piece].reshape(-1, tail.size))
+            filled += piece
+            if filled == chunk.size:
+                yield chunk
+                chunk, filled = np.empty_like(chunk), 0
+        if filled:
+            yield chunk[:filled]
 
 
 def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -802,34 +793,28 @@ def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
 
     Subspaces are enumerated once each through their reduced-echelon
     canonical bases (pivot columns, then free entries).  The support of a
-    subspace is the union of its basis rows' supports, as bit masks.  A
-    row's masks are read off the code's plane tables: each word is split
-    at the middle generator row, and it is zero where its first side
-    equals its negated second side, so its mask is the OR over the planes
-    of their XOR.  The pivot sets come in colexicographic order, so those
-    that share their last pivots are consecutive and share the masks of
-    those rows, kept in one list per call.  Chunks hold at most
-    _ORACLE_CHUNK subspaces, and the tables and the kept masks at most a
-    chunk of words per plane or per basis row, so memory does not grow
-    with the budget.
+    subspace is the union of its basis rows' supports, as bit masks, from
+    _subspace_masks.  The pivot sets go to it in colexicographic order, so
+    those that share their last pivots are consecutive and share the masks
+    of those rows.  Chunks hold at most _ORACLE_CHUNK subspaces, and the
+    tables and the kept masks at most a chunk of words per plane or per
+    basis row, so memory does not grow with the budget.
     """
     K, n = code.dimension, code.length
-    q = code.field.q
     if not 1 <= r <= K:
         raise ValueError(f"rank {r} outside [1, {K}]")
     if n > _MAX_ORACLE_LENGTH:
         raise BudgetExceededError(
             f"support masks limited to length {_MAX_ORACLE_LENGTH}, code has {n}")
-    total = gaussian_binomial(K, r, q)
+    total = gaussian_binomial(K, r, code.field.q)
     if total > budget:
         raise BudgetExceededError(f"{total} subspaces exceed budget {budget}")
     best = n
     enumerated = 0
-    suffixes = [None] * r
-    for top in itertools.combinations(range(K - 1, -1, -1), r):
-        for acc in _pivot_set_masks(code, top[::-1], suffixes):
-            enumerated += acc.size
-            best = min(best, int(np.bitwise_count(acc).min()))
+    pivot_sets = (top[::-1] for top in itertools.combinations(range(K - 1, -1, -1), r))
+    for acc in _subspace_masks(code, r, pivot_sets):
+        enumerated += acc.size
+        best = min(best, int(np.bitwise_count(acc).min()))
     if enumerated != total:
         raise InvariantError(f"enumerated {enumerated} subspaces, expected {total}")
     return best

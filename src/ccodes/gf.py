@@ -72,6 +72,8 @@ def _add(a, b, p: int, e: int):
     """a + b: the e base-p digits added mod p, in characteristic 2 their XOR."""
     if p == 2:
         return a ^ b
+    if e == 1:
+        return (a + b) % p
     out = 0
     for k in range(e):
         w = p ** k  # a // w is digit k of a plus a multiple of p

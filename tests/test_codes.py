@@ -822,8 +822,9 @@ def test_plane_tables_match_field_arithmetic(q, data):
     code = random_code(data, q, max_k=5, max_n=9)
     field, G, K = code.field, code.matrix, code.dimension
     bits = (q - 1).bit_length()
-    low, high, weights, steps = codes._plane_tables(code)
-    for table, rows, negate in ((low, range(K // 2), False), (high, range(K // 2, K), True)):
+    split, low, high, weights, steps = codes._plane_tables(code)
+    assert split == K // 2
+    for table, rows, negate in ((low, range(split), False), (high, range(split, K), True)):
         if q ** len(rows) > codes._ORACLE_CHUNK:
             assert table is None
             continue
@@ -864,8 +865,8 @@ def test_pair_masks_match_field_arithmetic(q, data):
 def test_plane_tables_stay_within_one_chunk(monkeypatch):
     # a [27, 17] ternary code: 3^8 words before the cut, 3^9 past one chunk after it
     code = generator_matrix(spec_from_parts("3^1", "0,1,2;0,1,2;0,1,2", 3))
-    low, high, _, _ = codes._plane_tables(code)
-    assert low.shape == (2, 3 ** 8) and high is None
+    split, low, high, _, _ = codes._plane_tables(code)
+    assert split == 8 and low.shape == (2, 3 ** 8) and high is None
     assert codes._row_multiples(code).shape == (2, 17, 3)
     assert codes._pair_masks(code).shape == (17, 17, 3)
     # 64 rows over GF(1024) have 2^16 multiples, past one chunk: the one
@@ -879,7 +880,7 @@ def test_plane_tables_stay_within_one_chunk(monkeypatch):
         tracemalloc.stop()
     assert codes._row_multiples(identity) is None and peak < 2 ** 20, peak
     monkeypatch.setattr(codes, "_ORACLE_CHUNK", 7)
-    assert codes._plane_tables(code)[:2] == (None, None)
+    assert codes._plane_tables(code)[1:3] == (None, None)
     assert codes._row_multiples(code) is None and codes._pair_masks(code) is None
 
 
@@ -937,10 +938,20 @@ def test_subspace_sweep_matches_echelon_bases(q, data):
         with pytest.MonkeyPatch.context() as patch:
             for chunk in (1, 3, 7, codes._ORACLE_CHUNK):
                 patch.setattr(codes, "_ORACLE_CHUNK", chunk)
-                # the kept suffixes are shared across pivot sets, in lex order too
-                suffixes = [None] * r
-                for pivots in pivot_sets:
-                    chunks = list(codes._pivot_set_masks(code, pivots, suffixes))
+                # the sweep reads the next pivot set only once the chunks of
+                # the one before are out, so each chunk belongs to the last
+                # set read; the kept suffixes serve lex order too
+                swept = []
+
+                def feed():
+                    for pivots in pivot_sets:
+                        swept.append((pivots, []))
+                        yield pivots
+
+                for c in codes._subspace_masks(code, r, feed()):
+                    swept[-1][1].append(c)
+                assert [pivots for pivots, _ in swept] == pivot_sets
+                for pivots, chunks in swept:
                     assert all(0 < c.size <= chunk for c in chunks), (chunk, pivots)
                     # every chunk but the last is full: as many equal blocks as fit
                     full = {c.size for c in chunks[:-1]}
@@ -981,18 +992,17 @@ def test_brute_ghw_keeps_no_state_between_calls(q, data):
 def test_truncated_subspace_sweep_trips_the_count_invariant(monkeypatch):
     spec = spec_from_parts("3^1", "0,1,2;0,1,2", 2)
     code = generator_matrix(spec)
-    sweep = codes._pivot_set_masks
+    sweep = codes._subspace_masks
     # one free entry per chunk: pivot 0 alone has 3^5 subspaces in 81 chunks
     monkeypatch.setattr(codes, "_ORACLE_CHUNK", 3)
-    monkeypatch.setattr(codes, "_pivot_set_masks",
-                        lambda code, pivots, suffixes: list(sweep(code, pivots, suffixes)))
+    monkeypatch.setattr(codes, "_subspace_masks",
+                        lambda code, r, pivot_sets: list(sweep(code, r, pivot_sets)))
     assert brute_ghw(code, 1) == hierarchy(spec)[0]
 
-    def truncated(code, pivots, suffixes):
-        chunks = list(sweep(code, pivots, suffixes))
-        return chunks[:-1] if len(chunks) > 1 else chunks
+    def truncated(code, r, pivot_sets):
+        return list(sweep(code, r, pivot_sets))[:-1]
 
-    monkeypatch.setattr(codes, "_pivot_set_masks", truncated)
+    monkeypatch.setattr(codes, "_subspace_masks", truncated)
     with pytest.raises(InvariantError, match="subspaces, expected"):
         brute_ghw(code, 1)
 

@@ -35,17 +35,14 @@ CLOSED_FORMS = (
 ORACLE_SIDE = (
     "shadow*", "all_tuples", "tuples_deg_*", "brute_*", "hilbert_fn", "box_ideal",
     "_span_words", "_mask_type", "_bit_planes", "_span_planes", "_oracle_table",
-    "_plane_tables", "_row_multiples", "_pair_masks", "_side_planes", "_word_masks",
-    "_pivot_set_masks", "_digit_walk",
+    "_plane_tables", "_row_multiples", "_planes_differ", "_pair_masks", "_word_masks",
+    "_subspace_masks", "_digit_walk",
 )
 
-ORACLES = {
-    "codes.py": ("brute_ghw", "brute_min_weight", "_span_words", "_mask_type", "_bit_planes",
-                 "_span_planes", "_oracle_table", "_plane_tables", "_row_multiples", "_pair_masks",
-                 "_side_planes", "_word_masks", "_fast_digits", "_digit_walk", "_pivot_set_masks"),
-    "grid.py": ("brute_min_shadow", "shadow"),
-    "hilbert.py": ("hilbert_fn", "box_ideal"),
-}
+# The oracles' entry points.  They, and every library function they call,
+# transitively, must name no closed form.
+ORACLES = ("brute_ghw", "brute_min_weight", "brute_min_shadow", "shadow", "hilbert_fn",
+           "box_ideal")
 
 
 def _mentions(node) -> list:
@@ -72,33 +69,72 @@ def _is_closed_form(name: str) -> bool:
     return _matches(name, CLOSED_FORMS) or name.startswith("lex_segment")
 
 
-def _oracle_bodies(filename: str) -> dict:
-    """The module-level definitions of the oracles listed for filename."""
-    tree = ast.parse((Path(ccodes.__file__).parent / filename).read_text(encoding="utf-8"))
-    return {node.name: node for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name in ORACLES[filename]}
-
-
 def _closed_forms_used(node) -> list:
     return sorted(n for n in _names(node) if _is_closed_form(n))
 
 
+def _module_functions() -> dict:
+    """Module-level function definitions of the library, by name."""
+    return {node.name: node
+            for path in SOURCES
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _reached(functions: dict, names) -> set:
+    """names and every library function they name, transitively."""
+    seen, todo = set(), list(names)
+    while todo:
+        current = todo.pop()
+        if current not in seen:
+            seen.add(current)
+            todo += [n for n in _names(functions[current]) if n in functions]
+    return seen
+
+
+def _oracle_side(functions: dict) -> set:
+    """The oracles and the functions they name, transitively, up to closed forms.
+
+    The walk stops at a closed form: naming one is the breach.
+    """
+    other = {name: node for name, node in functions.items() if not _is_closed_form(name)}
+    return _reached(other, ORACLES)
+
+
+def _oracle_side_closed_forms(functions: dict) -> dict:
+    """The closed forms named by each oracle-side function, where any are."""
+    used = {name: _closed_forms_used(functions[name]) for name in _oracle_side(functions)}
+    return {name: names for name, names in used.items() if names}
+
+
 def test_oracles_share_no_code_with_closed_forms():
-    for filename, oracles in ORACLES.items():
-        bodies = _oracle_bodies(filename)
-        assert set(bodies) == set(oracles), filename
-        for name, node in bodies.items():
-            used = _closed_forms_used(node)
-            assert not used, f"{filename}:{name} calls closed-form machinery {used}"
+    functions = _module_functions()
+    assert set(ORACLES) <= set(functions)
+    assert _oracle_side_closed_forms(functions) == {}
 
 
-@pytest.mark.parametrize("filename,oracle", [(filename, oracle)
-                                             for filename, oracles in ORACLES.items()
-                                             for oracle in oracles])
+def _oracle_side_by_file() -> list:
+    """(file name, function name) of each oracle-side function, in file order."""
+    side = _oracle_side(_module_functions())
+    return [(path.name, node.name) for path in SOURCES
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef) and node.name in side]
+
+
+@pytest.mark.parametrize("filename,oracle", _oracle_side_by_file())
 def test_closed_form_planted_in_an_oracle_is_caught(filename, oracle):
-    node = _oracle_bodies(filename)[oracle]
-    node.body.insert(0, ast.parse("min_shadow_size(shape, d, r)").body[0])
-    assert _closed_forms_used(node) == ["min_shadow_size"]
+    functions = _module_functions()
+    functions[oracle].body.insert(0, ast.parse("min_shadow_size(shape, d, r)").body[0])
+    assert _oracle_side_closed_forms(functions) == {oracle: ["min_shadow_size"]}
+
+
+def test_closed_form_planted_in_a_called_helper_is_caught():
+    # _sum_into is no entry point: the walk reaches it through brute_min_weight
+    # and matmul, so a closed form planted there is caught
+    functions = _module_functions()
+    assert "_sum_into" not in ORACLES and "_sum_into" in _oracle_side(functions)
+    functions["_sum_into"].body.insert(0, ast.parse("min_shadow_size(shape, d, r)").body[0])
+    assert _oracle_side_closed_forms(functions) == {"_sum_into": ["min_shadow_size"]}
 
 
 def test_only_sum_into_reads_the_addition_table():
@@ -107,6 +143,22 @@ def test_only_sum_into_reads_the_addition_table():
     readers = sorted(node.name for node in ast.walk(tree)
                      if isinstance(node, ast.FunctionDef) and "add_table" in _names(node))
     assert readers == ["_sum_into"]
+
+
+def test_split_and_plane_tables_have_one_reader_each():
+    # the subspace oracle cuts a code's generator rows in two in one place,
+    # and one function gathers from the tables of the two sides
+    tree = ast.parse((Path(ccodes.__file__).parent / "codes.py").read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    halving = sorted(node.name for node in functions
+                     if "code" in {a.arg for a in node.args.args}
+                     and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.FloorDiv)
+                             and isinstance(n.right, ast.Constant) and n.right.value == 2
+                             for n in ast.walk(node)))
+    assert halving == ["_plane_tables"]
+    readers = sorted(node.name for node in functions
+                     if "_plane_tables" in _names(node) and node.name != "_plane_tables")
+    assert readers == ["_word_masks"]
 
 
 def _calls(node) -> set:
@@ -146,9 +198,9 @@ def test_lex_segment_is_a_view_of_the_band_listing():
 
 def test_both_sweeps_step_their_slow_digits_through_one_walk():
     # no mixed-radix counter of their own, such as itertools.product
-    bodies = _oracle_bodies("codes.py")
-    for name in ("_pivot_set_masks", "brute_min_weight"):
-        names = _names(bodies[name])
+    functions = _module_functions()
+    for name in ("_subspace_masks", "brute_min_weight"):
+        names = _names(functions[name])
         assert "_digit_walk" in names and "itertools" not in names, name
 
 
@@ -213,28 +265,13 @@ def test_field_element_is_an_empty_placeholder():
     assert vars(gf.FieldElement).keys() == vars(bare["FieldElement"]).keys()
 
 
-def _module_functions() -> dict:
-    """Module-level function definitions of the library, by name."""
-    return {node.name: node
-            for path in SOURCES
-            for node in ast.parse(path.read_text(encoding="utf-8")).body
-            if isinstance(node, ast.FunctionDef)}
-
-
 def test_closed_forms_name_no_oracle_side_scan():
     functions = _module_functions()
     closed = {name for name in functions if _matches(name, CLOSED_FORMS)}
     assert all(fnmatch.filter(closed, pattern) for pattern in CLOSED_FORMS)
     for name in sorted(closed):
         # follow the library functions a closed form calls, transitively
-        seen, todo = set(), [name]
-        while todo:
-            current = todo.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            todo += [n for n in _names(functions[current]) if n in functions]
-        used = sorted(n for node in seen for n in _names(functions[node])
+        used = sorted(n for node in _reached(functions, [name]) for n in _names(functions[node])
                       if _matches(n, ORACLE_SIDE))
         assert not used, f"{name} reaches oracle-side names {used}"
 
