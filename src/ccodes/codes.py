@@ -34,14 +34,19 @@ coordinate, never per polynomial or term.  Both oracles hold at most
 _ORACLE_CHUNK subspaces or codewords at once, whatever their budget, step
 their slow digits through _digit_walk, and raise InvariantError unless they
 covered exactly the gaussian_binomial(K, r, q) subspaces or q^K codewords
-they should.  The subspace oracle packs bit planes once per code, into
-tables that _oracle_table keeps on the LinearCode: while a table fits one
-chunk, its sweep only gathers from the tables and ORs masks, and adds no
-codes.  _planes_differ is its one zero test, _plane_tables alone splits
-the rows, and _subspace_masks is its one sweep, which keeps the masks that
-consecutive pivot sets share for one call.  Only _hierarchy_at_degree
-decides whether a hierarchy is short enough to list, and only
-extremal_family whether a family is.
+they should.  The codeword oracle compares one word per scalar class, the
+(q^K - 1) / (q - 1) words whose first nonzero coefficient is 1; their
+multiples and the zero word cover the rest.  The subspace oracle packs bit
+planes and masks once per code, into tables of at most one chunk of words
+per plane that _oracle_table keeps on the LinearCode: the planes of the
+two halves of the rows, the rows' multiples, the pair masks, and the masks
+of the span of the last rows (_tail_masks), which a basis row among those
+rows slices its masks from.  While the tables fit, its sweep only gathers
+from them and ORs masks, and adds no codes.  _planes_differ is its one zero
+test, _plane_tables alone splits the rows, and _subspace_masks is its one
+sweep, which keeps the masks that consecutive pivot sets share for one
+call.  Only _hierarchy_at_degree decides whether a hierarchy is short
+enough to list, and only extremal_family whether a family is.
 
 Errors: bad input raises ValueError, generator entries that are not
 integer codes in [0, q) included.  Its one subclass, BudgetExceededError,
@@ -691,6 +696,18 @@ def _fast_digits(q: int) -> int:
     return digits
 
 
+def _tail_masks(code: LinearCode) -> np.ndarray:
+    """Support masks of every word of the span of G[t:], t = max(0, K - _fast_digits(q)).
+
+    The q^(K - t) words fit one chunk and are indexed as _span_words lists
+    them, so the words G[p] + span(G[p+1:]) of a row at pivot p >= t are
+    the slice [q^(K-1-p), 2 q^(K-1-p)), with one axis of q per later row.
+    """
+    K = code.dimension
+    rows = range(max(0, K - _fast_digits(code.field.q)), K)
+    return _word_masks(code, np.zeros((1, K), dtype=np.int64), rows)[0]
+
+
 def _digit_walk(starts: np.ndarray, slow, variants):
     """Each combination of the slow digits, first digit slowest, as arrays.
 
@@ -717,8 +734,10 @@ def _subspace_masks(code: LinearCode, r: int, pivot_sets):
     free entries); a set's subspaces follow the free entries of all rows
     as one counter, first slowest.  A row's masks are read off _pair_masks
     while it has at most one free entry and the code has them, else packed
-    from G[p] itself when it has none, else built by _word_masks while its
-    free entries fit one chunk.  Rows i.. depend only on suffixes[i] =
+    from G[p] itself when it has none, else sliced from _tail_masks when G[p]
+    and all later rows fit one chunk (the view at index 0 on the axes of
+    the later pivots), else built by _word_masks while its free entries fit
+    one chunk.  Rows i.. depend only on suffixes[i] =
     pivots[i:], so rows[i], the masks of row i, and tails[i], the
     OR-product of rows i.., each while it fits one chunk, stay for the
     next sets with those last pivots.  The longest product that fits is
@@ -750,6 +769,11 @@ def _subspace_masks(code: LinearCode, r: int, pivot_sets):
                 rows[i] = pairs[p, cols[0]] if cols else pairs[p, p, :1]
             elif not cols:  # G[p] alone, zero where its entries are
                 rows[i] = _bit_planes((code.matrix[p] != 0).view(np.uint8)[None], 1)[0]
+            elif K - p <= fits:  # index 0 on the axes of the later pivots
+                size = q ** (K - 1 - p)
+                words = _oracle_table(code, _tail_masks)[size:2 * size].reshape((q,) * (K - 1 - p))
+                rows[i] = words[tuple(0 if c in pivots else slice(None)
+                                      for c in range(p + 1, K))].ravel()
             elif len(cols) <= fits:
                 rows[i] = _word_masks(code, np.eye(1, K, p, dtype=np.int64), cols)[0]
             if tails[i + 1] is not None and rows[i] is not None and (
@@ -840,13 +864,18 @@ def _span_words(rows, field: Field) -> np.ndarray:
 
 
 def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum weight over every nonzero codeword, by full enumeration.
+    """Minimum weight over every nonzero codeword, by enumeration of scalar classes.
 
-    The span of the last generator rows, at most _ORACLE_CHUNK words, is
-    held once.  Each combination of the other rows, stepped through
-    _digit_walk, is compared against the whole span, so one chunk covers
-    at most _ORACLE_CHUNK codewords.  The words compared are counted and
-    must number q^K.  Unlike brute_ghw, it takes codes of any length.
+    A word and its q - 1 nonzero multiples have one weight, so only the
+    words whose first nonzero coefficient is 1 are compared: G[p] plus any
+    combination of the later rows, for each row p.  The span of the last
+    generator rows, at most _ORACLE_CHUNK words, is held once, and a row
+    among them reads its words as a slice of it.  A row before them steps
+    its later rows outside the span through _digit_walk, each combination
+    compared against the whole span, so one chunk covers at most
+    _ORACLE_CHUNK codewords.  The words compared, times q - 1, plus the
+    zero word, must number q^K; the budget bounds q^K as well.  Unlike
+    brute_ghw, it takes codes of any length.
     """
     K, n = code.dimension, code.length
     field = code.field
@@ -859,22 +888,33 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     cut = max(0, K - _fast_digits(q))
     # column-major, so that the weights sum whole columns at a time
     inner = np.asfortranarray(_span_words(code.matrix[cut:], field))
+    # the slices below never read the span's last word, so count the span itself
+    if len(inner) != q ** (K - cut):
+        raise InvariantError(f"spanned {len(inner)} codewords, expected {q ** (K - cut)}")
     count = np.min_scalar_type(n)
     best = n
     compared = 0
     zero = np.zeros((1, n), dtype=field.int_dtype)
+
     def add_multiples(word, c):
         return _sum_into(field.mul_table[:, code.matrix[c]], word, field)
 
-    for outer in _digit_walk(zero, [(0, c) for c in range(cut)], add_multiples):
-        # a word w + v is zero exactly where v == -w
-        weights = (inner != field.neg_table[outer]).sum(axis=1, dtype=count)
-        compared += weights.size
-        nonzero = weights[weights > 0]
-        if nonzero.size:
-            best = min(best, int(nonzero.min()))
-    if compared != total:
-        raise InvariantError(f"compared {compared} codewords, expected {total}")
+    for p in range(K):
+        if p < cut:  # each G[p] + a combination of G[p+1:cut], plus the whole span
+            slow = [(0, c) for c in range(p + 1, cut)]
+            pieces = ((inner, outer) for outer in _digit_walk(code.matrix[p:p + 1], slow,
+                                                              add_multiples))
+        else:  # G[p] + span(G[p+1:]), a slice of the span
+            size = q ** (K - 1 - p)
+            pieces = [(inner[size:2 * size], zero)]
+        for words, outer in pieces:
+            # a word w + v is zero exactly where v == -w
+            weights = (words != field.neg_table[outer]).sum(axis=1, dtype=count)
+            compared += weights.size
+            best = min(best, int(weights.min()))
+    covered = (q - 1) * compared + 1
+    if covered != total:
+        raise InvariantError(f"compared {covered} codewords, expected {total}")
     return best
 
 

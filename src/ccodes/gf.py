@@ -130,6 +130,8 @@ def _pow(a, n: int, p: int, modulus):
     """a^n for n >= 0, squaring and multiplying left to right; 0^0 is 1."""
     if n == 0:
         return a * 0 + 1
+    if n == 1:
+        return a * 1  # a new array, never the operand itself
     result = a
     for bit in bin(n)[3:]:  # the bits of n after the leading 1
         result = _mul(result, result, p, modulus)
@@ -244,13 +246,15 @@ class Field:
 
         An array is cast to the narrowest signed dtype that no step of
         _add, _mul or _pow can overflow, or to Python ints (dtype object)
-        when int64 has no room.  It must hold integers or Python ints: a
-        cast from floats would truncate them, or round codes past 2^53.
+        when int64 has no room; one already of that dtype is not copied,
+        since those steps write no operand and return a new array.  It must
+        hold integers or Python ints: a cast from floats would truncate
+        them, or round codes past 2^53.
         """
         if isinstance(a, np.ndarray):
             if a.dtype.kind not in "iuO":
                 raise ValueError(f"element codes must be integers, got dtype {a.dtype}")
-            return a.astype(self._wide_dtype)
+            return a.astype(self._wide_dtype, copy=False)
         return operator.index(a)
 
     def add(self, a, b):

@@ -725,15 +725,35 @@ def test_brute_budget_errors():
         brute_ghw(code, 2, budget=5)
     with pytest.raises(BudgetExceededError):
         brute_min_weight(code, budget=5)
+    # the budget bounds all 3^6 codewords, though only (3^6 - 1) / 2 are compared
+    with pytest.raises(BudgetExceededError, match=exactly("729 codewords exceed budget 728")):
+        brute_min_weight(code, budget=728)
+    assert brute_min_weight(code, budget=729) == hierarchy(spec)[0]
     with pytest.raises(ValueError, match=exactly("rank 0 outside [1, 6]")):
         brute_ghw(code, 0)
 
 
 def test_brute_min_weight_matches_codeword_scan():
-    spec = spec_from_parts("2^2", "0,1,2;0,1,2,3", 2)
-    code = generator_matrix(spec)
-    weights = [sum(1 for x in w if x) for w in all_codewords(code) if any(w)]
-    assert brute_min_weight(code) == min(weights)
+    # a grid code over GF(4), codes over GF(5) and GF(9), and a [90, 5]
+    # ternary code with zero and repeated columns, too long for brute_ghw.
+    # At small chunks the held span is short or empty, so the rows before
+    # it walk their later rows
+    rng = np.random.default_rng(3)
+    cases = [generator_matrix(spec_from_parts("2^2", "0,1,2;0,1,2,3", 2))]
+    for pe, k, n in (((5, 1), 4, 9), ((3, 2), 3, 8), ((3, 1), 5, 75)):
+        field = field_create(*pe)
+        matrix = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, field.q, (k, n - k))])
+        if n > 64:  # three zero and twelve repeated columns
+            matrix = np.hstack([matrix, np.zeros((k, 3), dtype=np.int64), matrix[:, 20:32]])
+        cases.append(LinearCode(field, matrix))
+    with pytest.raises(BudgetExceededError, match="limited to length 64, code has 90"):
+        brute_ghw(cases[-1], 1)
+    for code in cases:
+        weights = [sum(1 for x in w if x) for w in all_codewords(code) if any(w)]
+        with pytest.MonkeyPatch.context() as patch:
+            for chunk in (codes._ORACLE_CHUNK, 1, 3, 7):
+                patch.setattr(codes, "_ORACLE_CHUNK", chunk)
+                assert brute_min_weight(code) == min(weights), (code, chunk)
 
 
 FIELDS_BY_ORDER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2),
@@ -840,6 +860,8 @@ def test_plane_tables_match_field_arithmetic(q, data):
             for k in range(bits):
                 assert int(table[k, index]) == sum(1 << j for j, x in enumerate(word) if x >> k & 1)
     assert np.array_equal(steps, np.multiply.outer(weights, np.arange(q)))
+    tail = span_reference(G[max(0, K - codes._fast_digits(q)):], field)
+    assert codes._tail_masks(code).tolist() == weighted_sum(tail != 0).tolist()
     multiples = codes._row_multiples(code)
     assert multiples.shape == (bits, K, q)
     for k, c, a in itertools.product(range(bits), range(K), range(q)):
@@ -879,8 +901,11 @@ def test_plane_tables_stay_within_one_chunk(monkeypatch):
     finally:
         tracemalloc.stop()
     assert codes._row_multiples(identity) is None and peak < 2 ** 20, peak
+    # the tail table spans the rows from 17 - 8 = 9 on, 3^8 words
+    assert codes._tail_masks(code).shape == (3 ** 8,)
     monkeypatch.setattr(codes, "_ORACLE_CHUNK", 7)
     assert codes._plane_tables(code)[1:3] == (None, None)
+    assert codes._tail_masks(code).shape == (3,)
     assert codes._row_multiples(code) is None and codes._pair_masks(code) is None
 
 
@@ -1060,10 +1085,14 @@ def test_oracle_tables_leave_with_their_code():
     # the tables live on the code, not in a module-level cache
     code = generator_matrix(spec_from_parts("2^2", "0,1,2,3;0,1,2,3", 2))
     assert [brute_ghw(code, r) for r in range(1, code.dimension + 1)] == [8, 11, 12, 14, 15, 16]
+    kept = code._oracle_tables
+    chunk = codes._ORACLE_CHUNK
+    tables = [weakref.ref(kept["_plane_tables", chunk][1]), weakref.ref(kept["_tail_masks", chunk])]
+    del kept
     ref = weakref.ref(code)
     del code
     gc.collect()
-    assert ref() is None
+    assert ref() is None and [table() for table in tables] == [None, None]
 
 
 def test_ghw_oracle_on_length_16_grid():

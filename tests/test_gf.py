@@ -450,6 +450,17 @@ def test_arrays_past_int64_stay_exact():
     assert f.mul(xs, ys).tolist() == [ref_mul(f, x, y) for x, y in pairs]
     assert f.add(xs, ys).tolist() == [ref_add(f, x, y) for x, y in pairs]
     assert f.neg(xs).tolist() == [ref_neg(f, x) for x, _ in pairs]
+    # every result is a new array, also for operands already in the wide
+    # dtype, which are not copied (int16 over GF(11) and GF(2), int32 over
+    # GF(2^10), Python ints here), and for pow(a, 1) and GF(2)'s inv, a^1
+    for field, dtype in ((field_create(11), np.int16), (field_create(2), np.int16),
+                         (field_create(2, 10), np.int32), (f, object)):
+        assert field._wide_dtype == dtype
+        xs, ys = np.array([0, 1, 1, 0], dtype=dtype), np.array([1, 1, 0, 1], dtype=dtype)
+        for result in (field.add(xs, ys), field.mul(xs, ys), field.neg(xs), field.pow(xs, 1),
+                       field.inv(xs), field.mul(1, xs)):
+            result[...] = 0
+            assert xs.tolist() == [0, 1, 1, 0] and ys.tolist() == [1, 1, 0, 1], (field, dtype)
 
 
 def test_largest_tables_are_fast_read_only_and_compact():
