@@ -80,9 +80,9 @@ _MAX_ORACLE_LENGTH = 64
 # Most subspaces or codewords an exhaustive oracle holds at once.
 _ORACLE_CHUNK = 1 << 14
 
-# A hierarchy is held as a tuple of Python ints, and an extremal family as
-# arrays of its terms; refuse hierarchies of more weights, and families of
-# more polynomials or terms, than this.
+# A hierarchy is held as a read-only array of its weights, and an extremal
+# family as arrays of its terms; refuse hierarchies of more weights, and
+# families of more polynomials, terms or entries, than this.
 _MAX_LISTING = DEFAULT_BUDGET
 
 
@@ -419,7 +419,9 @@ def extremal_family(spec: CartesianCodeSpec, r: int) -> tuple:
     b_s, and their count, the product of those rows' lengths, is known
     before any is expanded: memory follows the terms, not the box
     prod(b_s + 1).  A family of more than _MAX_LISTING polynomials or
-    terms raises BudgetExceededError.  Every term's digit on coordinate s
+    terms raises BudgetExceededError, and so does one whose r x m segment
+    digits or terms x m exponents hold more than _MAX_LISTING entries,
+    since memory grows with those.  Every term's digit on coordinate s
     indexes the ladders' nonzero terms once, and the gathered codes are
     multiplied with one Field.mul per coordinate after the first for the
     whole family, so the family needs no tables and works over every
@@ -431,6 +433,10 @@ def extremal_family(spec: CartesianCodeSpec, r: int) -> tuple:
         raise BudgetExceededError(
             f"extremal family of rank {r} exceeds the limit of {_MAX_LISTING} polynomials")
     field, m = spec.field, spec.shape.m
+    entries = (f"extremal family of rank {r} in {m} variables exceeds the limit of "
+               f"{_MAX_LISTING} entries")
+    if r * m > _MAX_LISTING:  # the segment's digits
+        raise BudgetExceededError(entries)
     tuples = lex_segment_digits(spec.shape, spec.d, r)
     top = int(tuples.max())
     # a ladder row past its coordinate's largest digit is never read, so the
@@ -455,9 +461,12 @@ def extremal_family(spec: CartesianCodeSpec, r: int) -> tuple:
     counts = np.ones(r, dtype=np.int64)
     for size in sizes.T:  # clipped, so that no product of row lengths can wrap
         counts = np.minimum(counts * size, _MAX_LISTING + 1)
-    if counts.sum() > _MAX_LISTING:
+    terms = int(counts.sum())
+    if terms > _MAX_LISTING:
         raise BudgetExceededError(
             f"extremal family of rank {r} exceeds the limit of {_MAX_LISTING} terms")
+    if terms * m > _MAX_LISTING:  # the terms' exponents
+        raise BudgetExceededError(entries)
     starts = np.zeros(r + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
     owner = np.repeat(np.arange(r), counts)

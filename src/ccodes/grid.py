@@ -26,10 +26,10 @@ tuple.  lex_segment lists the same tuples as Python tuples.
 The shadow of a subset S is every box tuple that dominates some element
 of S coordinatewise (divides, which hilbert's monomial ideals share).
 Shadows, all_tuples and tuples_deg_le are plain scans of the box.  They
-are the oracle side: brute_min_shadow, generator matrices and the tests
-use them, and no closed form does.  all_tuples yields the box lazily,
-and tuples_deg_le and shadow hold only the tuples they keep, so a
-brute_min_shadow that its budget refuses takes O(n) time but never
+are the oracle side: brute_min_shadow, hilbert_fn, generator matrices
+and the tests use them, and no closed form does.  all_tuples yields the
+box lazily, and tuples_deg_le and shadow hold only the tuples they keep,
+so a brute_min_shadow that its budget refuses takes O(n) time but never
 holds the box.
 """
 

@@ -6,9 +6,10 @@ sequence of monomials of one length.  A polynomial is a plain dict from
 monomials to nonzero integer codes of a field, its terms;
 format_polynomial prints one, and format_polynomials every polynomial of
 a family held as flat arrays of its terms, with no Python call per term.
-The affine Hilbert function of a monomial ideal (hilbert_fn) is computed
-by direct enumeration of the degree-<=u simplex and divisibility tests
-(grid.divides); at desk scale this is small and auditable.
+The affine Hilbert function of a monomial ideal (hilbert_fn) counts the
+monomials of degree <= u that no generator divides (grid.divides),
+listed by grid.tuples_deg_le from the cube of side u + 1, which holds
+them all; at desk scale this is small and auditable.
 
 footprint_upper_bound is a closed form: it counts the box tuples outside
 the leading terms' up-sets coordinate by coordinate and never lists the
@@ -26,23 +27,7 @@ import itertools
 
 import numpy as np
 
-from .grid import GridShape, divides
-
-
-def monomials_deg_eq(nvars: int, total: int):
-    """Yield exponent tuples with coordinate sum == total, lex ascending."""
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in monomials_deg_eq(nvars - 1, total - first):
-            yield (first,) + rest
-
-
-def monomials_deg_le(nvars: int, max_degree: int):
-    """Yield exponent tuples with coordinate sum <= max_degree, graded."""
-    for total in range(max_degree + 1):
-        yield from monomials_deg_eq(nvars, total)
+from .grid import GridShape, divides, tuples_deg_le
 
 
 def hilbert_fn(generators, u: int) -> int:
@@ -55,6 +40,8 @@ def hilbert_fn(generators, u: int) -> int:
     if not gens:
         raise ValueError("at least one generator required")
     nvars = len(gens[0])
+    if not nvars:
+        raise ValueError("generators need at least one variable")
     for g in gens:
         if len(g) != nvars:
             raise ValueError(f"generator {g} has {len(g)} variables, expected {nvars}")
@@ -62,7 +49,7 @@ def hilbert_fn(generators, u: int) -> int:
             raise ValueError(f"negative exponent in generator {g}")
     if u < 0:
         return 0
-    return sum(1 for mono in monomials_deg_le(nvars, u)
+    return sum(1 for mono in tuples_deg_le(GridShape((u + 1,) * nvars), u)
                if not any(divides(g, mono) for g in gens))
 
 

@@ -414,6 +414,28 @@ def test_maxzeros_refuses_families_past_the_limit(capsys):
                             "of 10000000 terms\n")
 
 
+def test_maxzeros_refuses_families_past_the_entry_limit(capsys):
+    # 250001 polynomials of 40 segment digits each are refused before the
+    # segment is listed, and the 2^20 terms of f1 = (x1 + 1)...(x20 + 1),
+    # 20 exponents each, before any term is expanded
+    binary = ("maxzeros", "--field", "2^1", "--sets")
+    start = time.process_time()
+    tracemalloc.start()
+    try:
+        digits = run_cli(capsys, *binary, ";".join(["0,1"] * 40), "--d", "20",
+                         "--r", "250001")
+        exponents = run_cli(capsys, *binary, ";".join(["1,0"] * 20), "--d", "20", "--r", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.process_time() - start < 1.0
+    assert peak < 2 ** 20, f"peak {peak} bytes"
+    assert digits == (2, "", "error: extremal family of rank 250001 in 40 variables exceeds "
+                             "the limit of 10000000 entries\n")
+    assert exponents == (2, "", "error: extremal family of rank 1 in 20 variables exceeds "
+                                "the limit of 10000000 entries\n")
+
+
 def test_hierarchy_summarises_a_dual_past_the_limit(capsys):
     # RM(3, 30): 4526 weights of its own, 2^30 - 4526 in the dual
     args = ("hierarchy", "--field", "2^1", "--sets", ";".join(["0,1"] * 30), "--d", "3")
@@ -464,6 +486,29 @@ def test_verify_counts_no_subspaces_past_the_length_cap(capsys):
     assert text.splitlines()[-1] == "VERIFY OK"
     assert err == ("verify: skipped 257 of 333 checks by their oracles: "
                    "ghw r=1..36, min_distance, dual ghw r=1..220\n")
+
+
+@pytest.mark.parametrize("field,sets,d,skipped", [
+    # no plane table past its cut
+    ("3^1", "0,1,2;0,1,2;0,1,2", 3, "24 of 66 checks by their oracles: "
+                                    "ghw r=1..16, min_distance, dual ghw r=2..8"),
+    # swept on 4 bit planes
+    ("2^4", "0,1,2,3;0,1,2,3", 2, "13 of 33 checks by their oracles: "
+                                  "ghw r=2..4, min_distance, dual ghw r=1..9"),
+    # the codeword oracle walks the rows before its held span, and the
+    # rank-1 sweep streams the rows that its tail table does not reach
+    ("2^2", "0,1,2,3;0,1,2,3", 3, "7 of 41 checks by their oracles: ghw r=2..8"),
+    # no pair masks, row multiples or plane tables: one subspace, packed row by row
+    ("2^10", "0,1,2,3,4,5,6,7;0,1,2,3,4,5,6,7", 14, "64 of 195 checks by their oracles: "
+                                                    "ghw r=1..63, min_distance"),
+], ids=["27,17-GF3", "16,6-GF16", "16,10-GF4", "64,64-GF1024"])
+def test_verify_oracle_coverage_is_pinned(capsys, field, sets, d, skipped):
+    # the same codes and skip lists as the installed-script checks in CI, so
+    # that no oracle's coverage shrinks unseen
+    status, text, err = run_cli(capsys, "verify", "--field", field, "--sets", sets,
+                                "--d", str(d))
+    assert (status, text.splitlines()[-1]) == (0, "VERIFY OK")
+    assert err == f"verify: skipped {skipped}\n"
 
 
 def test_verify_reports_mismatch(capsys, monkeypatch):

@@ -1041,6 +1041,36 @@ def test_truncated_codeword_span_trips_the_count_invariant(monkeypatch):
         brute_min_weight(code)
 
 
+def test_dropped_codeword_piece_trips_the_compared_invariant(monkeypatch):
+    # at one digit per chunk the [9,6] ternary code spans only its last row,
+    # so the rows before it step through _digit_walk, 3 words per piece
+    spec = spec_from_parts("3^1", "0,1,2;0,1,2", 2)
+    code = generator_matrix(spec)
+    monkeypatch.setattr(codes, "_ORACLE_CHUNK", 3)
+    assert brute_min_weight(code) == hierarchy(spec)[0]
+    walk, dropped = codes._digit_walk, []
+
+    def drop_first_piece(starts, slow, variants):
+        pieces = walk(starts, slow, variants)
+        if not dropped:  # once: the walk's recursion comes back here
+            dropped.append(slow)
+            next(pieces)
+        yield from pieces
+
+    monkeypatch.setattr(codes, "_digit_walk", drop_first_piece)
+    with pytest.raises(InvariantError, match=exactly("compared 723 codewords, expected 729")):
+        brute_min_weight(code)
+    assert len(dropped) == 1
+
+
+def test_dropped_monomial_trips_the_generator_row_count(monkeypatch):
+    spec = spec_from_parts("3^1", "0,1,2;0,1,2", 2)
+    tuples = codes.tuples_deg_le
+    monkeypatch.setattr(codes, "tuples_deg_le", lambda shape, u: tuples(shape, u)[:-1])
+    with pytest.raises(InvariantError, match=exactly("generator has 5 rows, spec dimension is 6")):
+        generator_matrix(spec)
+
+
 def test_oracle_memory_does_not_grow_with_the_budget():
     # a [26, 13] ternary code: (3^13 - 1) / 2 = 797161 one-dimensional
     # subcodes and 3^13 = 1594323 codewords; and a [64, 16] binary code,
