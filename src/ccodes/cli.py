@@ -99,10 +99,6 @@ def _spec_from_args(args) -> codes.CartesianCodeSpec:
     return codes.spec_from_parts(field_text, sets_text, int(d))
 
 
-# 10, 100, ..., 10^18: an int64 code has one more digit than the powers it reaches
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
-
-
 def _decimal(codes, sep: str, row_sep: str = "") -> str:
     """Decimal text of a 1-D or 2-D array of non-negative integer codes.
 
@@ -111,9 +107,11 @@ def _decimal(codes, sep: str, row_sep: str = "") -> str:
     digits, so the running sums of the slot widths end each entry's digits
     in one byte buffer, which is filled with sep first.  The digits are
     written right to left, one numpy pass per digit position, each pass
-    over the entries that still have digits left.  Arrays that int64
-    cannot hold (dtype object for codes past it, uint64) are written
-    with str.
+    over the entries that still have digits left.  The codes left and the
+    write positions are held in the narrowest signed types that hold the
+    largest code and the text's length; codes of a narrower type, such as
+    uint8 matrices, are not copied.  Arrays that int64 cannot hold (dtype
+    object for codes past it, uint64) are written with str.
     """
     codes = np.asarray(codes)
     if codes.size and codes.min() < 0:
@@ -121,21 +119,28 @@ def _decimal(codes, sep: str, row_sep: str = "") -> str:
     rows = codes if codes.ndim == 2 else codes.reshape(1, -1)
     if codes.size == 0 or not np.can_cast(codes.dtype, np.int64):
         return row_sep.join(sep.join(map(str, row)) for row in rows.tolist())
-    step, rest = rows.shape[1], rows.ravel()
-    last = np.searchsorted(_POWERS_OF_TEN, rest, side="right")  # digits - 1
-    last += 1 + len(sep)
+    step, rest, top = rows.shape[1], rows.ravel(), int(codes.max())
+    narrow = np.min_scalar_type(-top - 1)  # the narrowest signed type that holds top
+    if rest.itemsize > narrow.itemsize:
+        rest = rest.astype(narrow)
+    digits = len(str(top))
+    # a signed type that holds the text's length, which bounds every write position
+    width = np.min_scalar_type(-rest.size * (digits + len(sep) + len(row_sep)) - 1)
+    last = np.full(rest.size, 1 + len(sep), dtype=width)  # slot widths of one digit
+    for power in range(1, digits):
+        last += rest >= 10 ** power
     last[::step] += len(row_sep) - len(sep)  # a row's first entry follows row_sep
     last[0] -= len(row_sep)
-    np.cumsum(last, out=last)  # one past each entry's digits
+    np.cumsum(last, dtype=width, out=last)  # one past each entry's digits
     text = np.full(last[-1], ord(sep), dtype=np.uint8)
     for i, byte in enumerate(row_sep.encode()):
         text[last[step - 1:-1:step] + i] = byte
     last -= 1
     while last.size:
-        text[last] = rest % 10 + ord("0")
-        rest = rest // 10
-        more = rest > 0
-        last, rest = last[more] - 1, rest[more]
+        quotient = rest // 10
+        text[last] = (rest - quotient * 10).astype(np.uint8, copy=False) + ord("0")
+        more = quotient > 0
+        last, rest = last[more] - 1, quotient[more]
     return str(text.data, "ascii")
 
 
@@ -191,7 +196,7 @@ def _cmd_dual(args) -> int:
         "length": dual.length,
         "dimension": dual.dimension,
         "matrix": dual.matrix,
-        "hierarchy": np.array(codes.dual_hierarchy(spec), dtype=np.int64),
+        "hierarchy": codes._dual_weights(spec),
     }
     _emit(args, payload, lambda: [
         f"length    {dual.length}", f"dimension {dual.dimension}", "matrix",

@@ -360,7 +360,8 @@ def _hierarchy_at_degree(shape: GridShape, d: int) -> np.ndarray:
     count_deg_ge checks the degree, as k - d.  d_r is 1 + the value of
     the r-th tuple of degree >= k - d, ascending.  A hierarchy past
     _MAX_LISTING weights raises BudgetExceededError.  The weights
-    are a read-only array: int64 while n fits, else of dtype object
+    are values_deg_ge's array, read-only: of the narrowest signed type
+    that holds n, the largest weight, or past int64 of dtype object
     holding exact Python ints.
     """
     length = count_deg_ge(shape, shape.k - d)
@@ -935,7 +936,9 @@ def code_summary(spec: CartesianCodeSpec) -> dict:
     """Parameters and both hierarchies of the code; min_distance is d_1.
 
     Both hierarchies are _hierarchy_at_degree's read-only arrays, not
-    lists, so a caller can write them out without a Python int per weight.
+    lists, each of the narrowest signed type that holds n (dtype object
+    past int64), so a caller can write them out without a Python int or
+    an int64 per weight.
     A dual hierarchy that _hierarchy_at_degree refuses to list is summarised
     instead: dual_hierarchy is None and dual_hierarchy_summary holds its
     length n - K and its first and last weights, each unranked on its own.

@@ -25,12 +25,13 @@ tuple.  lex_segment lists the same tuples as Python tuples.
 
 The shadow of a subset S is every box tuple that dominates some element
 of S coordinatewise (divides, which hilbert's monomial ideals share).
-Shadows, all_tuples and tuples_deg_le are plain scans of the box.  They
-are the oracle side: brute_min_shadow, hilbert_fn, generator matrices
-and the tests use them, and no closed form does.  all_tuples yields the
-box lazily, and tuples_deg_le and shadow hold only the tuples they keep,
-so a brute_min_shadow that its budget refuses takes O(n) time but never
-holds the box.
+Shadows and all_tuples are plain scans of the box, and tuples_deg_le
+filters a small box the same way and walks a larger one by prefixes of
+degree <= u.  They are the oracle side: brute_min_shadow, hilbert_fn,
+generator matrices and the tests use them, and no closed form does.
+all_tuples yields the box lazily, and tuples_deg_le and shadow hold only
+the tuples they keep, so a brute_min_shadow that its budget refuses takes
+at most O(n) time but never holds the box.
 """
 
 from __future__ import annotations
@@ -119,9 +120,28 @@ def all_tuples(shape: GridShape):
     return itertools.product(*(range(d - 1, -1, -1) for d in shape.dims))
 
 
+# Boxes of at most this many tuples are scanned by tuples_deg_le: on them
+# the walk's steps per prefix cost more than the tuples it skips.
+_SCANNED_BOX = 64
+
+
 def tuples_deg_le(shape: GridShape, u: int) -> list:
+    """Every box tuple of degree <= u, in decreasing lex order.
+
+    A box past _SCANNED_BOX tuples is walked one coordinate at a time,
+    keeping only the prefixes of degree <= u, so a band that is a small
+    share of its box, such as hilbert_fn's cube, costs its prefixes and not
+    the box.
+    """
     _check_deg(shape, u)
-    return [t for t in all_tuples(shape) if sum(t) <= u]
+    if shape.n <= _SCANNED_BOX:
+        return [t for t in all_tuples(shape) if sum(t) <= u]
+    prefixes = [()]
+    for d in shape.dims:
+        # the next digits, largest first, from the prefix's budget u - sum(t) down
+        singles = [(x,) for x in range(d - 1, -1, -1)]
+        prefixes = [t + s for t in prefixes for s in singles[max(0, d - 1 - u + sum(t)):]]
+    return prefixes
 
 
 def _convolve_side(counts: tuple, d: int) -> tuple:
@@ -207,21 +227,41 @@ def values_deg_ge(shape: GridShape, u: int, r=None) -> np.ndarray:
     prefixes than the listing has values (K): work is O(K * m * d_m) and
     memory O(K * d_m), never O(n).  Each new digit is the least significant,
     so values stay sorted and the first r descend from the first r prefixes.
-    The array is int64 while n fits, else of dtype object of exact ints.
+    The values are of the narrowest signed type that holds n itself, the
+    largest weight a caller makes of them, else of dtype object of exact
+    ints; the degrees are of the narrowest that holds k and are compared
+    against u minus the rest's maximum degree.
     """
     _check_deg(shape, u)
-    dtype = np.int64 if shape.n <= np.iinfo(np.int64).max else object
+    # min_scalar_type(-t - 1) is the narrowest signed type that holds t
+    dtype = np.min_scalar_type(-shape.n - 1)
     values = np.zeros(1, dtype=dtype)
-    degrees = np.zeros(1, dtype=np.int64)
+    degrees = np.zeros(1, dtype=np.min_scalar_type(-shape.k - 1))
     rest = shape.k
     for dim in shape.dims:
         rest -= dim - 1
-        digits = np.arange(dim)
+        digits = np.arange(dim, dtype=degrees.dtype)
         degrees = (degrees[:, None] + digits).ravel()
         values = (values[:, None] * dim + digits.astype(dtype)).ravel()
-        keep = degrees + rest >= u
+        keep = degrees >= u - rest
         degrees, values = degrees[keep][:r], values[keep][:r]
     return values
+
+
+def _digits_of_values(shape: GridShape, values) -> np.ndarray:
+    """The tuples of mixed-radix values, as len(values) x m digits.
+
+    The inverse of mixed_radix_value.  The digits are of the narrowest
+    unsigned type that holds dims[-1] - 1 and are taken one coordinate at a
+    time, least significant first, so no len(values) x m array of the
+    values' type is made.
+    """
+    digits = np.empty((len(values), shape.m), dtype=np.min_scalar_type(shape.dims[-1] - 1))
+    for i in range(shape.m - 1, -1, -1):
+        quotient = values // shape.dims[i]
+        digits[:, i] = values - quotient * shape.dims[i]
+        values = quotient
+    return digits
 
 
 def lex_segment_digits(shape: GridShape, d: int, r: int) -> np.ndarray:
@@ -229,15 +269,12 @@ def lex_segment_digits(shape: GridShape, d: int, r: int) -> np.ndarray:
 
     They are top - t for the first r tuples t of degree >= k - d, ascending,
     as values_deg_ge lists them; the last must be rth_of_deg_le's r-th.
-    The digits are int64, whatever the dtype of the values.
+    The digits are _digits_of_values's, of the narrowest unsigned type that
+    holds dims[-1] - 1, whatever the dtype of the values.
     """
     _check_rank_le(shape, d, r)
-    values = values_deg_ge(shape, shape.k - d, r)
-    dims = np.array(shape.dims, dtype=values.dtype)
-    place_values = np.array(shape.place_values, dtype=values.dtype)
-    digits = values[:, None] // place_values
-    digits %= dims
-    digits = np.subtract(dims - 1, digits, out=digits).astype(np.int64, copy=False)
+    digits = _digits_of_values(shape, values_deg_ge(shape, shape.k - d, r))
+    np.subtract((np.array(shape.dims) - 1).astype(digits.dtype), digits, out=digits)
     if len(digits) != r or tuple(digits[-1].tolist()) != rth_of_deg_le(shape, d, r):
         raise InvariantError(f"lex segment of {len(digits)} tuples does not end "
                              f"on the {r}-th tuple of degree <= {d}")

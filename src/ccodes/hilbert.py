@@ -9,7 +9,8 @@ a family held as flat arrays of its terms, with no Python call per term.
 The affine Hilbert function of a monomial ideal (hilbert_fn) counts the
 monomials of degree <= u that no generator divides (grid.divides),
 listed by grid.tuples_deg_le from the cube of side u + 1, which holds
-them all; at desk scale this is small and auditable.
+them all and whose walk keeps only prefixes of degree <= u; at desk scale
+this is small and auditable.
 
 footprint_upper_bound is a closed form: it counts the box tuples outside
 the leading terms' up-sets coordinate by coordinate and never lists the

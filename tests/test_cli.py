@@ -936,8 +936,9 @@ def test_a_subcommand_call_builds_no_full_parser(capsys, monkeypatch):
 
 # -- decimal writer ----------------------------------------------------------------------
 
-_DTYPE_MAX = {np.uint8: 2 ** 8 - 1, np.uint16: 2 ** 16 - 1, np.int64: 2 ** 63 - 1,
-              object: 2 ** 70}
+_DTYPE_MAX = {np.int8: 2 ** 7 - 1, np.int16: 2 ** 15 - 1, np.int32: 2 ** 31 - 1,
+              np.int64: 2 ** 63 - 1, np.uint8: 2 ** 8 - 1, np.uint16: 2 ** 16 - 1,
+              np.uint32: 2 ** 32 - 1, np.uint64: 2 ** 64 - 1, object: 2 ** 70}
 _EDGES = [0, 2 ** 63 - 1, *(10 ** j + e for j in range(1, 20) for e in (-1, 0))]
 
 

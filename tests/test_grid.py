@@ -18,6 +18,7 @@ from ccodes.grid import (
     count_deg_ge,
     count_deg_le,
     lex_segment,
+    lex_segment_digits,
     min_shadow_size,
     mixed_radix_value,
     parse_tuple,
@@ -103,6 +104,16 @@ def test_enumerate_examples():
 def test_enumeration_matches_sort_oracle():
     for shape in SMALL_SHAPES:
         assert list(all_tuples(shape)) == oracle_box(shape, descending=True)
+
+
+@pytest.mark.parametrize("dims", [(9, 9), (2,) * 7, (3, 4, 6), (1, 5, 16), (2, 2, 2, 2, 7)])
+def test_walked_band_matches_the_filtered_box(dims):
+    # boxes past grid._SCANNED_BOX are walked by prefixes, not scanned
+    shape = GridShape(dims)
+    assert shape.n > grid._SCANNED_BOX
+    box = oracle_box(shape, descending=True)
+    for u in range(shape.k + 1):
+        assert tuples_deg_le(shape, u) == [t for t in box if sum(t) <= u]
 
 
 def test_degree_filter_range():
@@ -196,6 +207,29 @@ def test_lex_segment_past_int64_is_exact():
     assert [segment[r - 1] for r in (1, 2, 250, 500)] == \
         [rth_of_deg_le(shape, 3, r) for r in (1, 2, 250, 500)]
     assert all(type(x) is int for t in segment for x in t)
+
+
+@pytest.mark.parametrize("dims, d, reference, dtype", [
+    ((7, 31, 151), 186, np.arange(1, 32768), np.int16),  # n = 32767, the int16 maximum
+    ((2,) * 7, 7, np.arange(1, 129), np.int16),
+    ((2,) * 15, 15, np.arange(1, 32769), np.int32),  # 32768 is past int16
+    ((2,) * 31, 0, np.array([2 ** 31]), np.int64),
+    ((2,) * 63, 0, np.array([2 ** 63], dtype=object), object),
+])
+def test_hierarchy_is_held_in_the_narrowest_type_that_holds_n(dims, d, reference, dtype):
+    # the largest weight is n itself, not the largest value n - 1
+    weights = _hierarchy_at_degree(GridShape(dims), d)
+    assert weights.dtype == dtype and not weights.flags.writeable
+    assert weights.tolist() == reference.tolist()
+
+
+@pytest.mark.parametrize("dims, dtype", [((2,) * 70, np.uint8), ((3, 256), np.uint8),
+                                         ((3, 257), np.uint16)])
+def test_lex_segment_digits_are_the_narrowest_unsigned_type(dims, dtype):
+    shape = GridShape(dims)
+    digits = lex_segment_digits(shape, 2, 3)
+    assert digits.dtype == dtype
+    assert list(map(tuple, digits.tolist())) == [rth_of_deg_le(shape, 2, r) for r in (1, 2, 3)]
 
 
 def test_lex_segment_lists_only_its_tuples():
