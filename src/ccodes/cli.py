@@ -172,7 +172,7 @@ def _cmd_hierarchy(args) -> int:
     spec = _spec_from_args(args)
     summary = codes.code_summary(spec)
 
-    def dual_weights():
+    def dual_text():
         if summary["dual_hierarchy"] is None:  # too long to list
             return "{first} ... {last} ({length} weights)".format(
                 **summary["dual_hierarchy_summary"])
@@ -184,7 +184,7 @@ def _cmd_hierarchy(args) -> int:
         f"degree      {summary['degree']}",
         f"min_distance {summary['min_distance']}",
         "hierarchy   " + _decimal(summary["hierarchy"], " "),
-        "dual_hierarchy " + dual_weights(),
+        "dual_hierarchy " + dual_text(),
     ])
     return 0
 
@@ -196,7 +196,7 @@ def _cmd_dual(args) -> int:
         "length": dual.length,
         "dimension": dual.dimension,
         "matrix": dual.matrix,
-        "hierarchy": codes._dual_weights(spec),
+        "hierarchy": codes.dual_hierarchy_array(spec),
     }
     _emit(args, payload, lambda: [
         f"length    {dual.length}", f"dimension {dual.dimension}", "matrix",

@@ -376,7 +376,7 @@ def _hierarchy_at_degree(shape: GridShape, d: int) -> np.ndarray:
     return values
 
 
-def _dual_weights(spec: CartesianCodeSpec) -> np.ndarray:
+def dual_hierarchy_array(spec: CartesianCodeSpec) -> np.ndarray:
     """The dual hierarchy as _hierarchy_at_degree's array, empty when d = k."""
     if spec.d == spec.k:
         return np.zeros(0, dtype=np.int64)
@@ -392,8 +392,11 @@ def hierarchy(spec: CartesianCodeSpec) -> tuple:
 
 
 def dual_hierarchy(spec: CartesianCodeSpec) -> tuple:
-    """Weight hierarchy of the dual code: the degree k-d-1 hierarchy."""
-    return tuple(_dual_weights(spec).tolist())
+    """Weight hierarchy of the dual code: the degree k-d-1 hierarchy.
+
+    A tuple of ints, from dual_hierarchy_array.
+    """
+    return tuple(dual_hierarchy_array(spec).tolist())
 
 
 # --------------------------------------------------------------------------
@@ -950,7 +953,7 @@ def code_summary(spec: CartesianCodeSpec) -> dict:
         "hierarchy": _hierarchy_at_degree(spec.shape, spec.d),
     }
     try:
-        summary["dual_hierarchy"] = _dual_weights(spec)
+        summary["dual_hierarchy"] = dual_hierarchy_array(spec)
     except BudgetExceededError:
         dual_degree, length = spec.k - spec.d - 1, spec.n - spec.dimension
         summary["dual_hierarchy"] = None

@@ -26,9 +26,9 @@ tuple.  lex_segment lists the same tuples as Python tuples.
 The shadow of a subset S is every box tuple that dominates some element
 of S coordinatewise (divides, which hilbert's monomial ideals share).
 Shadows and all_tuples are plain scans of the box, and tuples_deg_le
-filters a small box the same way and walks a larger one by prefixes of
-degree <= u.  They are the oracle side: brute_min_shadow, hilbert_fn,
-generator matrices and the tests use them, and no closed form does.
+walks it by prefixes of degree <= u.  They are the oracle side:
+brute_min_shadow, hilbert_fn, generator matrices and the tests use them,
+and no closed form does.
 all_tuples yields the box lazily, and tuples_deg_le and shadow hold only
 the tuples they keep, so a brute_min_shadow that its budget refuses takes
 at most O(n) time but never holds the box.
@@ -120,22 +120,14 @@ def all_tuples(shape: GridShape):
     return itertools.product(*(range(d - 1, -1, -1) for d in shape.dims))
 
 
-# Boxes of at most this many tuples are scanned by tuples_deg_le: on them
-# the walk's steps per prefix cost more than the tuples it skips.
-_SCANNED_BOX = 64
-
-
 def tuples_deg_le(shape: GridShape, u: int) -> list:
     """Every box tuple of degree <= u, in decreasing lex order.
 
-    A box past _SCANNED_BOX tuples is walked one coordinate at a time,
-    keeping only the prefixes of degree <= u, so a band that is a small
-    share of its box, such as hilbert_fn's cube, costs its prefixes and not
-    the box.
+    The box is walked one coordinate at a time, keeping only the prefixes
+    of degree <= u, so a band that is a small share of its box, such as
+    hilbert_fn's cube, costs its prefixes and not the box.
     """
     _check_deg(shape, u)
-    if shape.n <= _SCANNED_BOX:
-        return [t for t in all_tuples(shape) if sum(t) <= u]
     prefixes = [()]
     for d in shape.dims:
         # the next digits, largest first, from the prefix's budget u - sum(t) down
@@ -248,33 +240,23 @@ def values_deg_ge(shape: GridShape, u: int, r=None) -> np.ndarray:
     return values
 
 
-def _digits_of_values(shape: GridShape, values) -> np.ndarray:
-    """The tuples of mixed-radix values, as len(values) x m digits.
-
-    The inverse of mixed_radix_value.  The digits are of the narrowest
-    unsigned type that holds dims[-1] - 1 and are taken one coordinate at a
-    time, least significant first, so no len(values) x m array of the
-    values' type is made.
-    """
-    digits = np.empty((len(values), shape.m), dtype=np.min_scalar_type(shape.dims[-1] - 1))
-    for i in range(shape.m - 1, -1, -1):
-        quotient = values // shape.dims[i]
-        digits[:, i] = values - quotient * shape.dims[i]
-        values = quotient
-    return digits
-
-
 def lex_segment_digits(shape: GridShape, d: int, r: int) -> np.ndarray:
     """First r tuples of degree <= d in decreasing lex order, as r x m digits.
 
     They are top - t for the first r tuples t of degree >= k - d, ascending,
     as values_deg_ge lists them; the last must be rth_of_deg_le's r-th.
-    The digits are _digits_of_values's, of the narrowest unsigned type that
-    holds dims[-1] - 1, whatever the dtype of the values.
+    The values are decoded one coordinate at a time, least significant
+    first, into digits of the narrowest unsigned type that holds
+    dims[-1] - 1, so no r x m array of the values' type is made.
     """
     _check_rank_le(shape, d, r)
-    digits = _digits_of_values(shape, values_deg_ge(shape, shape.k - d, r))
-    np.subtract((np.array(shape.dims) - 1).astype(digits.dtype), digits, out=digits)
+    values = values_deg_ge(shape, shape.k - d, r)
+    digits = np.empty((len(values), shape.m), dtype=np.min_scalar_type(shape.dims[-1] - 1))
+    for i in reversed(range(shape.m)):
+        quotient = values // shape.dims[i]
+        # dims[i] - 1 minus the digit values - quotient * dims[i]
+        digits[:, i] = quotient * shape.dims[i] + (shape.dims[i] - 1) - values
+        values = quotient
     if len(digits) != r or tuple(digits[-1].tolist()) != rth_of_deg_le(shape, d, r):
         raise InvariantError(f"lex segment of {len(digits)} tuples does not end "
                              f"on the {r}-th tuple of degree <= {d}")
@@ -317,8 +299,8 @@ def brute_min_shadow(shape: GridShape, v: int, r: int,
                      budget: int = DEFAULT_BUDGET) -> int:
     """Minimum shadow size over every r-subset of degree <= v (oracle).
 
-    The pool is listed by a scan of the box before its subsets are counted
-    against the budget: counting it without the scan would need
+    The pool is listed by tuples_deg_le before its subsets are counted
+    against the budget: counting it without the listing would need
     count_deg_le, a closed form no oracle may call.
     """
     pool = tuples_deg_le(shape, v)

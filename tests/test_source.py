@@ -28,7 +28,7 @@ def test_no_assert_statements():
 CLOSED_FORMS = (
     "rth_of_deg_*", "values_deg_ge", "lex_segment", "min_shadow_size", "count_deg_*",
     "_suffix_counts", "max_common_zeros",
-    "hierarchy", "dual_hierarchy", "_hierarchy_at_degree", "_dual_weights",
+    "hierarchy", "dual_hierarchy", "_hierarchy_at_degree", "dual_hierarchy_array",
     "footprint_upper_bound",
 )
 
@@ -183,17 +183,32 @@ def test_one_kronecker_product_and_no_field_call_per_coefficient():
     assert not scalar
 
 
+def _over_coordinates(loop) -> bool:
+    """Whether a for loop steps through the box's m coordinates: its
+    iterable is range(shape.m), maybe reversed, and names nothing else."""
+    return (isinstance(loop, ast.For)
+            and set(_mentions(loop.iter)) <= {"reversed", "range", "shape", "m"}
+            and "m" in _mentions(loop.iter))
+
+
 def test_lex_segment_is_a_view_of_the_band_listing():
     # one closed-form band listing: lex_segment_digits decodes values_deg_ge's
-    # values, lex_segment converts those digits, and neither walks tuples
+    # values, a whole column per coordinate, lex_segment converts those
+    # digits, and neither walks tuples
     tree = ast.parse((Path(ccodes.__file__).parent / "grid.py").read_text(encoding="utf-8"))
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     assert "values_deg_ge" in _calls(functions["lex_segment_digits"])
     assert "lex_segment_digits" in _calls(functions["lex_segment"])
     for name in ("lex_segment_digits", "lex_segment"):
         loops = [n for n in ast.walk(functions[name])
-                 if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+                 if isinstance(n, (ast.For, ast.While, ast.comprehension))
+                 and not _over_coordinates(n)]
         assert not loops, name
+    for loop in ("for i in reversed(range(shape.m)): pass", "for i in range(shape.m): pass"):
+        assert _over_coordinates(ast.parse(loop).body[0])
+    for loop in ("for t in values: pass", "for i in range(len(values)): pass",
+                 "for i in range(r): pass", "while shape.m: pass"):
+        assert not _over_coordinates(ast.parse(loop).body[0])
 
 
 def test_both_sweeps_step_their_slow_digits_through_one_walk():
