@@ -18,10 +18,13 @@ shape, the suffix level counts of dims[i:] cumulated over degrees
 box): min_shadow_size, hence the single GHW d_r, reads its r-th tuple.
 values_deg_ge is the one band listing: the tuples of degree >= u in
 increasing lex order, as values, all K of them or the first r, in
-O(K * m * d_m) or O(r * m * d_m) without touching the others.
-Hierarchies are whole bands; lex_segment_digits is a cut band read
-through t -> top - t, and checks that it ends on rth_of_deg_le's r-th
-tuple.  lex_segment lists the same tuples as Python tuples.
+O(K * m * d_m) or O(r * m * d_m) without touching the others.  A whole
+band is walked suffix-first, so each numpy pass runs along the long
+array; a cut band prefix-first, so each level keeps only r prefixes and
+memory follows r, not K.  Hierarchies are whole bands;
+lex_segment_digits is a cut band read through t -> top - t, and checks
+that it ends on rth_of_deg_le's r-th tuple.  lex_segment lists the same
+tuples as Python tuples.
 
 The shadow of a subset S is every box tuple that dominates some element
 of S coordinatewise (divides, which hilbert's monomial ideals share).
@@ -213,16 +216,27 @@ def rth_of_deg_le(shape: GridShape, d: int, r: int) -> tuple:
 def values_deg_ge(shape: GridShape, u: int, r=None) -> np.ndarray:
     """Mixed-radix values of the tuples of degree >= u, ascending; the first r.
 
-    Expands one coordinate at a time and keeps only the prefixes whose
-    degree plus the rest's maximum degree still reaches u, at most r of
-    them.  Every kept prefix has a completion, so no level holds more
-    prefixes than the listing has values (K): work is O(K * m * d_m) and
-    memory O(K * d_m), never O(n).  Each new digit is the least significant,
-    so values stay sorted and the first r descend from the first r prefixes.
+    Expands one coordinate at a time and keeps only the partial tuples
+    whose degree plus the maximum degree of the coordinates still to come
+    reaches u.  Every kept one completes to a distinct tuple of the band
+    (the coordinates to come at their maxima), so no level holds more than
+    the band's K of them or makes more than d_m * K candidates: work is
+    O(K * m * d_m) and memory O(K * d_m), never O(n).
+
+    The whole band (r None) is walked suffix-first: each level prepends a
+    coordinate as the new most significant digit, so the values stay
+    ascending and every numpy pass runs along the long suffix array, not
+    along the new digit's d_i.  A cut band is walked prefix-first, each
+    new digit the least significant, and each level keeps only its first
+    r prefixes, since the first r values descend from them; memory is then
+    O(r * d_m) however large the band.  A suffix-first walk cannot cut
+    early, as the first r values take their suffixes from anywhere in the
+    suffix list.
+
     The values are of the narrowest signed type that holds n itself, the
     largest weight a caller makes of them, else of dtype object of exact
     ints; the degrees are of the narrowest that holds k and are compared
-    against u minus the rest's maximum degree.
+    against u minus the maximum degree still to come.
     """
     _check_deg(shape, u)
     # min_scalar_type(-t - 1) is the narrowest signed type that holds t
@@ -230,6 +244,17 @@ def values_deg_ge(shape: GridShape, u: int, r=None) -> np.ndarray:
     values = np.zeros(1, dtype=dtype)
     degrees = np.zeros(1, dtype=np.min_scalar_type(-shape.k - 1))
     rest = shape.k
+    if r is None:
+        place = 1
+        for dim in reversed(shape.dims):
+            rest -= dim - 1
+            digits = np.arange(dim, dtype=degrees.dtype)[:, None]
+            degrees = (digits + degrees).ravel()
+            values = (digits.astype(dtype) * place + values).ravel()
+            keep = degrees >= u - rest
+            degrees, values = degrees[keep], values[keep]
+            place *= dim
+        return values
     for dim in shape.dims:
         rest -= dim - 1
         digits = np.arange(dim, dtype=degrees.dtype)

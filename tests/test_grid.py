@@ -1,6 +1,7 @@
 """Exponent box enumeration, ranking, shadows, lex segments."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -107,12 +108,15 @@ def test_enumeration_matches_sort_oracle():
 
 
 @pytest.mark.parametrize("dims", [(1,), (4, 4), (3, 3, 3), (2,) * 5, (9, 9), (2,) * 7, (3, 4, 6),
-                                  (1, 5, 16), (2, 2, 2, 2, 7)])
+                                  (1, 5, 16), (2, 2, 2, 2, 7), (2,) * 12])
 def test_walked_band_matches_the_filtered_box(dims):
+    # both walks against the sorted box: tuples_deg_le's tuples, and
+    # values_deg_ge's values as indices into the ascending box
     shape = GridShape(dims)
-    box = oracle_box(shape, descending=True)
+    box = oracle_box(shape)
     for u in range(shape.k + 1):
-        assert tuples_deg_le(shape, u) == [t for t in box if sum(t) <= u]
+        assert tuples_deg_le(shape, u) == [t for t in reversed(box) if sum(t) <= u]
+        assert values_deg_ge(shape, u).tolist() == [i for i, t in enumerate(box) if sum(t) >= u]
 
 
 def test_degree_filter_range():
@@ -197,6 +201,24 @@ def test_band_listing_cut_at_r_is_its_prefix(dims, data):
         band = values_deg_ge(shape, u)
         r = data.draw(st.integers(1, band.size + 2), label=f"r at u={u}")
         assert values_deg_ge(shape, u, r).tolist() == band[:r].tolist()
+
+
+@pytest.mark.parametrize("m, u", [(26, 24), (40, 37)])
+def test_whole_band_listing_follows_the_band_not_the_box(m, u):
+    # 352 and 10,701 values; a filter over the box's degrees would hold
+    # 2^26 and 2^40 of them
+    shape = GridShape((2,) * m)
+    tracemalloc.start()
+    try:
+        values = values_deg_ge(shape, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.size == sum(math.comb(m, j) for j in range(m - u + 1))
+    # from 0...01...1, the m - u zeros leading, up to 1...1
+    assert values[0] == 2 ** u - 1 and values[-1] == 2 ** m - 1
+    assert (np.diff(values) > 0).all()
+    assert peak < 2 ** 20, f"peak {peak} bytes"
 
 
 def test_lex_segment_past_int64_is_exact():
