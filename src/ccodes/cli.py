@@ -14,7 +14,13 @@ too long to list by its length and its first and last weights.
 Every subcommand prints a table, or with --format json one JSON object.
 Hierarchies and dual matrices go to text through _decimal, every other
 value through json.dumps or str, and the bytes are those that
-json.dumps(..., separators=(",", ":")) and str print.
+json.dumps(..., separators=(",", ":")) and str print.  _decimal writes a
+1-D array whose pieces between powers of ten each hold codes of one digit
+count, as every hierarchy's do (it is strictly increasing), as one
+fixed-width block per digit count; 2-D matrices and any other 1-D array
+take its offset writer.  _emit builds the output as a list of str pieces
+and writes them to stdout one by one once all are built, so no whole
+document is joined and an error prints nothing.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 parse or validation error.
 Exit 2 prints argparse's usage message, or one "error: ..." line for bad
@@ -103,15 +109,22 @@ def _decimal(codes, sep: str, row_sep: str = "") -> str:
     """Decimal text of a 1-D or 2-D array of non-negative integer codes.
 
     Entries are joined by sep, one character, and the rows of a 2-D array
-    by row_sep.  Each entry's slot is the separator before it plus its
-    digits, so the running sums of the slot widths end each entry's digits
-    in one byte buffer, which is filled with sep first.  The digits are
-    written right to left, one numpy pass per digit position, each pass
-    over the entries that still have digits left.  The codes left and the
-    write positions are held in the narrowest signed types that hold the
-    largest code and the text's length; codes of a narrower type, such as
-    uint8 matrices, are not copied.  Arrays that int64 cannot hold (dtype
-    object for codes past it, uint64) are written with str.
+    by row_sep.  The codes are held in the narrowest signed type that holds
+    the largest code; codes of a narrower type, such as uint8 matrices, are
+    not copied.  Arrays that int64 cannot hold (dtype object for codes past
+    it, uint64) are written with str.
+
+    A 1-D array is cut by one searchsorted where it crosses each power of
+    ten.  When those cuts never fall and every piece's min and max have the
+    piece's digit count c, as in every hierarchy (strictly increasing), each
+    piece is written by _digit_blocks as one fixed-width block of c + 1
+    columns.  Other arrays (2-D matrices, 1-D arrays that fail the check)
+    take the offset writer: each entry's slot is the separator before it
+    plus its digits, so the running sums of the slot widths end each entry's
+    digits in one byte buffer, which is filled with sep first.  The digits
+    are written right to left, one numpy pass per digit position, each pass
+    over the entries that still have digits left, at write positions held
+    in the narrowest signed type that holds the text's length.
     """
     codes = np.asarray(codes)
     if codes.size and codes.min() < 0:
@@ -124,6 +137,10 @@ def _decimal(codes, sep: str, row_sep: str = "") -> str:
     if rest.itemsize > narrow.itemsize:
         rest = rest.astype(narrow)
     digits = len(str(top))
+    if codes.ndim == 1:
+        text = _digit_blocks(rest, digits, sep)
+        if text is not None:
+            return text
     # a signed type that holds the text's length, which bounds every write position
     width = np.min_scalar_type(-rest.size * (digits + len(sep) + len(row_sep)) - 1)
     last = np.full(rest.size, 1 + len(sep), dtype=width)  # slot widths of one digit
@@ -144,28 +161,79 @@ def _decimal(codes, sep: str, row_sep: str = "") -> str:
     return str(text.data, "ascii")
 
 
-def _json_codes(codes) -> str:
-    """json.dumps(codes.tolist(), separators=(",", ":")) through _decimal."""
+def _digit_blocks(rest, digits: int, sep: str):
+    """Decimal text of the 1-D codes rest joined by sep, or None where the
+    block writer does not apply.
+
+    digits is the digit count of the largest code.  searchsorted cuts rest
+    where it crosses 10, 100, ...; piece c holds the codes of c digits only
+    if the cuts never fall and its min and max have c digits, and else None
+    is returned.  Piece c fills a (len, c + 1) block of the byte buffer:
+    the separator column, then its digit columns right to left, each from
+    rest // 10 on the contiguous piece.  The buffer's first byte, the
+    separator before the first code, is not returned.
+    """
+    powers = [10 ** c for c in range(1, digits)]
+    cuts = [0, *np.searchsorted(rest, np.array(powers, dtype=rest.dtype)).tolist(), rest.size]
+    if any(stop < start for start, stop in zip(cuts, cuts[1:])):
+        return None
+    pieces = [rest[start:stop] for start, stop in zip(cuts, cuts[1:])]
+    # each power of ten parts the piece below it from the piece above it; the
+    # first piece's min and the last piece's max are rest's, known to fit
+    for power, below, above in zip(powers, pieces, pieces[1:]):
+        if below.size and below.max() >= power or above.size and above.min() < power:
+            return None
+    text = np.empty(sum(piece.size * (c + 1) for c, piece in enumerate(pieces, 1)), np.uint8)
+    start = 0
+    for c, piece in enumerate(pieces, 1):
+        block = text[start:start + piece.size * (c + 1)].reshape(-1, c + 1)
+        start += block.size
+        block[:, 0] = ord(sep)
+        digit = np.empty_like(piece)  # reused: each column allocates its quotient only
+        for column in range(c, 1, -1):
+            quotient = piece // 10
+            np.multiply(quotient, 10, out=digit)
+            np.subtract(piece, digit, out=digit)
+            digit += ord("0")
+            block[:, column] = digit
+            piece = quotient
+        block[:, 1] = piece + ord("0")
+    return str(text[1:].data, "ascii")
+
+
+def _json_codes(codes) -> list:
+    """json.dumps(codes.tolist(), separators=(",", ":")) through _decimal, as
+    a list of str pieces that join to it."""
     if codes.ndim == 2:
-        return "[[" + _decimal(codes, ",", "],[") + "]]" if len(codes) else "[]"
-    return "[" + _decimal(codes, ",") + "]"
+        return ["[[", _decimal(codes, ",", "],["), "]]"] if len(codes) else ["[]"]
+    return ["[", _decimal(codes, ","), "]"]
 
 
 def _emit(args, payload: dict, table_lines) -> None:
-    """Print payload as JSON, or the lines that table_lines() returns.
+    """Write payload as JSON, or the lines that table_lines() returns, to stdout.
 
     Arrays of codes in payload are written by _json_codes, every other
-    value by json.dumps.  The table is built only when it is printed, so
-    JSON formats no lines.
+    value by json.dumps.  A table line is a str, or a tuple of str pieces
+    (a label and a _decimal text).  The output is a list of str pieces,
+    written one sys.stdout.write at a time, only after all of them are
+    built: no hierarchy or matrix text is copied into a whole document, and
+    an error while building prints nothing.  The bytes are those that print
+    writes for the joined text.  The table is built only when it is
+    printed, so JSON formats no lines.
     """
     if args.format == "json":
-        print("{" + ",".join(
-            json.dumps(key) + ":" + (_json_codes(value) if isinstance(value, np.ndarray)
-                                     else json.dumps(value, separators=(",", ":")))
-            for key, value in payload.items()) + "}")
+        pieces = ["{"]
+        for key, value in payload.items():
+            pieces.append(("," if len(pieces) > 1 else "") + json.dumps(key) + ":")
+            pieces += (_json_codes(value) if isinstance(value, np.ndarray)
+                       else [json.dumps(value, separators=(",", ":"))])
+        pieces.append("}\n")
     else:
+        pieces = []
         for line in table_lines():
-            print(line)
+            pieces += [line, "\n"] if isinstance(line, str) else [*line, "\n"]
+    for piece in pieces:
+        sys.stdout.write(piece)
 
 
 def _cmd_hierarchy(args) -> int:
@@ -183,8 +251,8 @@ def _cmd_hierarchy(args) -> int:
         f"dimension   {summary['dimension']}",
         f"degree      {summary['degree']}",
         f"min_distance {summary['min_distance']}",
-        "hierarchy   " + _decimal(summary["hierarchy"], " "),
-        "dual_hierarchy " + dual_text(),
+        ("hierarchy   ", _decimal(summary["hierarchy"], " ")),
+        ("dual_hierarchy ", dual_text()),
     ])
     return 0
 
@@ -200,8 +268,8 @@ def _cmd_dual(args) -> int:
     }
     _emit(args, payload, lambda: [
         f"length    {dual.length}", f"dimension {dual.dimension}", "matrix",
-        *(["  " + _decimal(dual.matrix, " ", "\n  ")] if dual.dimension else []),
-        "hierarchy " + _decimal(payload["hierarchy"], " "),
+        *([("  ", _decimal(dual.matrix, " ", "\n  "))] if dual.dimension else []),
+        ("hierarchy ", _decimal(payload["hierarchy"], " ")),
     ])
     return 0
 
