@@ -109,10 +109,10 @@ def _decimal(codes, sep: str, row_sep: str = "") -> str:
     """Decimal text of a 1-D or 2-D array of non-negative integer codes.
 
     Entries are joined by sep, one character, and the rows of a 2-D array
-    by row_sep.  The codes are held in the narrowest signed type that holds
-    the largest code; codes of a narrower type, such as uint8 matrices, are
-    not copied.  Arrays that int64 cannot hold (dtype object for codes past
-    it, uint64) are written with str.
+    by row_sep.  The codes are written in the type they come in, which is
+    already narrow: hierarchies in the narrowest type that holds n, dual
+    matrices in the field's int_dtype.  Arrays that int64 cannot hold
+    (dtype object for codes past it, uint64) are written with str.
 
     A 1-D array is cut by one searchsorted where it crosses each power of
     ten.  When those cuts never fall and every piece's min and max have the
@@ -133,9 +133,6 @@ def _decimal(codes, sep: str, row_sep: str = "") -> str:
     if codes.size == 0 or not np.can_cast(codes.dtype, np.int64):
         return row_sep.join(sep.join(map(str, row)) for row in rows.tolist())
     step, rest, top = rows.shape[1], rows.ravel(), int(codes.max())
-    narrow = np.min_scalar_type(-top - 1)  # the narrowest signed type that holds top
-    if rest.itemsize > narrow.itemsize:
-        rest = rest.astype(narrow)
     digits = len(str(top))
     if codes.ndim == 1:
         text = _digit_blocks(rest, digits, sep)

@@ -5,7 +5,9 @@ unlike box tuples).  A monomial ideal is given by its generators, a
 sequence of monomials of one length.  A polynomial is a plain dict from
 monomials to nonzero integer codes of a field, its terms;
 format_polynomial prints one, and format_polynomials every polynomial of
-a family held as flat arrays of its terms, with no Python call per term.
+a family held as flat arrays of its terms.  Their text is joined from
+pooled str pieces, one join per polynomial, and the pool follows the
+exponents in use, not their size.
 The affine Hilbert function of a monomial ideal (hilbert_fn) counts the
 monomials of degree <= u that no generator divides (grid.divides),
 listed by grid.tuples_deg_le from the cube of side u + 1, which holds
@@ -75,15 +77,15 @@ def format_polynomials(exponents, coeffs, starts) -> list:
     Polynomial i has the terms starts[i]:starts[i + 1]: rows of exponents
     (terms x variables, non-negative integers) and their nonzero codes in
     coeffs.  One np.lexsort orders all terms by polynomial, then graded
-    lex order descending.  A term is a row of slots into a small pool of
+    lex order descending.  A term is a row of slots into a pool of str
     pieces: " + " unless it leads its polynomial, its coefficient unless
     that is 1 on a nonconstant term, and "*x{s}" or "*x{s}^{e}" for each
     nonzero exponent, the first without its "*" where the coefficient is
-    left out.  The pool holds one piece per distinct coefficient and per
-    variable and exponent in use, so only those make Python strings.  The
-    pieces are gathered into one byte buffer, each byte's index in the
-    pool the running sum of the jumps between pieces, and the text is cut
-    where each polynomial begins.
+    left out; an empty slot holds "".  The pool holds one piece per
+    distinct coefficient, and per variable and distinct exponent in use
+    with and without its "*", so it follows the exponents in use, not their
+    size.  Each polynomial is one "".join of its terms' pieces, "0" if it
+    has none.
     """
     exponents, coeffs = np.asarray(exponents), np.asarray(coeffs)
     starts = np.asarray(starts, dtype=np.int64)
@@ -102,46 +104,28 @@ def format_polynomials(exponents, coeffs, starts) -> list:
     first = np.ones(flat.shape, dtype=bool)  # each value's first place
     first[1:] = flat[1:] != flat[:-1]
     powers = flat[first & (flat > 0)]
-    factors = [f"*x{s + 1}" + (f"^{e}" if e > 1 else "")
-               for s in range(m) for e in powers.tolist()]
-    pool = [" + ", *map(str, values.tolist()), *factors, ""]
-    # signed, so that the jumps between pieces below cannot wrap, and no
-    # narrower than int32, whose running sums numpy takes fastest
-    index = np.promote_types(np.int32, np.min_scalar_type(-sum(map(len, pool))))
-    lengths = np.array([len(piece) for piece in pool])
-    firsts = (np.cumsum(lengths) - lengths).astype(index)
-    lengths = lengths.astype(np.min_scalar_type(lengths.max()))
+    factors = [f"x{s + 1}" + (f"^{e}" if e > 1 else "") for s in range(m) for e in powers.tolist()]
+    pool = ["", " + ", *map(str, values.tolist()), *factors, *["*" + f for f in factors]]
     # a row per term: its separator, its coefficient, a factor per variable
-    empty = len(pool) - 1
-    slots = np.zeros((terms, m + 2), dtype=np.min_scalar_type(empty))
-    slots[starts[:-1][counts > 0], 0] = empty
+    slots = np.ones((terms, m + 2), dtype=np.min_scalar_type(len(pool) - 1))
+    slots[starts[:-1][counts > 0], 0] = 0
     bare = (coeffs == 1) & (degrees[order] > 0)
-    slots[:, 1] = np.where(bare, empty, 1 + which)
+    slots[:, 1] = np.where(bare, 0, 2 + which)
+    starred = ~bare  # whether the next factor follows a piece of its term
     for s in range(m):
         column = exponents[:, s]
-        slots[:, 2 + s] = np.where(column > 0, 1 + len(values) + s * len(powers)
-                                   + np.searchsorted(powers, column), empty)
-    # the pieces in text order, and where each term's first one is
-    filled = slots != empty
-    pieces = slots[filled]
-    begin, size = firsts[pieces], lengths[pieces]
-    widths = filled.sum(axis=1)
-    heads = np.cumsum(widths) - widths
-    # a bare term's first factor, after its separator if it has one
-    lead = heads[bare] + filled[bare, 0]
-    begin[lead] += 1
-    size[lead] -= 1
-    offsets = np.zeros(len(pieces) + 1, dtype=np.int64)  # of each piece in the text
-    np.cumsum(size, out=offsets[1:])
-    cuts = offsets[np.append(heads, len(pieces))[starts]]
-    jumps = np.ones(offsets[-1], dtype=index)
-    jumps[offsets[1:-1]] = begin[1:] - begin[:-1] - size[:-1] + 1
-    jumps[:1] = begin[:1]
-    np.cumsum(jumps, out=jumps)
-    # an index, not np.take, which would copy the indices to intp first
-    text = np.frombuffer("".join(pool).encode("ascii"), dtype=np.uint8)[jumps]
-    text = str(text.data, "ascii")
-    return [text[a:b] or "0" for a, b in itertools.pairwise(cuts.tolist())]
+        used = column > 0
+        # in intp, from searchsorted, which holds every slot: a Python int
+        # added to narrow exponents could overflow them
+        factor = 2 + len(values) + s * len(powers) + np.searchsorted(powers, column)
+        slots[:, 2 + s] = np.where(used, factor + starred * len(factors), 0)
+        starred |= used
+    filled = slots != 0
+    ends = np.zeros(terms + 1, dtype=np.int64)  # of each term's pieces
+    np.cumsum(filled.sum(axis=1), out=ends[1:])
+    pieces = map(pool.__getitem__, slots[filled].tolist())
+    return ["".join(itertools.islice(pieces, size)) or "0"
+            for size in np.diff(ends[starts]).tolist()]
 
 
 def footprint_upper_bound(shape: GridShape, leading_terms) -> int:

@@ -3,12 +3,14 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccodes.codes import extremal_family, extremal_polynomials, spec_from_parts
 from ccodes.gf import field_create
 from ccodes.grid import GridShape, all_tuples, shadow
 from ccodes.hilbert import (
@@ -154,6 +156,43 @@ def test_family_text_matches_the_per_term_reference(pe, data):
     expected = [reference_format(f) for f in polys]
     assert format_polynomials(exponents, coeffs, starts) == expected
     assert [format_polynomial(f) for f in polys] == expected
+
+
+def test_family_text_past_255_pieces():
+    # 398 terms with uint8 exponents up to 200: about 985 pieces, so the
+    # slots are wider than the exponents
+    top = ",".join(map(str, range(201)))
+    spec = spec_from_parts("211", f"{top};{top}", 200)
+    polys = extremal_polynomials(spec, 2)
+    exponents, coeffs, starts = extremal_family(spec, 2)
+    assert len(exponents) == 398 and exponents.dtype == np.uint8
+    assert format_polynomials(exponents, coeffs, starts) == [reference_format(f) for f in polys]
+
+
+def test_huge_exponent_keeps_the_pool_small():
+    # the pool holds the exponents in use, not one piece per exponent value
+    tracemalloc.start()
+    try:
+        text = format_polynomial({(10 ** 6, 1): 3, (0, 2): 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "3*x1^1000000*x2 + x2^2"
+    assert peak < 2 ** 20, f"peak {peak} bytes"
+
+
+def test_family_text_memory_follows_the_text():
+    # 40 sets 0,1 at d = 20: the pieces are joined from a small pool, so
+    # memory stays a small multiple of the text (about 8 bytes per byte)
+    family = extremal_family(spec_from_parts("2", ";".join(["0,1"] * 40), 20), 5000)
+    tracemalloc.start()
+    try:
+        texts = format_polynomials(*family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(map(len, texts))
+    assert peak < 11 * size, f"peak {peak} bytes for {size} bytes of text"
 
 
 def test_polynomial_evaluate_constant_monomial_at_zero():
