@@ -26,8 +26,15 @@ LinearCode's matrix and call no closed form; tests/test_source.py holds
 both sides to that wall.
 
 Rules that span functions.  Every sum of arrays of codes is one call of
-_sum_into, the one reader of the addition table.  _kron_rows is the one
-Kronecker product, of evaluation matrices and the dual's column scalars.
+_sum_into, the one reader of the addition table.  Its twin _product, a take
+from the flat multiplication table, is the one entrywise product of code
+arrays in construction: the ladders of powers, the dual's weights and
+column scaling, and _kron_rows, the one Kronecker product (of evaluation
+matrices and of the dual's column scalars).  rank's update follows the
+density of the pivot column: when every row below is hit, or at least half
+of them where updating a row costs no more than moving it (characteristic
+2, q rows or more), all of them are updated in place through one view, else
+only the hit rows are gathered and put back.
 Matrix work indexes the field's lookup tables.  The extremal families need
 none: a whole family is multiplied out with one Field.mul over arrays per
 coordinate, never per polynomial or term.  Both oracles hold at most
@@ -79,6 +86,9 @@ _MAX_ORACLE_LENGTH = 64
 
 # Most subspaces or codewords an exhaustive oracle holds at once.
 _ORACLE_CHUNK = 1 << 14
+
+# Most entries of a product taken from the multiplication table at once.
+_TAKE_CHUNK = 1 << 16
 
 # A hierarchy is held as a read-only array of its weights, and an extremal
 # family as arrays of its terms; refuse hierarchies of more weights, and
@@ -212,40 +222,76 @@ def _sum_into(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
     return field.add_table.ravel()[sums]
 
 
+def _product(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
+    """a * b entrywise over the field, broadcast together.
+
+    The twin of _sum_into for products: a take from the flat
+    multiplication table at a * q + b, indexed in the smallest unsigned
+    type that holds q^2 - 1.  take widens its index to intp, 8 bytes per
+    entry, so it takes _TAKE_CHUNK entries at a time.  Neither input is
+    modified; the product is a new row-major array.
+    """
+    table = field.mul_table.ravel()
+    index = np.min_scalar_type(field.q ** 2 - 1)
+    flat = np.add(np.multiply(a, field.q, dtype=index), b, dtype=index)
+    out = np.empty(np.shape(flat), dtype=table.dtype)
+    for start in range(0, out.size, _TAKE_CHUNK):
+        chunk = slice(start, start + _TAKE_CHUNK)
+        table.take(flat.reshape(-1)[chunk], out=out.reshape(-1)[chunk])
+    return out
+
+
 def rank(matrix, field: Field) -> int:
     """Number of linearly independent rows, by one-sided elimination.
 
     Rows are taken in order, and a row's first nonzero column is its
-    pivot.  Only the later rows with a nonzero entry in that column are
-    updated, from the pivot column on: each gets the multiple of the pivot
-    row that clears the column.  A row left all zero depends on the rows
-    before it; the others are independent, and there is no back
-    substitution.
+    pivot.  The later rows are updated from the pivot column on: each gets
+    the multiple of the pivot row that clears its entry in that column.
+    When enough of them have a nonzero entry there, all of them are
+    updated in place through one view, a zero entry taking multiplier 0;
+    otherwise only those rows are gathered, updated and put back.  Enough
+    is at least half in characteristic 2 with q rows or more to update,
+    where a row's update is a row gathered from a table and a XOR, no
+    dearer than moving the row; elsewhere it is every row, since a column
+    gather or the addition table costs several moves per row.  A row left
+    all zero depends on the rows before it; the others are independent,
+    and there is no back substitution.  The input is not modified.
     """
     A = np.array(matrix, dtype=field.int_dtype)
-    mul, neg, inv = field.mul_table, field.neg_table, field.inv_table
     rows, cols = A.shape
+    mul = field.mul_table
+    # the multiplier that clears an entry a under pivot x is a * -1/x
+    neg_inv = field.neg_table[field.inv_table]
     found = 0
     for i in range(rows):
+        # this also stops a matrix of no columns before argmax of an empty row
         if found == cols:
             break
-        hits = np.flatnonzero(A[i])
-        if hits.size == 0:
+        row = A[i]
+        c = (row != 0).argmax()
+        pivot = row[c]
+        if pivot == 0:
             continue
         found += 1
-        c = hits[0]
-        below = i + 1 + np.flatnonzero(A[i + 1:, c])
-        if below.size == 0:
+        column = A[i + 1:, c]
+        hits = column.nonzero()[0]
+        if hits.size == 0:
             continue
-        # the pivot row times -a/pivot clears an entry a of column c; past
-        # q rows to update, the products with every code are built once.
-        # np.take keeps them row-major like the block, where mul[x][:, y]
-        # would not
-        coef, entries = mul[neg[inv[A[i, c]]]], A[below, c]
-        if below.size < field.q:
-            scaled = np.take(mul[coef[entries]], A[i, c:], axis=1)
+        cheap = field.p == 2 and column.size >= field.q
+        if hits.size == column.size or (cheap and 2 * hits.size >= column.size):
+            below, entries = slice(i + 1, None), column
         else:
-            scaled = np.take(mul[coef], A[i, c:], axis=1)[entries]
+            below = hits + (i + 1)
+            entries = column.take(hits)
+        # an entry a takes a times the pivot row scaled by -1/pivot; past q
+        # rows to update, that row's products with every code are built
+        # once.  take keeps them row-major like the block, where
+        # mul[x][:, y] would not
+        pivot_row = mul[neg_inv[pivot]].take(row[c:])
+        if entries.size < field.q:
+            scaled = mul[entries].take(pivot_row, axis=1)
+        else:
+            scaled = mul.take(pivot_row, axis=1).take(entries, axis=0)
         A[below, c:] = _sum_into(A[below, c:], scaled, field)
     return found
 
@@ -286,7 +332,7 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
 # --------------------------------------------------------------------------
 
 def _kron_rows(factors, field: Field) -> np.ndarray:
-    """Row-wise Kronecker product of integer-coded factors, by mul_table lookups.
+    """Row-wise Kronecker product of integer-coded factors, by _product.
 
     factors[i] has shape (rows, d_i); the result has shape
     (rows, d_1 * ... * d_m) with the first factor's index slowest; no
@@ -294,7 +340,7 @@ def _kron_rows(factors, field: Field) -> np.ndarray:
     """
     out, *rest = factors or [np.ones((1, 1), dtype=np.uint8)]
     for f in rest:
-        out = field.mul_table[out[:, :, None], f[:, None, :]].reshape(
+        out = _product(out[:, :, None], f[:, None, :], field).reshape(
             len(f), out.shape[1] * f.shape[1])
     return out
 
@@ -304,19 +350,18 @@ def monomial_evaluations(field: Field, sets, monos) -> np.ndarray:
 
     Columns follow the grid points with the leftmost coordinate slowest,
     the order of itertools.product(*sets); rows follow monos.
-    Each coordinate gets a ladder of powers of its set's codes, and a row
-    is the Kronecker product of its exponents' ladder rows.
+    The codes of all sets share one ladder of powers, one product per
+    power past the first, and a row is the Kronecker product of its
+    exponents' ladder rows, each cut to its coordinate's set.
     """
-    mul = field.mul_table
     monos = np.array(monos, dtype=np.intp).reshape(len(monos), len(sets))
-    factors = []
-    for i, s in enumerate(sets):
-        codes = np.array(s, dtype=field.int_dtype)
-        ladder = [np.ones_like(codes)]
-        for _ in range(monos[:, i].max(initial=0)):
-            ladder.append(mul[ladder[-1], codes])
-        factors.append(np.array(ladder)[monos[:, i]])
-    return _kron_rows(factors, field)
+    codes = np.array([x for s in sets for x in s], dtype=field.int_dtype)
+    ladder = [np.ones_like(codes), codes]
+    while len(ladder) <= monos.max(initial=0):
+        ladder.append(_product(ladder[-1], codes, field))
+    ladder = np.array(ladder)
+    bounds = itertools.pairwise(itertools.accumulate(map(len, sets), initial=0))
+    return _kron_rows([ladder[monos[:, i], a:b] for i, (a, b) in enumerate(bounds)], field)
 
 
 def _evaluation_code(spec: CartesianCodeSpec, degree: int, scale=None) -> LinearCode:
@@ -327,7 +372,7 @@ def _evaluation_code(spec: CartesianCodeSpec, degree: int, scale=None) -> Linear
     field = spec.field
     matrix = monomial_evaluations(field, spec.sets, tuples_deg_le(spec.shape, degree))
     if scale is not None:
-        matrix = field.mul_table[matrix, scale[None, :]]
+        matrix = _product(matrix, scale, field)
     try:
         return LinearCode(field, matrix)
     except ValueError as exc:
@@ -510,21 +555,24 @@ def dual_point_weights(spec: CartesianCodeSpec) -> np.ndarray:
 
     g_i is the monic vanishing polynomial of A_i, so g_i' at a member
     gamma_{i,t} is the product of (gamma_{i,t} - gamma_{i,s}) over s != t.
-    The products over the points are the _kron_rows product of the
-    per-set rows of g_i' values.  The result is a read-only array in
-    point order.
+    The differences of all sets are one table, a row per member padded
+    with ones to a power of two, and its rows are multiplied out at once by
+    halving: each step multiplies pairs of columns.  The products over the
+    points are the _kron_rows product of the per-set rows of g_i' values.
+    The result is a read-only array in point order.
     """
     f = spec.field
-    derivs = []
-    for s in spec.sets:
+    bounds = list(itertools.pairwise(itertools.accumulate(map(len, spec.sets), initial=0)))
+    widest = max(b - a for a, b in bounds)
+    diffs = np.ones((bounds[-1][1], 1 << (widest - 1).bit_length()), dtype=f.int_dtype)
+    for (a, b), s in zip(bounds, spec.sets):
         codes = np.array(s, dtype=f.int_dtype)
-        diffs = _sum_into(codes[:, None], f.neg_table[codes][None, :], f)
-        np.fill_diagonal(diffs, 1)
-        deriv = diffs[:, 0]
-        for col in diffs.T[1:]:
-            deriv = f.mul_table[deriv, col]
-        derivs.append(deriv[None, :])
-    w = f.inv_table[_kron_rows(derivs, f)[0]]
+        block = diffs[a:b, :b - a]
+        block[...] = _sum_into(codes[:, None], f.neg_table[codes][None, :], f)
+        np.fill_diagonal(block, 1)
+    while diffs.shape[1] > 1:
+        diffs = _product(diffs[:, ::2], diffs[:, 1::2], f)
+    w = f.inv_table[_kron_rows([diffs[a:b].T for a, b in bounds], f)[0]]
     w.flags.writeable = False
     return w
 

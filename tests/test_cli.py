@@ -642,6 +642,9 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
 # digits, weights past int64 next to a summarised dual, and a dual of no rows.
 _BITS_12 = ";".join(["0,1"] * 12)
 _BITS_64 = ";".join(["0,1"] * 64)
+_BITS_8 = ";".join(["0,1"] * 8)
+_GF16_16 = ";".join([",".join(map(str, range(16)))] * 2)
+_GF9_9 = ";".join([",".join(map(str, range(9)))] * 2)
 RECORDED_DIGESTS = {
     "hierarchy --field 2^1 --sets 0,1;0,1;0,1 --d 1 --format table":
         "278e2cba3959826a2ad6dbfc8b955474f548302d255574249f0e67e8ed1670ec",
@@ -813,6 +816,21 @@ RECORDED_DIGESTS = {
         "5e3939d75dc27d16ed8ca64e6725f91df80ac62bb294ee7a7c707b666b1b0b34",
     "dual --field 2^1 --sets 0,1 --d 1 --format json":
         "302ef9929001d0a6209e5e3d9f089a9f80c85405870bb4794a7269b9a79d260e",
+    # duals whose rank checks take each update of rank: 120 rows over GF(16),
+    # 36 rows over GF(9) through the addition table, and the 247 rows of
+    # RM(1,8)'s dual, whose pivot columns are sparse
+    f"dual --field 2^4 --sets {_GF16_16} --d 15 --format table":
+        "07d2ae2f23e9d0c3f238f3e2ad3b31fe508d7e0ca5d0be696b5c7356160d74d4",
+    f"dual --field 2^4 --sets {_GF16_16} --d 15 --format json":
+        "b150f0a68a8778afa6a74aa7304e38403b8749c96e5f6c1404236f0859717826",
+    f"dual --field 3^2 --sets {_GF9_9} --d 8 --format table":
+        "0728c368f96a6f69c002b9b5aa897d3bbccf202f4ac178bc279ae195f3b3a7c5",
+    f"dual --field 3^2 --sets {_GF9_9} --d 8 --format json":
+        "0ac3894efa09ce518cb32b3f00385bac1474a16ec78280a0d298ad1e1961e0bd",
+    f"dual --field 2^1 --sets {_BITS_8} --d 1 --format table":
+        "efdf9255630c1444b6f1aa3329a2ea5fb6c11b40d8041748fa48d262a42749be",
+    f"dual --field 2^1 --sets {_BITS_8} --d 1 --format json":
+        "c59fb0c09882006ce99e1792476641b0d52cc82e3b3c6916d05bcd3e45d204bd",
 }
 
 

@@ -1,5 +1,6 @@
 """Code construction, closed forms, duals, and the exhaustive oracles."""
 
+import functools
 import gc
 import itertools
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from ccodes import codes
 from ccodes.codes import (
@@ -35,7 +37,7 @@ from ccodes.codes import (
 )
 from ccodes.errors import BudgetExceededError, InvariantError
 from ccodes.gf import Field, field_create
-from ccodes.grid import lex_segment, min_shadow_size
+from ccodes.grid import lex_segment, min_shadow_size, tuples_deg_le
 from ccodes.hilbert import graded_lex_key
 from ccodes.verification import verify
 
@@ -252,6 +254,65 @@ def test_rank_matches_element_gauss_jordan(pe, data):
     assert rank(mat.astype(f.int_dtype), f) == expected
 
 
+def _rank_test_matrix(f, rows, cols, density, rng):
+    """Random codes, each nonzero with probability density, with a zero
+    column, a repeated row and a zero first row, which leaves the pivot
+    columns below it as dense as drawn."""
+    mat = np.where(rng.random((rows, cols)) < density, rng.integers(1, f.q, (rows, cols)), 0)
+    mat[:, rng.integers(cols)] = 0
+    mat[rng.integers(rows)] = mat[rng.integers(rows)]
+    mat[0] = 0
+    return mat
+
+
+@pytest.mark.parametrize("pe", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (2, 10)],
+                         ids=lambda pe: "%d^%d" % pe)
+def test_rank_takes_every_update_and_matches_gauss_jordan(pe, monkeypatch):
+    # rank updates the rows below a pivot in place through one view when all
+    # of them are hit (at least half, in characteristic 2 past q rows), else
+    # gathers the hit rows; from q rows on it takes rows of the pivot row's
+    # products with every code.  Tall matrices have q rows and more below
+    # their first pivots, wide ones run down to a few, and the densities make
+    # pivot columns sparse, about half hit, mostly hit and all hit, so every
+    # field takes all four updates
+    f = field_create(*pe)
+    sums, updates = codes._sum_into, set()
+
+    def spy(a, b, field):
+        updates.add(("gather" if a.flags.owndata else "view", len(a) >= field.q))
+        return sums(a, b, field)
+
+    monkeypatch.setattr(codes, "_sum_into", spy)
+    rng = np.random.default_rng(11)
+    side = min(f.q, 12) + 4
+    for rows, cols in [(2 * f.q + 300, 4), (side, side + 2)]:
+        for density in (0.15, 0.48, 0.9, 1.0):
+            mat = _rank_test_matrix(f, rows, cols, density, rng)
+            expected = len(gauss_jordan(mat.tolist(), f)[1])
+            frozen = mat.astype(f.int_dtype)
+            frozen.flags.writeable = False
+            # int64 input, read-only codes, and views that are not row-major,
+            # all of the same rank
+            for view in (mat, frozen, frozen.T, mat.T[::-1], frozen[::-1, ::-1]):
+                before = view.copy()
+                assert rank(view, f) == expected
+                assert np.array_equal(view, before)
+    assert updates == {(way, big) for way in ("gather", "view") for big in (False, True)}
+
+
+def test_rank_leaves_a_code_matrix_and_its_transpose_as_they_were():
+    # the duals that the recorded CLI digests pin: 120 x 256 over GF(16), the
+    # 36 x 81 dual over GF(9), and RM(1,8)'s dual, whose pivot columns are sparse
+    for parts in [("2^4", ";".join([",".join(map(str, range(16)))] * 2), 15),
+                  ("3^2", ";".join([",".join(map(str, range(9)))] * 2), 8),
+                  ("2^1", ";".join(["0,1"] * 8), 1)]:
+        code = dual_code(spec_from_parts(*parts))
+        before = code.matrix.copy()
+        assert rank(code.matrix, code.field) == code.dimension
+        assert rank(code.matrix.T, code.field) == code.dimension
+        assert np.array_equal(code.matrix, before) and not code.matrix.flags.writeable
+
+
 def test_rank_zero_and_empty_matrices():
     f9 = field_create(3, 2)
     assert rank(np.zeros((3, 4), dtype=np.uint8), f9) == 0
@@ -261,7 +322,8 @@ def test_rank_zero_and_empty_matrices():
     assert rank(np.array([[0, 0, 0], [0, 4, 1], [0, 0, 0], [7, 0, 2]]), f9) == 2
 
 
-@pytest.mark.parametrize("pe", [(2, 1), (3, 1), (3, 2), (2, 4)], ids=lambda pe: "%d^%d" % pe)
+@pytest.mark.parametrize("pe", [(2, 1), (3, 1), (3, 2), (2, 4), (2, 10)],
+                         ids=lambda pe: "%d^%d" % pe)
 def test_rank_memory_stays_within_five_times_the_matrix(pe):
     # a pivot step holds its block in the matrix's own dtype, not widened
     f = field_create(*pe)
@@ -293,6 +355,79 @@ def test_sum_into_matches_field_add(pe, kronecker, k, s, n, seed):
     assert total.dtype == field.int_dtype and total.flags.c_contiguous
     assert total.tolist() == expected
     assert np.array_equal(b, b_before)
+
+
+# the flat index is uint8 while q^2 - 1 < 2^8 (q <= 16), uint16 for GF(17)
+# and GF(256), and uint32 for GF(257) and GF(1024); small chunks cut the take
+# within rows and at odd places
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (17, 1), (2, 8), (257, 1),
+                        (2, 10)]),
+       mutually_broadcastable_shapes(num_shapes=2, min_dims=1, max_dims=3, min_side=0,
+                                     max_side=5),
+       st.sampled_from([1, 7, codes._TAKE_CHUNK]), st.integers(0, 2 ** 32 - 1))
+def test_product_matches_field_mul(pe, shapes, chunk, seed):
+    field = field_create(*pe)
+    rng = np.random.default_rng(seed)
+    a, b = (rng.integers(0, field.q, shape).astype(field.int_dtype)
+            for shape in shapes.input_shapes)
+    before = a.copy(), b.copy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes, "_TAKE_CHUNK", chunk)
+        product = codes._product(a, b, field)
+    assert product.dtype == field.int_dtype and product.flags.c_contiguous
+    assert product.shape == shapes.result_shape
+    assert product.tolist() == field.mul(a, b).tolist()
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+
+
+def test_product_memory_stays_within_three_times_the_product():
+    # the uint8 index and the product, plus one chunk widened to intp, where a
+    # whole take would widen all 2^21 entries to 16 MiB
+    f = field_create(2, 4)
+    rng = np.random.default_rng(5)
+    matrix = rng.integers(0, f.q, (512, 4096)).astype(f.int_dtype)
+    scale = rng.integers(1, f.q, 4096).astype(f.int_dtype)
+    assert f.mul_table.size  # built before tracing
+    tracemalloc.start()
+    try:
+        product = codes._product(matrix, scale, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * product.nbytes, f"peak {peak} bytes, product {product.nbytes}"
+
+
+@st.composite
+def small_specs(draw):
+    """A spec with n <= 64 over a table field, below its top degree."""
+    f = field_create(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (7, 1), (2, 4),
+                                            (2, 10)]), label="field"))
+    dims = sorted(draw(st.lists(st.integers(1, min(f.q, 8)), min_size=1, max_size=3),
+                       label="sizes"))
+    k = sum(dims) - len(dims)
+    assume(math.prod(dims) <= 64 and k >= 2)
+    sets = [draw(st.lists(st.integers(0, f.q - 1), min_size=size, max_size=size, unique=True),
+                 label="set") for size in dims]
+    return CartesianCodeSpec(f, sets, draw(st.integers(1, k - 1), label="d"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_specs())
+def test_dual_scales_the_evaluations_by_field_mul(spec):
+    # w_j is 1 over the product of the g_i' at the point, each g_i' a product
+    # of differences, all by Field methods; the dual matrix is the evaluation
+    # matrix of degree k - d - 1 times w_j, column by column
+    f = spec.field
+    derivs = [[functools.reduce(f.mul, (f.add(x, f.neg(y)) for y in s if y != x), 1)
+               for x in s] for s in spec.sets]
+    weights = [f.inv(functools.reduce(f.mul, point, 1))
+               for point in itertools.product(*derivs)]
+    assert dual_point_weights(spec).tolist() == weights
+    monos = tuples_deg_le(spec.shape, spec.k - spec.d - 1)
+    evaluations = monomial_evaluations(f, spec.sets, monos)
+    expected = f.mul(evaluations, np.array(weights, dtype=f.int_dtype)[None, :])
+    assert dual_code(spec).matrix.tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("e", range(1, 11))

@@ -183,6 +183,18 @@ def test_one_kronecker_product_and_no_field_call_per_coefficient():
     assert not scalar
 
 
+def test_construction_multiplies_codes_only_through_product():
+    # one entrywise product of code arrays in construction: the evaluation
+    # matrix, its ladders of powers, the dual's weights and its column scaling
+    # take from the multiplication table through _product alone
+    tree = ast.parse((Path(ccodes.__file__).parent / "codes.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_kron_rows", "monomial_evaluations", "_evaluation_code", "dual_point_weights"):
+        assert "mul_table" not in _names(functions[name]), name
+    assert {"_product"} <= _calls(functions["_kron_rows"]) & _calls(functions["_evaluation_code"])
+    assert "mul_table" in _names(functions["_product"])
+
+
 def _over_coordinates(loop) -> bool:
     """Whether a for loop steps through the box's m coordinates: its
     iterable is range(shape.m), maybe reversed, and names nothing else."""
