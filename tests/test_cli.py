@@ -643,6 +643,7 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
 _BITS_12 = ";".join(["0,1"] * 12)
 _BITS_64 = ";".join(["0,1"] * 64)
 _BITS_8 = ";".join(["0,1"] * 8)
+_BITS_5 = ";".join(["0,1"] * 5)
 _GF16_16 = ";".join([",".join(map(str, range(16)))] * 2)
 _GF9_9 = ";".join([",".join(map(str, range(9)))] * 2)
 RECORDED_DIGESTS = {
@@ -831,6 +832,25 @@ RECORDED_DIGESTS = {
         "efdf9255630c1444b6f1aa3329a2ea5fb6c11b40d8041748fa48d262a42749be",
     f"dual --field 2^1 --sets {_BITS_8} --d 1 --format json":
         "c59fb0c09882006ce99e1792476641b0d52cc82e3b3c6916d05bcd3e45d204bd",
+    # the verify benchmark's codes, whose rank-1 subspace sweeps reach rows
+    # with more later rows than one oracle chunk spans: [16,10] over GF(4),
+    # RM(2,5) and its dual, [12,9] over GF(4) and the [27,10] ternary dual
+    "verify --field 2^2 --sets 0,1,2,3;0,1,2,3 --d 3 --format table":
+        "fe3fe8d7ffddb7e9c5b75114fd168de7da90b98005f9fcee68eb096ac3265bb8",
+    "verify --field 2^2 --sets 0,1,2,3;0,1,2,3 --d 3 --format json":
+        "bdc732fa230c0959bc66bb6f6a4541cb57c82820614a1d850c1bb70f2dda0aaf",
+    f"verify --field 2^1 --sets {_BITS_5} --d 2 --format table":
+        "81499381107e7b195c05c41834b2f03c01c74bf88680c2ad4b912a6145159b25",
+    f"verify --field 2^1 --sets {_BITS_5} --d 2 --format json":
+        "912f6382bda3d3d2cfa8dad58d1ac411977c19eb29470d619dd163bb0f1e35bb",
+    "verify --field 2^2 --sets 0,1,2;0,1,2,3 --d 3 --format table":
+        "ab2b9ac1b9cee4ae3e7bc7bc244cec68e6b5f5c995d4bbfadbcab89b93054c40",
+    "verify --field 2^2 --sets 0,1,2;0,1,2,3 --d 3 --format json":
+        "3279414747e40a4c138eba0cc4cfa1bc53a18369e2a5c64388a354669812a965",
+    "verify --field 3^1 --sets 0,1,2;0,1,2;0,1,2 --d 3 --format table":
+        "ed0a85d77d22b3c429500cb42549bca930bc5a0dd619c71f8d7a4bbaf05e12a5",
+    "verify --field 3^1 --sets 0,1,2;0,1,2;0,1,2 --d 3 --format json":
+        "715012ee795bb267d40076b8ed3f1ef34d0301f65715d67e90248948b43cc2fd",
 }
 
 
