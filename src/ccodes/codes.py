@@ -48,12 +48,18 @@ planes and masks once per code, into tables of at most one chunk of words
 per plane that _oracle_table keeps on the LinearCode: the planes of the
 two halves of the rows, the rows' multiples, the pair masks, and the masks
 of the span of the last rows (_tail_masks), which a basis row among those
-rows slices its masks from.  While the tables fit, its sweep only gathers
-from them and ORs masks, and adds no codes.  _planes_differ is its one zero
-test, _plane_tables alone splits the rows, and _subspace_masks is its one
-sweep, which keeps the masks that consecutive pivot sets share for one
-call.  Only _hierarchy_at_degree decides whether a hierarchy is short
-enough to list, and only extremal_family whether a family is.
+rows slices its masks from.  While the tables fit, its sweep adds no codes.
+The span of the last rows, and the words of a rank-1 row with at least as
+many later rows, are runs of consecutive words of the span of all the
+rows, each read as one slice of each half's table.  Only a basis row whose
+free entries skip a later pivot, and the rows streamed past one chunk at
+rank 2 or more, gather their words from the tables through an index.  The
+sweep then ORs the rows' masks.  _planes_differ is its one zero test,
+_plane_tables alone splits the rows, _word_masks alone reads those tables,
+and _subspace_masks is its one sweep, which keeps the masks that
+consecutive pivot sets share for one call.  Only _hierarchy_at_degree
+decides whether a hierarchy is short enough to list, and only
+extremal_family whether a family is.
 
 Errors: bad input raises ValueError, generator entries that are not
 integer codes in [0, q) included.  Its one subclass, BudgetExceededError,
@@ -84,7 +90,10 @@ from .grid import (
 # Support bitmasks in the subspace oracle live in unsigned words of at most 64 bits.
 _MAX_ORACLE_LENGTH = 64
 
-# Most subspaces or codewords an exhaustive oracle holds at once.
+# Most subspaces or codewords an exhaustive oracle holds at once; it sizes
+# their tables too.  A verify benchmark pass took 8-13 % longer at 2^12,
+# where more chunks pay their per-chunk Python, and 20-22 % longer at 2^16,
+# whose chunks outgrow the cache.
 _ORACLE_CHUNK = 1 << 14
 
 # Most entries of a product taken from the multiplication table at once.
@@ -178,9 +187,10 @@ class LinearCode:
         # check before casting, which would truncate floats and wrap negatives
         if raw.size and (raw.dtype.kind not in "biu" or raw.min() < 0 or raw.max() >= field.q):
             raise ValueError(f"matrix entries must be codes in [0, {field.q})")
-        matrix = raw.astype(field.int_dtype)
-        if matrix.shape[0] and rank(matrix, field) != matrix.shape[0]:
+        # rank eliminates in a copy of its own, freed before the cast is made
+        if raw.shape[0] and rank(raw, field) != raw.shape[0]:
             raise ValueError("generator rows are linearly dependent")
+        matrix = raw.astype(field.int_dtype)
         matrix.flags.writeable = False
         self.field = field
         self.matrix = matrix
@@ -726,17 +736,31 @@ def _pair_masks(code: LinearCode):
     return _planes_differ(multiples[:, None], multiples[:, :, code.field.neg_table[1], None, None])
 
 
-def _word_masks(code: LinearCode, coeffs: np.ndarray, cols) -> np.ndarray:
+def _word_masks(code: LinearCode, coeffs, cols=()) -> np.ndarray | None:
     """Support masks of each word coeffs G plus each combination of G[cols].
 
     coeffs holds N coefficient vectors of length K; the masks take shape
     (N, q^len(cols)), the first of cols slowest.  A word is the sum of its
     sides before and after the split of _plane_tables.  The planes of each
     side are gathered from its table, or built from its rows if it has none.
+
+    coeffs may instead be a range of indices into the span of all K rows,
+    as _span_words lists them, that starts and stops at multiples of the
+    high table's length (cols unused): a run of consecutive low-table words
+    against the whole high table.  Its masks, of shape (len(coeffs),), are
+    read from one slice of each table, with no index; None if the rows from
+    the split on have no table.
     """
-    split, *tables, weights, steps = _oracle_table(code, _plane_tables)
+    split, low, high, weights, steps = _oracle_table(code, _plane_tables)
+    if isinstance(coeffs, range):
+        if high is None:
+            return None
+        size = high.shape[1]
+        return _planes_differ(low[:, coeffs.start // size:coeffs.stop // size, None],
+                              high[:, None]).ravel()
     sides = []
-    for negate, (rows, table) in enumerate(zip((slice(0, split), slice(split, None)), tables)):
+    for negate, (rows, table) in enumerate(zip((slice(0, split), slice(split, None)),
+                                               (low, high))):
         side = [c for c in cols if (c >= split) == negate]
         if table is None:
             base = matmul(coeffs[:, rows], code.matrix[rows], code.field)
@@ -763,10 +787,15 @@ def _tail_masks(code: LinearCode) -> np.ndarray:
     The q^(K - t) words fit one chunk and are indexed as _span_words lists
     them, so the words G[p] + span(G[p+1:]) of a row at pivot p >= t are
     the slice [q^(K-1-p), 2 q^(K-1-p)), with one axis of q per later row.
+    They are the first words of the span of G, a run that _word_masks reads
+    as slices while the rows from the split on have a table, else gathers.
     """
-    K = code.dimension
-    rows = range(max(0, K - _fast_digits(code.field.q)), K)
-    return _word_masks(code, np.zeros((1, K), dtype=np.int64), rows)[0]
+    K, q = code.dimension, code.field.q
+    rows = range(max(0, K - _fast_digits(q)), K)
+    masks = _word_masks(code, range(q ** len(rows)))
+    if masks is None:
+        masks = _word_masks(code, np.zeros((1, K), dtype=np.int64), rows)[0]
+    return masks
 
 
 def _digit_walk(starts: np.ndarray, slow, variants):
@@ -801,11 +830,19 @@ def _subspace_masks(code: LinearCode, r: int, pivot_sets):
     one chunk.  Rows i.. depend only on suffixes[i] =
     pivots[i:], so rows[i], the masks of row i, and tails[i], the
     OR-product of rows i.., each while it fits one chunk, stay for the
-    next sets with those last pivots.  The longest product that fits is
-    the tail of every chunk, the one chunk if it covers all rows.  The rows
-    before it are ORed onto it in blocks if their own product fits one
-    chunk, else streamed: _digit_walk steps the rows before the last and
-    all but the fast digits of the last, one piece per step.
+    next sets with those last pivots; the last row's tail is its own masks.
+    The longest product that fits is the tail of every chunk, the one chunk
+    if it covers all rows.  The rows before it are ORed onto it in blocks
+    if their own product fits one chunk, else streamed: _digit_walk steps
+    the rows before the last and all but the fast digits of the last, one
+    piece per step.
+
+    At rank 1 the words G[p] + span(G[p+1:]) are the words q^(K-1-p) ..
+    2 q^(K-1-p) - 1 of the span of G.  A row with at least the fast digits
+    of later rows reads them from _word_masks as runs of low-table words
+    against the whole high table, one run per chunk, in the chunks that
+    streaming would give; it streams only when the rows from the split on
+    have no table.
     """
     K, q = code.dimension, code.field.q
     fits = _fast_digits(q)
@@ -818,8 +855,19 @@ def _subspace_masks(code: LinearCode, r: int, pivot_sets):
         variants[:, c] = np.arange(q)
         return variants
 
+    block = _ORACLE_CHUNK // q ** fits * q ** fits  # the words of a full streamed chunk
+
     suffixes, rows, tails = [None] * r, [None] * r, [None] * r + [zero]
     for pivots in pivot_sets:
+        later = K - 1 - pivots[0]
+        if r == 1 and later >= fits:  # words q^later .. 2 q^later - 1 of the span of G
+            runs = (_word_masks(code, range(start, min(start + block, 2 * q ** later)))
+                    for start in range(q ** later, 2 * q ** later, block))
+            masks = next(runs)
+            if masks is not None:
+                yield masks
+                yield from runs
+                continue
         free = [[c for c in range(p + 1, K) if c not in pivots] for p in pivots]
         for i in range(r - 1, -1, -1):
             if suffixes[i] == pivots[i:]:
@@ -837,7 +885,9 @@ def _subspace_masks(code: LinearCode, r: int, pivot_sets):
                                       for c in range(p + 1, K))].ravel()
             elif len(cols) <= fits:
                 rows[i] = _word_masks(code, np.eye(1, K, p, dtype=np.int64), cols)[0]
-            if tails[i + 1] is not None and rows[i] is not None and (
+            if i == r - 1:
+                tails[i] = rows[i]
+            elif tails[i + 1] is not None and rows[i] is not None and (
                     rows[i].size * tails[i + 1].size <= _ORACLE_CHUNK):
                 tails[i] = np.bitwise_or.outer(rows[i], tails[i + 1]).ravel()
         first, tail = next((i, tail) for i, tail in enumerate(tails) if tail is not None)

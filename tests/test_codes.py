@@ -339,6 +339,22 @@ def test_rank_memory_stays_within_five_times_the_matrix(pe):
     assert peak <= 5 * mat.nbytes, f"peak {peak} bytes, matrix {mat.nbytes}"
 
 
+def test_linear_code_memory_stays_within_that_of_its_rank():
+    # the rank check eliminates in a copy of its own, freed before the
+    # stored cast is made: no third matrix on RM(1,9)'s 502 x 512 dual
+    dual = dual_code(spec_from_parts("2^1", ";".join(["0,1"] * 9), 1))
+    matrix = np.array(dual.matrix)
+    peaks = []
+    for build in (lambda: rank(matrix, dual.field), lambda: LinearCode(dual.field, matrix)):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
 # odd q takes a flat index of uint8 (q <= 15), uint16 (q = 17) or uint32
 # (q = 257); characteristic 2 adds by XOR in uint8 or, past 256, uint16
 @settings(max_examples=80, deadline=None)
@@ -1119,6 +1135,49 @@ def test_subspace_sweep_matches_echelon_bases(q, data):
                     assert np.concatenate(chunks).tolist() == expected[pivots], (chunk, pivots)
 
 
+# (q, K, chunks): both plane tables exist at each chunk, of q^(K // 2) and
+# q^(K - K // 2) words, while G[0] + span(G[1:]) passes one chunk.  A
+# streamed chunk of rank 1 is then a block of one, two or several low-table
+# words against the whole high table: for GF(3) at 27, 60 and 162, blocks
+# of 1, 2 and 6 words, the last block of a row shorter where 243 is no
+# multiple of the chunk's 54 or 162 words
+@pytest.mark.parametrize("q, K, chunks", [(2, 10, (32, 64, 160)), (3, 6, (27, 60, 162)),
+                                          (4, 6, (64, 128, 192, 512)), (9, 4, (81, 162, 405))])
+def test_rank_one_sweep_reads_whole_chunk_blocks(monkeypatch, q, K, chunks):
+    field = field_create(*RANDOM_FIELDS.get(q, (q,)))
+    rng = np.random.default_rng(q)
+    matrix = np.hstack([np.eye(K, dtype=np.int64), rng.integers(0, q, (K, 6))])
+    code = LinearCode(field, matrix)
+    pivot_sets = [(p,) for p in range(K - 1, -1, -1)]
+    expected = {pivots: echelon_support_masks(code, pivots) for pivots in pivot_sets}
+
+    def no_walk(*args):
+        raise AssertionError("the rank-1 sweep stepped through _digit_walk")
+
+    for chunk in chunks:
+        monkeypatch.setattr(codes, "_ORACLE_CHUNK", chunk)
+        monkeypatch.setattr(codes, "_digit_walk", no_walk)
+        assert all(table is not None for table in codes._plane_tables(code)[1:3]), chunk
+        fits = max(j for j in range(K) if q ** j <= chunk)
+        assert q ** (K - 1) > chunk and q ** (K - K // 2) <= q ** fits
+        swept = []
+
+        def feed():
+            for pivots in pivot_sets:
+                swept.append((pivots, []))
+                yield pivots
+
+        for c in codes._subspace_masks(code, 1, feed()):
+            swept[-1][1].append(c)
+        assert [pivots for pivots, _ in swept] == pivot_sets
+        block = chunk // q ** fits * q ** fits
+        for pivots, got in swept:
+            total = len(expected[pivots])
+            sizes = [block] * (total // block) + [total % block] * (total % block > 0)
+            assert [c.size for c in got] == (sizes if total > chunk else [total]), (chunk, pivots)
+            assert np.concatenate(got).tolist() == expected[pivots], (chunk, pivots)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3, 4, 9, 16]), st.data())
 def test_brute_ghw_matches_echelon_bases_in_small_chunks(q, data):
@@ -1216,8 +1275,12 @@ def test_oracle_memory_does_not_grow_with_the_budget():
     ternary_code = LinearCode(f3, np.hstack([np.eye(13, dtype=np.uint8), ternary]))
     binary_code = LinearCode(f2, np.hstack([np.eye(16, dtype=np.uint8), binary]))
     # the [16, 10] GF(4) code of the verify benchmark: (4^10 - 1) / 3 = 349525
-    # subspaces at r = 1 and at r = 9, with its plane tables built on the first call
-    gf4_code = generator_matrix(spec_from_parts("2^2", "0,1,2,3;0,1,2,3", 3))
+    # subspaces at r = 1 and at r = 9, with its plane tables built on the first
+    # call.  At r = 1 its rows 0..2 read whole chunks of 16 low-table words
+    # against the 1024-word high table; a fresh copy of the code builds its
+    # tables inside each traced call
+    gf4_spec = spec_from_parts("2^2", "0,1,2,3;0,1,2,3", 3)
+    gf4_code = generator_matrix(gf4_spec)
 
     def distance_oracles(code):
         return [lambda budget: brute_ghw(code, 1, budget=budget),
@@ -1230,7 +1293,8 @@ def test_oracle_memory_does_not_grow_with_the_budget():
     # ORed in blocks onto the kept suffix
     for oracles in (distance_oracles(ternary_code), distance_oracles(binary_code),
                     [lambda budget: brute_ghw(ternary_code, 12, budget=budget)],
-                    [lambda budget: brute_ghw(gf4_code, 1, budget=budget)],
+                    [lambda budget: brute_ghw(gf4_code, 1, budget=budget),
+                     lambda budget: brute_ghw(generator_matrix(gf4_spec), 1, budget=budget)],
                     [lambda budget: brute_ghw(gf4_code, 9, budget=budget)]):
         results = []
         for budget in (10 ** 6, 10 ** 7):
