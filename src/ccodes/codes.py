@@ -787,8 +787,9 @@ def _tail_masks(code: LinearCode) -> np.ndarray:
     The q^(K - t) words fit one chunk and are indexed as _span_words lists
     them, so the words G[p] + span(G[p+1:]) of a row at pivot p >= t are
     the slice [q^(K-1-p), 2 q^(K-1-p)), with one axis of q per later row.
-    They are the first words of the span of G, a run that _word_masks reads
-    as slices while the rows from the split on have a table, else gathers.
+    They are the first q^(K - t) words of the span of G, a run that
+    _word_masks reads as slices while the rows from the split on have a
+    table; else it takes them as the zero word plus each combination of G[t:].
     """
     K, q = code.dimension, code.field.q
     rows = range(max(0, K - _fast_digits(q)), K)
@@ -946,10 +947,13 @@ def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
         raise BudgetExceededError(f"{total} subspaces exceed budget {budget}")
     best = n
     enumerated = 0
+    # numpy counts the bits of 32- and 64-bit words about twice as fast as
+    # those of narrower ones, so narrower masks are widened as they are counted
+    wide = (np.promote_types(_mask_type(n), np.uint32), np.uint8)
     pivot_sets = (top[::-1] for top in itertools.combinations(range(K - 1, -1, -1), r))
     for acc in _subspace_masks(code, r, pivot_sets):
         enumerated += acc.size
-        best = min(best, int(np.bitwise_count(acc).min()))
+        best = min(best, int(np.bitwise_count(acc, signature=wide).min()))
     if enumerated != total:
         raise InvariantError(f"enumerated {enumerated} subspaces, expected {total}")
     return best
