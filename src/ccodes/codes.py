@@ -50,8 +50,8 @@ two halves of the rows, the rows' multiples, the pair masks, and the masks
 of the span of the last rows (_tail_masks), which a basis row among those
 rows slices its masks from.  While the tables fit, its sweep adds no codes.
 The span of the last rows, and the words of a rank-1 row with at least as
-many later rows, are runs of consecutive words of the span of all the
-rows, each read as one slice of each half's table.  Only a basis row whose
+many later rows as that span has, are runs of consecutive words of the
+span of all the rows, each read as one slice of each half's table.  Only a basis row whose
 free entries skip a later pivot, and the rows streamed past one chunk at
 rank 2 or more, gather their words from the tables through an index.  The
 sweep then ORs the rows' masks.  _planes_differ is its one zero test,
@@ -91,9 +91,9 @@ from .grid import (
 _MAX_ORACLE_LENGTH = 64
 
 # Most subspaces or codewords an exhaustive oracle holds at once; it sizes
-# their tables too.  A verify benchmark pass took 8-13 % longer at 2^12,
-# where more chunks pay their per-chunk Python, and 20-22 % longer at 2^16,
-# whose chunks outgrow the cache.
+# their tables too.  A verify benchmark pass took 8-15 % longer at 2^12,
+# where four times as many chunks pay their per-chunk Python, and 19-25 %
+# longer at 2^16.
 _ORACLE_CHUNK = 1 << 14
 
 # Most entries of a product taken from the multiplication table at once.
