@@ -829,9 +829,10 @@ def _subspace_masks(code: LinearCode, r: int, pivot_sets):
     and all later rows fit one chunk (the view at index 0 on the axes of
     the later pivots), else built by _word_masks while its free entries fit
     one chunk.  Rows i.. depend only on suffixes[i] =
-    pivots[i:], so rows[i], the masks of row i, and tails[i], the
-    OR-product of rows i.., each while it fits one chunk, stay for the
-    next sets with those last pivots; the last row's tail is its own masks.
+    pivots[i:], so free[i], the free entries of row i, rows[i], its masks,
+    and tails[i], the OR-product of rows i.., each while it fits one chunk,
+    stay for the next sets with those last pivots; the last row's tail is
+    its own masks.
     The longest product that fits is the tail of every chunk, the one chunk
     if it covers all rows.  The rows before it are ORed onto it in blocks
     if their own product fits one chunk, else streamed: _digit_walk steps
@@ -859,6 +860,7 @@ def _subspace_masks(code: LinearCode, r: int, pivot_sets):
     block = _ORACLE_CHUNK // q ** fits * q ** fits  # the words of a full streamed chunk
 
     suffixes, rows, tails = [None] * r, [None] * r, [None] * r + [zero]
+    free = [None] * r + [[]]  # free[i]: the rows past pivots[i] that are not pivots
     for pivots in pivot_sets:
         later = K - 1 - pivots[0]
         if r == 1 and later >= fits:  # words q^later .. 2 q^later - 1 of the span of G
@@ -869,11 +871,11 @@ def _subspace_masks(code: LinearCode, r: int, pivot_sets):
                 yield masks
                 yield from runs
                 continue
-        free = [[c for c in range(p + 1, K) if c not in pivots] for p in pivots]
         for i in range(r - 1, -1, -1):
             if suffixes[i] == pivots[i:]:
                 continue
-            p, cols = pivots[i], free[i]
+            p, stop = pivots[i], pivots[i + 1] if i + 1 < r else K
+            free[i] = cols = [*range(p + 1, stop), *free[i + 1]]
             suffixes[i], rows[i], tails[i] = pivots[i:], None, None
             if pairs is not None and len(cols) < 2:
                 rows[i] = pairs[p, cols[0]] if cols else pairs[p, p, :1]
