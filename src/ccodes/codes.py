@@ -832,12 +832,11 @@ def _subspace_masks(code: LinearCode, r: int, pivot_sets):
     pivots[i:], so free[i], the free entries of row i, rows[i], its masks,
     and tails[i], the OR-product of rows i.., each while it fits one chunk,
     stay for the next sets with those last pivots; the last row's tail is
-    its own masks.
-    The longest product that fits is the tail of every chunk, the one chunk
-    if it covers all rows.  The rows before it are ORed onto it in blocks
-    if their own product fits one chunk, else streamed: _digit_walk steps
-    the rows before the last and all but the fast digits of the last, one
-    piece per step.
+    its own masks.  The longest product that fits is the tail of every
+    chunk, the one chunk if it covers all rows.  The rows before it are
+    ORed onto it in blocks if their own product fits one chunk, else
+    streamed: _digit_walk steps the rows before the last and all but the
+    fast digits of the last, one piece per step.
 
     At rank 1 the words G[p] + span(G[p+1:]) are the words q^(K-1-p) ..
     2 q^(K-1-p) - 1 of the span of G.  A row with at least the fast digits
