@@ -501,7 +501,12 @@ def test_verify_counts_no_subspaces_past_the_length_cap(capsys):
     # no pair masks, row multiples or plane tables: one subspace, packed row by row
     ("2^10", "0,1,2,3,4,5,6,7;0,1,2,3,4,5,6,7", 14, "64 of 195 checks by their oracles: "
                                                     "ghw r=1..63, min_distance"),
-], ids=["27,17-GF3", "16,6-GF16", "16,10-GF4", "64,64-GF1024"])
+    # halves of rows past one chunk: 7^5 and 7^6 words of the 11 rows over
+    # GF(7), and 2^16 words of each 2 of the 4 rows over GF(256)
+    ("7^1", "0,1,2;0,1,2,3,4,5,6", 4, "18 of 50 checks by their oracles: "
+                                      "ghw r=1..11, min_distance, dual ghw r=2..7"),
+    ("2^8", "0,1;0,1,2,3", 2, "5 of 23 checks by their oracles: ghw r=1..4, min_distance"),
+], ids=["27,17-GF3", "16,6-GF16", "16,10-GF4", "64,64-GF1024", "21,11-GF7", "8,4-GF256"])
 def test_verify_oracle_coverage_is_pinned(capsys, field, sets, d, skipped):
     # the same codes and skip lists as the installed-script checks in CI, so
     # that no oracle's coverage shrinks unseen
@@ -851,6 +856,14 @@ RECORDED_DIGESTS = {
         "ed0a85d77d22b3c429500cb42549bca930bc5a0dd619c71f8d7a4bbaf05e12a5",
     "verify --field 3^1 --sets 0,1,2;0,1,2;0,1,2 --d 3 --format json":
         "715012ee795bb267d40076b8ed3f1ef34d0301f65715d67e90248948b43cc2fd",
+    "verify --field 7^1 --sets 0,1,2;0,1,2,3,4,5,6 --d 4 --format table":
+        "5327a9c922ce07c14f74ad3fae7cf467949afa91529b0b2d29212254a3c33283",
+    "verify --field 7^1 --sets 0,1,2;0,1,2,3,4,5,6 --d 4 --format json":
+        "864216d304614b960db4125d4b9293ee849c25ebed1bf6d3af99a3f76f5c55bd",
+    "verify --field 2^8 --sets 0,1;0,1,2,3 --d 2 --format table":
+        "5b21c3bee14555ca454edae4af96061234e4d910e7d91e120c35c74642d3c9d2",
+    "verify --field 2^8 --sets 0,1;0,1,2,3 --d 2 --format json":
+        "f7132020409d43c95fcb6befd2a7a2735ac9451494b3a240850f4704ff8d8ea6",
 }
 
 
