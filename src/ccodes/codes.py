@@ -46,18 +46,18 @@ they should.  The codeword oracle compares one word per scalar class, the
 multiples and the zero word cover the rest.  The subspace oracle packs bit
 planes and masks once per code, into tables of at most one chunk of words
 per plane that _oracle_table keeps on the LinearCode: the planes of the
-two halves of the rows, the rows' multiples, the pair masks, and the masks
-of the span of the last rows (_tail_masks), which a basis row among those
-rows slices its masks from.  While the tables fit, its sweep adds no codes.
-The span of the last rows, and the words of a rank-1 row with at least as
-many later rows as that span has, are runs of consecutive words of the
-span of all the rows, each read as one slice of each half's table.  Only a basis row whose
-free entries skip a later pivot, and the rows streamed past one chunk at
-rank 2 or more, gather their words from the tables through an index.  The
-sweep then ORs the rows' masks.  _planes_differ is its one zero test,
-_plane_tables alone splits the rows, _word_masks alone reads those tables,
-and _subspace_masks is its one sweep, which keeps the masks that
-consecutive pivot sets share for one call.  Only _hierarchy_at_degree
+spans of the rows before and from a cut, the rows' multiples, the pair
+masks, and the masks of the span of the last rows (_tail_masks), which a
+basis row among those rows slices its masks from.  The rows from the cut
+always fit one table, and those before it have one while they fit.  A
+plane table has one axis per row, so each word read from it, a
+coefficient on each row's axis and the whole axis of each free row, is
+one view of it; only a word's side before the cut of a code with no
+table there is built, from its rows.  While the tables fit, the sweep
+adds no codes.  It then ORs the rows' masks.  _planes_differ is its one
+zero test, _plane_tables alone splits the rows, _word_masks alone reads
+those tables, and _subspace_masks is its one sweep, which keeps the masks
+that consecutive pivot sets share for one call.  Only _hierarchy_at_degree
 decides whether a hierarchy is short enough to list, and only
 extremal_family whether a family is.
 
@@ -75,7 +75,7 @@ import itertools
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantError
-from .gf import Field, parse_field
+from .gf import TABLE_ORDER_LIMIT, Field, parse_field
 from .grid import (
     DEFAULT_BUDGET,
     GridShape,
@@ -377,7 +377,9 @@ def monomial_evaluations(field: Field, sets, monos) -> np.ndarray:
 def _evaluation_code(spec: CartesianCodeSpec, degree: int, scale=None) -> LinearCode:
     """The degree-<=degree monomials evaluated on the grid, columns times scale.
 
-    They are independent on the grid, so a matrix LinearCode refuses is a bug.
+    They are independent on the grid, so a matrix LinearCode refuses is a
+    bug, unless the field is past the table limit: then LinearCode's rank
+    cannot read the lookup tables, and its ValueError is bad input.
     """
     field = spec.field
     matrix = monomial_evaluations(field, spec.sets, tuples_deg_le(spec.shape, degree))
@@ -386,6 +388,8 @@ def _evaluation_code(spec: CartesianCodeSpec, degree: int, scale=None) -> Linear
     try:
         return LinearCode(field, matrix)
     except ValueError as exc:
+        if field.q > TABLE_ORDER_LIMIT:
+            raise
         raise InvariantError(f"monomial basis evaluations: {exc}; this is a bug") from None
 
 
@@ -677,27 +681,25 @@ def _oracle_table(code: LinearCode, build):
 
 
 def _plane_tables(code: LinearCode) -> tuple:
-    """(split, low, high, weights, steps): planes of the spans of the two sides.
+    """(split, low, high): planes of the spans of the rows before and from split.
 
-    The generator rows are cut at split = K // 2.  low holds the planes of
-    every word of the span of the rows before it, high those of the negated
-    span of the rows from it on, each of shape (bits, q^rows) and indexed
-    as _span_words lists them; a side past _ORACLE_CHUNK words has no
-    table (None).  A word's index in a table is its coefficients on the
-    side dotted with weights, and steps[c] holds the q multiples of
-    weights[c].
+    The generator rows are cut at split = max(K // 2, K - _fast_digits(q)),
+    so the rows from it on always fit one chunk.  low holds the planes of
+    every word of the span of the rows before the cut, high those of the
+    negated span of the rows from it on; a table has shape (bits, q, ..., q),
+    one axis per row, the first row slowest, and the index on a row's axis
+    is its coefficient.  low is None past _ORACLE_CHUNK words.
     """
     K, q = code.dimension, code.field.q
-    split = K // 2
-    tables, weights = [], np.zeros(K, dtype=np.int64)
+    split = max(K // 2, K - _fast_digits(q))
+    tables = []
     for negate, rows in enumerate((range(split), range(split, K))):
         if q ** len(rows) > _ORACLE_CHUNK:
             tables.append(None)
             continue
-        tables.append(np.ascontiguousarray(_span_planes(code, rows, None, bool(negate))[:, 0]))
-        weights[rows.start:rows.stop] = [q ** (rows.stop - 1 - c) for c in rows]
-    steps = np.multiply.outer(weights, np.arange(q)) if q <= _ORACLE_CHUNK else None
-    return (split, *tables, weights, steps)
+        planes = _span_planes(code, rows, None, bool(negate))
+        tables.append(np.ascontiguousarray(planes).reshape(len(planes), *(q,) * len(rows)))
+    return (split, *tables)
 
 
 def _row_multiples(code: LinearCode):
@@ -736,41 +738,37 @@ def _pair_masks(code: LinearCode):
     return _planes_differ(multiples[:, None], multiples[:, :, code.field.neg_table[1], None, None])
 
 
-def _word_masks(code: LinearCode, coeffs, cols=()) -> np.ndarray | None:
-    """Support masks of each word coeffs G plus each combination of G[cols].
+def _word_masks(code: LinearCode, coeffs, cols=()):
+    """Support masks of the word coeffs G plus each combination of G[cols], in chunks.
 
-    coeffs holds N coefficient vectors of length K; the masks take shape
-    (N, q^len(cols)), the first of cols slowest.  A word is the sum of its
-    sides before and after the split of _plane_tables.  The planes of each
-    side are gathered from its table, or built from its rows if it has none.
-
-    coeffs may instead be a range of indices into the span of all K rows,
-    as _span_words lists them, that starts and stops at multiples of the
-    high table's length (cols unused): a run of consecutive low-table words
-    against the whole high table.  Its masks, of shape (len(coeffs),), are
-    read from one slice of each table, with no index; None if the rows from
-    the split on have no table.
+    coeffs holds one word's K coefficients and cols ascending rows whose
+    coefficients take every value instead, the first slowest.  The word is
+    the sum of its sides before and after the split of _plane_tables.  Each
+    side's planes are one view of its table, a coefficient picking the
+    index on each row's axis and a row of cols taking the whole axis; a side
+    with no table, the rows before the split, builds its words from its rows
+    of cols, which must number at most fits = _fast_digits(q).  The masks
+    come in chunks of _ORACLE_CHUNK // q^fits whole blocks of q^fits words,
+    each a run of words before the split against every word from it, so
+    at most q^fits masks come as one chunk.
     """
-    split, low, high, weights, steps = _oracle_table(code, _plane_tables)
-    if isinstance(coeffs, range):
-        if high is None:
-            return None
-        size = high.shape[1]
-        return _planes_differ(low[:, coeffs.start // size:coeffs.stop // size, None],
-                              high[:, None]).ravel()
-    sides = []
-    for negate, (rows, table) in enumerate(zip((slice(0, split), slice(split, None)),
-                                               (low, high))):
-        side = [c for c in cols if (c >= split) == negate]
-        if table is None:
-            base = matmul(coeffs[:, rows], code.matrix[rows], code.field)
-            sides.append(_span_planes(code, side, base, bool(negate)))
-            continue
-        index = coeffs[:, rows] @ weights[rows]
-        for c in side:
-            index = np.add.outer(index, steps[c])
-        sides.append(np.take(table, index.reshape(len(coeffs), -1), axis=1))
-    return _planes_differ(sides[0][..., None], sides[1][:, :, None, :]).reshape(len(coeffs), -1)
+    K, q = code.dimension, code.field.q
+    split, low, high = _oracle_table(code, _plane_tables)
+
+    def view(table, rows):
+        table = table[(slice(None), *(slice(None) if c in cols else coeffs[c] for c in rows))]
+        return table.reshape(len(table), -1)
+
+    if low is None:
+        base = matmul(coeffs[None, :split], code.matrix[:split], code.field)
+        low = _span_planes(code, [c for c in cols if c < split], base, False)[:, 0]
+    else:
+        low = view(low, range(split))
+    high = view(high, range(split, K))
+    fits = _fast_digits(q)
+    step = _ORACLE_CHUNK // q ** fits * q ** fits // high.shape[1]
+    for start in range(0, low.shape[1], step):
+        yield _planes_differ(low[:, start:start + step, None], high[:, None]).ravel()
 
 
 def _fast_digits(q: int) -> int:
@@ -787,16 +785,10 @@ def _tail_masks(code: LinearCode) -> np.ndarray:
     The q^(K - t) words fit one chunk and are indexed as _span_words lists
     them, so the words G[p] + span(G[p+1:]) of a row at pivot p >= t are
     the slice [q^(K-1-p), 2 q^(K-1-p)), with one axis of q per later row.
-    They are the first q^(K - t) words of the span of G, a run that
-    _word_masks reads as slices while the rows from the split on have a
-    table; else it takes them as the zero word plus each combination of G[t:].
     """
     K, q = code.dimension, code.field.q
     rows = range(max(0, K - _fast_digits(q)), K)
-    masks = _word_masks(code, range(q ** len(rows)))
-    if masks is None:
-        masks = _word_masks(code, np.zeros((1, K), dtype=np.int64), rows)[0]
-    return masks
+    return next(_word_masks(code, np.zeros(K, dtype=np.int64), rows))
 
 
 def _digit_walk(starts: np.ndarray, slow, variants):
@@ -838,38 +830,30 @@ def _subspace_masks(code: LinearCode, r: int, pivot_sets):
     streamed: _digit_walk steps the rows before the last and all but the
     fast digits of the last, one piece per step.
 
-    At rank 1 the words G[p] + span(G[p+1:]) are the words q^(K-1-p) ..
-    2 q^(K-1-p) - 1 of the span of G.  A row with at least the fast digits
-    of later rows reads them from _word_masks as runs of low-table words
-    against the whole high table, one run per chunk, in the chunks that
-    streaming would give; it streams only when the rows from the split on
-    have no table.
+    At rank 1 a row with fits to 2 fits later rows reads its words G[p] +
+    span(G[p+1:]) from _word_masks, in the chunks that streaming would
+    give.  The rows from the split on number fits unless the rows before it
+    have a table, so at most fits of its free rows lie before the split, as
+    a side with no table needs.  A row with more later rows streams.
     """
     K, q = code.dimension, code.field.q
     fits = _fast_digits(q)
     pairs = _oracle_table(code, _pair_masks)
     mask = _mask_type(code.length)
     zero = np.zeros(1, dtype=mask)  # the OR-product of no rows
+    unit = np.eye(K, dtype=np.int64)
 
     def set_digit(row, c):
         variants = np.repeat(row[None], q, axis=0)
         variants[:, c] = np.arange(q)
         return variants
 
-    block = _ORACLE_CHUNK // q ** fits * q ** fits  # the words of a full streamed chunk
-
     suffixes, rows, tails = [None] * r, [None] * r, [None] * r + [zero]
     free = [None] * r + [[]]  # free[i]: the rows past pivots[i] that are not pivots
     for pivots in pivot_sets:
-        later = K - 1 - pivots[0]
-        if r == 1 and later >= fits:  # words q^later .. 2 q^later - 1 of the span of G
-            runs = (_word_masks(code, range(start, min(start + block, 2 * q ** later)))
-                    for start in range(q ** later, 2 * q ** later, block))
-            masks = next(runs)
-            if masks is not None:
-                yield masks
-                yield from runs
-                continue
+        if r == 1 and fits <= K - 1 - pivots[0] <= 2 * fits:  # G[p] + span(G[p+1:])
+            yield from _word_masks(code, unit[pivots[0]], range(pivots[0] + 1, K))
+            continue
         for i in range(r - 1, -1, -1):
             if suffixes[i] == pivots[i:]:
                 continue
@@ -886,7 +870,7 @@ def _subspace_masks(code: LinearCode, r: int, pivot_sets):
                 rows[i] = words[tuple(0 if c in pivots else slice(None)
                                       for c in range(p + 1, K))].ravel()
             elif len(cols) <= fits:
-                rows[i] = _word_masks(code, np.eye(1, K, p, dtype=np.int64), cols)[0]
+                rows[i] = next(_word_masks(code, unit[p], cols))
             if i == r - 1:
                 tails[i] = rows[i]
             elif tails[i + 1] is not None and rows[i] is not None and (
@@ -908,13 +892,13 @@ def _subspace_masks(code: LinearCode, r: int, pivot_sets):
         last = first - 1
         fast = fits - sum(map(len, free[first:]))
         slow, cols = prefix[:len(prefix) - fast], free[last][len(free[last]) - fast:]
-        starts = np.eye(K, dtype=np.int64)[list(pivots[:first])]
+        starts = unit[list(pivots[:first])]
         piece = q ** fast * tail.size
         chunk, filled = np.empty(batch // q ** fast * piece, dtype=mask), 0
         for coeffs in _digit_walk(starts, slow, set_digit):
-            masks = _word_masks(code, coeffs[last:], cols)[0]
-            if last:
-                masks |= np.bitwise_or.reduce(_word_masks(code, coeffs[:last], [])[:, 0])
+            masks = next(_word_masks(code, coeffs[last], cols))
+            for row in coeffs[:last]:
+                masks |= next(_word_masks(code, row))
             np.bitwise_or.outer(masks, tail,
                                 out=chunk[filled:filled + piece].reshape(-1, tail.size))
             filled += piece

@@ -489,20 +489,22 @@ def test_verify_counts_no_subspaces_past_the_length_cap(capsys):
 
 
 @pytest.mark.parametrize("field,sets,d,skipped", [
-    # no plane table past its cut
+    # no plane table before its cut, 3^9 words
     ("3^1", "0,1,2;0,1,2;0,1,2", 3, "24 of 66 checks by their oracles: "
                                     "ghw r=1..16, min_distance, dual ghw r=2..8"),
     # swept on 4 bit planes
     ("2^4", "0,1,2,3;0,1,2,3", 2, "13 of 33 checks by their oracles: "
                                   "ghw r=2..4, min_distance, dual ghw r=1..9"),
     # the codeword oracle walks the rows before its held span, and the
-    # rank-1 sweep streams the rows that its tail table does not reach
+    # rank-1 sweep reads the rows that its tail table does not reach as
+    # whole chunks of low-table words against the whole high table
     ("2^2", "0,1,2,3;0,1,2,3", 3, "7 of 41 checks by their oracles: ghw r=2..8"),
     # no pair masks, row multiples or plane tables: one subspace, packed row by row
     ("2^10", "0,1,2,3,4,5,6,7;0,1,2,3,4,5,6,7", 14, "64 of 195 checks by their oracles: "
                                                     "ghw r=1..63, min_distance"),
-    # halves of rows past one chunk: 7^5 and 7^6 words of the 11 rows over
-    # GF(7), and 2^16 words of each 2 of the 4 rows over GF(256)
+    # no plane table before the cut: the [21,9] dual over GF(7) has 7^5
+    # words there and the [8,3] dual over GF(256) 2^16, so their rank-1
+    # sweeps build those words against the one table of the rows after it
     ("7^1", "0,1,2;0,1,2,3,4,5,6", 4, "18 of 50 checks by their oracles: "
                                       "ghw r=1..11, min_distance, dual ghw r=2..7"),
     ("2^8", "0,1;0,1,2,3", 2, "5 of 23 checks by their oracles: ghw r=1..4, min_distance"),
@@ -605,6 +607,14 @@ def test_dual_past_the_table_limit_exits_two(capsys):
     status, out, err = run_cli(capsys, "dual", "--field", "2^11", "--sets", "0,1;0,1", "--d", "1")
     assert (status, out) == (2, "")
     assert err == "error: lookup tables limited to order 1024, field has 2048\n"
+    # one set at d = 1 takes no table product: the generator's rank is the
+    # first to need a table, and its refusal is bad input, not a dependent row
+    for field, sets, q in (("2^11", "0,1,2", 2048), ("1031", "0,1,5", 1031)):
+        status, out, err = run_cli(capsys, "verify", "--field", field, "--sets", sets, "--d", "1")
+        assert (status, out) == (2, "")
+        assert err == f"error: lookup tables limited to order 1024, field has {q}\n"
+        with pytest.raises(ValueError, match=f"limited to order 1024, field has {q}$"):
+            codes.generator_matrix(codes.spec_from_parts(field, sets, 1))
 
 
 def test_too_large_grid_exits_two(capsys):

@@ -993,24 +993,30 @@ def test_plane_tables_match_field_arithmetic(q, data):
     code = random_code(data, q, max_k=5, max_n=9)
     field, G, K = code.field, code.matrix, code.dimension
     bits = (q - 1).bit_length()
-    split, low, high, weights, steps = codes._plane_tables(code)
-    assert split == K // 2
-    for table, rows, negate in ((low, range(split), False), (high, range(split, K), True)):
-        if q ** len(rows) > codes._ORACLE_CHUNK:
-            assert table is None
-            continue
-        assert table.shape == (bits, q ** len(rows))
-        assert table.dtype == codes._mask_type(code.length)
-        for index, coeffs in enumerate(itertools.product(range(q), repeat=len(rows))):
-            word = np.zeros(code.length, dtype=np.int64)
-            for a, c in zip(coeffs, rows):
-                word = field.add(word, field.mul(a, G[c]))
-            if negate:
-                word = field.neg(word)
-            assert int(np.dot(coeffs, weights[list(rows)])) == index
-            for k in range(bits):
-                assert int(table[k, index]) == sum(1 << j for j, x in enumerate(word) if x >> k & 1)
-    assert np.array_equal(steps, np.multiply.outer(weights, np.arange(q)))
+    with pytest.MonkeyPatch.context() as patch:
+        for chunk in (7, 64, codes._ORACLE_CHUNK):
+            patch.setattr(codes, "_ORACLE_CHUNK", chunk)
+            fits = max(j for j in range(15) if q ** j <= chunk)
+            split, low, high = codes._plane_tables(code)
+            # the rows from the cut always fit one chunk, those before it while they fit
+            assert split == max(K // 2, K - fits), chunk
+            assert high is not None and (low is None) == (q ** split > chunk), chunk
+            for table, rows, negate in ((low, range(split), False),
+                                        (high, range(split, K), True)):
+                if table is None:
+                    continue
+                # one axis of q per row, the index on it the row's coefficient
+                assert table.shape == (bits, *(q,) * len(rows)), chunk
+                assert table.dtype == codes._mask_type(code.length)
+                for coeffs in itertools.product(range(q), repeat=len(rows)):
+                    word = np.zeros(code.length, dtype=np.int64)
+                    for a, c in zip(coeffs, rows):
+                        word = field.add(word, field.mul(a, G[c]))
+                    if negate:
+                        word = field.neg(word)
+                    for k in range(bits):
+                        assert int(table[(k, *coeffs)]) == sum(
+                            1 << j for j, x in enumerate(word) if x >> k & 1), (chunk, coeffs)
     tail = span_reference(G[max(0, K - codes._fast_digits(q)):], field)
     assert codes._tail_masks(code).tolist() == weighted_sum(tail != 0).tolist()
     multiples = codes._row_multiples(code)
@@ -1036,10 +1042,11 @@ def test_pair_masks_match_field_arithmetic(q, data):
 
 
 def test_plane_tables_stay_within_one_chunk(monkeypatch):
-    # a [27, 17] ternary code: 3^8 words before the cut, 3^9 past one chunk after it
+    # a [27, 17] ternary code, cut at 17 - 8 = 9: 3^9 words before the cut,
+    # past one chunk, and 3^8 from it on
     code = generator_matrix(spec_from_parts("3^1", "0,1,2;0,1,2;0,1,2", 3))
-    split, low, high, _, _ = codes._plane_tables(code)
-    assert split == 8 and low.shape == (2, 3 ** 8) and high is None
+    split, low, high = codes._plane_tables(code)
+    assert split == 9 and low is None and high.shape == (2, *(3,) * 8)
     assert codes._row_multiples(code).shape == (2, 17, 3)
     assert codes._pair_masks(code).shape == (17, 17, 3)
     # 64 rows over GF(1024) have 2^16 multiples, past one chunk: the one
@@ -1054,8 +1061,10 @@ def test_plane_tables_stay_within_one_chunk(monkeypatch):
     assert codes._row_multiples(identity) is None and peak < 2 ** 20, peak
     # the tail table spans the rows from 17 - 8 = 9 on, 3^8 words
     assert codes._tail_masks(code).shape == (3 ** 8,)
+    # one digit per chunk of 7: the last row alone has a table
     monkeypatch.setattr(codes, "_ORACLE_CHUNK", 7)
-    assert codes._plane_tables(code)[1:3] == (None, None)
+    split, low, high = codes._plane_tables(code)
+    assert split == 16 and low is None and high.shape == (2, 3)
     assert codes._tail_masks(code).shape == (3,)
     assert codes._row_multiples(code) is None and codes._pair_masks(code) is None
 
@@ -1181,8 +1190,8 @@ def test_rank_one_sweep_reads_whole_chunk_blocks(monkeypatch, q, K, chunks):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3, 4, 9, 16]), st.data())
 def test_brute_ghw_matches_echelon_bases_in_small_chunks(q, data):
-    # at chunks this small most sides have no plane table, and rows build
-    # their words from their own free rows
+    # at chunks this small most codes have no plane table before the cut,
+    # and rows build that side of their words from their own free rows
     code = random_code(data, q, max_k=5, max_n=8)
     expected = {r: min(bin(m).count("1")
                        for pivots in itertools.combinations(range(code.dimension), r)

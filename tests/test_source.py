@@ -147,7 +147,7 @@ def test_only_sum_into_reads_the_addition_table():
 
 def test_split_and_plane_tables_have_one_reader_each():
     # the subspace oracle cuts a code's generator rows in two in one place,
-    # and one function gathers from the tables of the two sides
+    # and one function reads the tables of the two sides
     tree = ast.parse((Path(ccodes.__file__).parent / "codes.py").read_text(encoding="utf-8"))
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     halving = sorted(node.name for node in functions
