@@ -508,7 +508,7 @@ def test_verify_counts_no_subspaces_past_the_length_cap(capsys):
     ("7^1", "0,1,2;0,1,2,3,4,5,6", 4, "18 of 50 checks by their oracles: "
                                       "ghw r=1..11, min_distance, dual ghw r=2..7"),
     ("2^8", "0,1;0,1,2,3", 2, "5 of 23 checks by their oracles: ghw r=1..4, min_distance"),
-], ids=["27,17-GF3", "16,6-GF16", "16,10-GF4", "64,64-GF1024", "21,11-GF7", "8,4-GF256"])
+], ids=["27,17-GF3", "16,6-GF16", "16,10-GF4", "64,64-GF1024", "21,12-GF7", "8,5-GF256"])
 def test_verify_oracle_coverage_is_pinned(capsys, field, sets, d, skipped):
     # the same codes and skip lists as the installed-script checks in CI, so
     # that no oracle's coverage shrinks unseen
@@ -649,7 +649,7 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
 
 # sha256 of repr((exit status, stdout, stderr)) per argv: any change to what
 # the CLI prints shows here.  Dual matrices and extremal coefficients depend
-# on the field modulus, so the runs span nine fields up to the table limit
+# on the field modulus, so the runs span eleven fields up to the table limit
 # (prime and binary, ternary and up to 2^10), two past it and three large
 # characteristics, in both output formats, plus two exit-2 errors.  The
 # hierarchy depends only on the grid's shape, so it runs once per shape;
@@ -866,6 +866,9 @@ RECORDED_DIGESTS = {
         "ed0a85d77d22b3c429500cb42549bca930bc5a0dd619c71f8d7a4bbaf05e12a5",
     "verify --field 3^1 --sets 0,1,2;0,1,2;0,1,2 --d 3 --format json":
         "715012ee795bb267d40076b8ed3f1ef34d0301f65715d67e90248948b43cc2fd",
+    # codes whose duals have no plane table before the subspace oracle's
+    # cut, so that their rank-1 sweeps build that side: [21,12] over GF(7)
+    # and [8,5] over GF(256)
     "verify --field 7^1 --sets 0,1,2;0,1,2,3,4,5,6 --d 4 --format table":
         "5327a9c922ce07c14f74ad3fae7cf467949afa91529b0b2d29212254a3c33283",
     "verify --field 7^1 --sets 0,1,2;0,1,2,3,4,5,6 --d 4 --format json":
