@@ -508,7 +508,13 @@ def test_verify_counts_no_subspaces_past_the_length_cap(capsys):
     ("7^1", "0,1,2;0,1,2,3,4,5,6", 4, "18 of 50 checks by their oracles: "
                                       "ghw r=1..11, min_distance, dual ghw r=2..7"),
     ("2^8", "0,1;0,1,2,3", 2, "5 of 23 checks by their oracles: ghw r=1..4, min_distance"),
-], ids=["27,17-GF3", "16,6-GF16", "16,10-GF4", "64,64-GF1024", "21,12-GF7", "8,5-GF256"])
+    # one digit per chunk over GF(131): the rank-1 rows of the [4,4] code
+    # and of the [8,4] code have up to three later rows
+    ("131", "0,1;0,1", 2, "2 of 15 checks by their oracles: ghw r=2, min_distance"),
+    ("131", "0,1;0,1;0,1", 1, "3 of 21 checks by their oracles: "
+                              "ghw r=2, min_distance, dual ghw r=2"),
+], ids=["27,17-GF3", "16,6-GF16", "16,10-GF4", "64,64-GF1024", "21,12-GF7", "8,5-GF256",
+        "4,4-GF131", "8,4-GF131"])
 def test_verify_oracle_coverage_is_pinned(capsys, field, sets, d, skipped):
     # the same codes and skip lists as the installed-script checks in CI, so
     # that no oracle's coverage shrinks unseen
@@ -649,7 +655,7 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
 
 # sha256 of repr((exit status, stdout, stderr)) per argv: any change to what
 # the CLI prints shows here.  Dual matrices and extremal coefficients depend
-# on the field modulus, so the runs span eleven fields up to the table limit
+# on the field modulus, so the runs span twelve fields up to the table limit
 # (prime and binary, ternary and up to 2^10), two past it and three large
 # characteristics, in both output formats, plus two exit-2 errors.  The
 # hierarchy depends only on the grid's shape, so it runs once per shape;
@@ -877,6 +883,16 @@ RECORDED_DIGESTS = {
         "5b21c3bee14555ca454edae4af96061234e4d910e7d91e120c35c74642d3c9d2",
     "verify --field 2^8 --sets 0,1;0,1,2,3 --d 2 --format json":
         "f7132020409d43c95fcb6befd2a7a2735ac9451494b3a240850f4704ff8d8ea6",
+    # codes over GF(131), one digit per oracle chunk, whose rank-1 rows have
+    # two or three later rows: the [4,4] code and the [8,4] code
+    "verify --field 131 --sets 0,1;0,1 --d 2 --format table":
+        "c9b32098317e87c9fec6e59b084d4e2699d730ba133e6ca2ac29ee61c031ae25",
+    "verify --field 131 --sets 0,1;0,1 --d 2 --format json":
+        "0e65bc7550f0b27dbaa6ca1060f55874fe26ee95a8a4cc4a2584a3fe2dd1950f",
+    "verify --field 131 --sets 0,1;0,1;0,1 --d 1 --format table":
+        "fdf797ac8e1bcde1e283b5909aa1ba9edd7daa195f525e4cf05a5d5b1ce44263",
+    "verify --field 131 --sets 0,1;0,1;0,1 --d 1 --format json":
+        "2fc480ca706f31eef0acde232446af375bc1d9d1bf52b049844e544f755df1d4",
 }
 
 
