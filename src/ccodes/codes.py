@@ -38,28 +38,30 @@ only the hit rows are gathered and put back.
 Matrix work indexes the field's lookup tables.  The extremal families need
 none: a whole family is multiplied out with one Field.mul over arrays per
 coordinate, never per polynomial or term.  Both oracles hold at most
-_ORACLE_CHUNK subspaces or codewords at once, whatever their budget, step
-their slow digits through _digit_walk, and raise InvariantError unless they
-covered exactly the gaussian_binomial(K, r, q) subspaces or q^K codewords
-they should.  The codeword oracle compares one word per scalar class, the
-(q^K - 1) / (q - 1) words whose first nonzero coefficient is 1; their
-multiples and the zero word cover the rest.  The subspace oracle packs bit
-planes and masks once per code, into tables of at most one chunk of words
-per plane that _oracle_table keeps on the LinearCode: the planes of the
-spans of the rows before and from a cut, the rows' multiples, the pair
-masks, and the masks of the span of the last rows (_tail_masks), which a
-basis row among those rows slices its masks from.  The rows from the cut
-always fit one table, and those before it have one while they fit.  A
-plane table has one axis per row, so each word read from it, a
-coefficient on each row's axis and the whole axis of each free row, is
-one view of it; only a word's side before the cut of a code with no
-table there is built, from its rows.  While the tables fit, the sweep
-adds no codes.  It then ORs the rows' masks.  _planes_differ is its one
-zero test, _plane_tables alone splits the rows, _word_masks alone reads
-those tables, and _subspace_masks is its one sweep, which keeps the masks
-that consecutive pivot sets share for one call.  Only _hierarchy_at_degree
-decides whether a hierarchy is short enough to list, and only
-extremal_family whether a family is.
+_ORACLE_CHUNK subspaces or codewords at once, whatever their budget, build
+the words that no table holds in blocks, each block's coefficients from
+_digit_rows, the one counter of base-q digits, and its words from one
+matmul, and raise InvariantError unless they covered exactly the
+gaussian_binomial(K, r, q) subspaces or q^K codewords they should.  The
+codeword oracle compares one word per scalar class, the (q^K - 1) / (q - 1)
+words whose first nonzero coefficient is 1; their multiples and the zero
+word cover the rest.  The subspace oracle packs bit planes and masks once
+per code, into tables of at most one chunk of words per plane that
+_oracle_table keeps on the LinearCode: the planes of the spans of the rows
+before and from a cut, the rows' multiples, the pair masks, and the masks
+of the span of the last rows (_tail_masks), which a basis row among those
+rows slices its masks from.  The rows from the cut always fit one table,
+and those before it have one while they fit.  A plane table has one axis
+per row, so each word read from it, a coefficient on each row's axis and
+the whole axis of each free row, is one view of it; only a word's side
+before the cut of a code with no table there is built, in blocks, from its
+free rows there.  While the tables fit, the sweep adds no codes.  It then
+ORs the rows' masks.  _planes_differ is its one zero test, _plane_tables
+alone splits the rows, _word_masks alone reads those tables, and
+_subspace_masks is its one sweep, which keeps the masks that consecutive
+pivot sets share for one call.  Only _hierarchy_at_degree decides whether a
+hierarchy is short enough to list, and only extremal_family whether a
+family is.
 
 Errors: bad input raises ValueError, generator entries that are not
 integer codes in [0, q) included.  Its one subclass, BudgetExceededError,
@@ -639,32 +641,26 @@ def _bit_planes(codes: np.ndarray, bits: int) -> np.ndarray:
     return packed.view(f"<u{mask.itemsize}").reshape(flags.shape[:-1])
 
 
-def _span_planes(code: LinearCode, rows, base: np.ndarray | None, negate: bool) -> np.ndarray:
-    """Planes of base plus each word of the span of G[rows], negated if negate.
+def _span_planes(code: LinearCode, rows, negate: bool) -> np.ndarray:
+    """Planes of each word of the span of G[rows], negated if negate.
 
-    base holds N words, or is None for the span alone (N = 1); the planes
-    take shape (bits, N, q^len(rows)), the span's words in _span_words
-    order.  In characteristic 2 a sum is the XOR of codes and -x = x, so
-    the planes of a sum are the XOR of theirs: while _row_multiples keeps
-    the rows' multiples packed, only base is packed here.
+    The planes take shape (bits, q^len(rows)), the span's words in
+    _span_words order.  In characteristic 2 a sum is the XOR of codes and
+    -x = x, so the planes of a sum are the XOR of theirs: while
+    _row_multiples keeps the rows' multiples packed, nothing is packed here.
     """
     field, rows = code.field, list(rows)
     bits = max(1, (field.q - 1).bit_length())
     multiples = _oracle_table(code, _row_multiples) if field.p == 2 else None
     if multiples is not None:
-        if base is None:
-            planes = np.zeros((bits, 1, 1), dtype=multiples.dtype)
-        else:
-            planes = np.moveaxis(_bit_planes(base, bits), -1, 0)[:, :, None]
+        planes = np.zeros((bits, 1), dtype=multiples.dtype)
         for c in rows:
-            planes = (planes[..., None] ^ multiples[:, c, None, None, :]).reshape(
-                bits, len(planes[0]), -1)
+            planes = (planes[:, :, None] ^ multiples[:, c, None, :]).reshape(bits, -1)
         return planes
-    span = _span_words(code.matrix[rows], field)[None, :, :]
-    words = span if base is None else _sum_into(span, base[:, None, :], field)
+    words = _span_words(code.matrix[rows], field)
     if negate:
         words = field.neg_table[words]
-    return np.moveaxis(_bit_planes(words, bits), -1, 0)
+    return _bit_planes(words, bits).T
 
 
 def _oracle_table(code: LinearCode, build):
@@ -697,7 +693,7 @@ def _plane_tables(code: LinearCode) -> tuple:
         if q ** len(rows) > _ORACLE_CHUNK:
             tables.append(None)
             continue
-        planes = _span_planes(code, rows, None, bool(negate))
+        planes = _span_planes(code, rows, bool(negate))
         tables.append(np.ascontiguousarray(planes).reshape(len(planes), *(q,) * len(rows)))
     return (split, *tables)
 
@@ -745,12 +741,14 @@ def _word_masks(code: LinearCode, coeffs, cols=()):
     coefficients take every value instead, the first slowest.  The word is
     the sum of its sides before and after the split of _plane_tables.  Each
     side's planes are one view of its table, a coefficient picking the
-    index on each row's axis and a row of cols taking the whole axis; a side
-    with no table, the rows before the split, builds its words from its rows
-    of cols, which must number at most fits = _fast_digits(q).  The masks
-    come in chunks of _ORACLE_CHUNK // q^fits whole blocks of q^fits words,
-    each a run of words before the split against every word from it, so
-    at most q^fits masks come as one chunk.
+    index on each row's axis and a row of cols taking the whole axis.  A
+    side with no table, the rows before the split, is built from any number
+    of its rows of cols: about one chunk of its words at a time, their
+    coefficients from _digit_rows and the words from one matmul, then
+    packed.  The masks come in chunks of _ORACLE_CHUNK // q^fits whole
+    blocks of q^fits words, fits = _fast_digits(q), each a run of words
+    before the split against every word from it, so at most q^fits masks
+    come as one chunk.
     """
     K, q = code.dimension, code.field.q
     split, low, high = _oracle_table(code, _plane_tables)
@@ -759,16 +757,23 @@ def _word_masks(code: LinearCode, coeffs, cols=()):
         table = table[(slice(None), *(slice(None) if c in cols else coeffs[c] for c in rows))]
         return table.reshape(len(table), -1)
 
-    if low is None:
-        base = matmul(coeffs[None, :split], code.matrix[:split], code.field)
-        low = _span_planes(code, [c for c in cols if c < split], base, False)[:, 0]
-    else:
-        low = view(low, range(split))
+    def built(rows, block):
+        total = q ** len(rows)
+        for start in range(0, total, block):
+            words = matmul(_digit_rows(coeffs[:split], rows, start, min(start + block, total), q),
+                           code.matrix[:split], code.field)
+            yield _bit_planes(words, len(high)).T
+
     high = view(high, range(split, K))
     fits = _fast_digits(q)
     step = _ORACLE_CHUNK // q ** fits * q ** fits // high.shape[1]
-    for start in range(0, low.shape[1], step):
-        yield _planes_differ(low[:, start:start + step, None], high[:, None]).ravel()
+    if low is None:  # a whole number of chunks' low words per product
+        lows = built([c for c in cols if c < split], _ORACLE_CHUNK // step * step)
+    else:
+        lows = [view(low, range(split))]
+    for low in lows:
+        for start in range(0, low.shape[1], step):
+            yield _planes_differ(low[:, start:start + step, None], high[:, None]).ravel()
 
 
 def _fast_digits(q: int) -> int:
@@ -791,21 +796,16 @@ def _tail_masks(code: LinearCode) -> np.ndarray:
     return next(_word_masks(code, np.zeros(K, dtype=np.int64), rows))
 
 
-def _digit_walk(starts: np.ndarray, slow, variants):
-    """Each combination of the slow digits, first digit slowest, as arrays.
+def _digit_rows(coeffs: np.ndarray, cols, start: int, stop: int, q: int) -> np.ndarray:
+    """Copies of coeffs whose entries at cols hold the base-q digits of start..stop-1.
 
-    slow holds one (i, c) pair per digit; its q values give starts[i] the
-    q rows of variants(starts[i], c) in turn.  Each combination yields an
-    array of its own.
+    One row per number, in order; the first of cols holds the slowest digit.
     """
-    if not slow:
-        yield starts
-        return
-    (i, c), rest = slow[0], slow[1:]
-    for row in variants(starts[i], c):
-        words = starts.copy()
-        words[i] = row
-        yield from _digit_walk(words, rest, variants)
+    rows = np.repeat(coeffs[None], stop - start, axis=0)
+    numbers = np.arange(start, stop)
+    for c in reversed(cols):
+        numbers, rows[:, c] = np.divmod(numbers, q)
+    return rows
 
 
 def _subspace_masks(code: LinearCode, r: int, pivot_sets):
@@ -826,15 +826,14 @@ def _subspace_masks(code: LinearCode, r: int, pivot_sets):
     stay for the next sets with those last pivots; the last row's tail is
     its own masks.  The longest product that fits is the tail of every
     chunk, the one chunk if it covers all rows.  The rows before it are
-    ORed onto it in blocks if their own product fits one chunk, else
-    streamed: _digit_walk steps the rows before the last and all but the
-    fast digits of the last, one piece per step.
+    streamed by one recursion, in runs of their OR-masks: a row whose
+    masks are kept is ORed on in blocks, and a row whose free entries do
+    not fit one chunk is stepped, its _word_masks chunks read once for each
+    mask of the rows before it.  Each run is ORed with the tail into
+    chunks of as many whole tails as fit.
 
-    At rank 1 a row with fits to 2 fits later rows reads its words G[p] +
-    span(G[p+1:]) from _word_masks, in the chunks that streaming would
-    give.  The rows from the split on number fits unless the rows before it
-    have a table, so at most fits of its free rows lie before the split, as
-    a side with no table needs.  A row with more later rows streams.
+    At rank 1 a row with fits or more later rows reads its words G[p] +
+    span(G[p+1:]) from _word_masks, in its chunks of whole blocks.
     """
     K, q = code.dimension, code.field.q
     fits = _fast_digits(q)
@@ -843,15 +842,25 @@ def _subspace_masks(code: LinearCode, r: int, pivot_sets):
     zero = np.zeros(1, dtype=mask)  # the OR-product of no rows
     unit = np.eye(K, dtype=np.int64)
 
-    def set_digit(row, c):
-        variants = np.repeat(row[None], q, axis=0)
-        variants[:, c] = np.arange(q)
-        return variants
+    # runs of the OR-masks of the set's rows before first, in order, that
+    # extend head, a run of those of its rows before i
+    def heads(i, head):
+        if i == first:
+            yield head
+        elif rows[i] is not None:
+            run = _ORACLE_CHUNK // rows[i].size
+            for start in range(0, head.size, run):
+                yield from heads(i + 1, np.bitwise_or.outer(head[start:start + run],
+                                                            rows[i]).ravel())
+        else:
+            for masks in head:
+                for piece in _word_masks(code, unit[pivots[i]], free[i]):
+                    yield from heads(i + 1, piece | masks)
 
     suffixes, rows, tails = [None] * r, [None] * r, [None] * r + [zero]
     free = [None] * r + [[]]  # free[i]: the rows past pivots[i] that are not pivots
     for pivots in pivot_sets:
-        if r == 1 and fits <= K - 1 - pivots[0] <= 2 * fits:  # G[p] + span(G[p+1:])
+        if r == 1 and K - 1 - pivots[0] >= fits:  # G[p] + span(G[p+1:])
             yield from _word_masks(code, unit[pivots[0]], range(pivots[0] + 1, K))
             continue
         for i in range(r - 1, -1, -1):
@@ -880,33 +889,15 @@ def _subspace_masks(code: LinearCode, r: int, pivot_sets):
         if not first:
             yield tail
             continue
-        batch = _ORACLE_CHUNK // tail.size
-        prefix = [(i, c) for i in range(first) for c in free[i]]
-        if len(prefix) <= fits:
-            head = zero
-            for i in range(first - 1, -1, -1):
-                head = np.bitwise_or.outer(rows[i], head).ravel()
-            for start in range(0, head.size, batch):
+        batch, rest = _ORACLE_CHUNK // tail.size, zero[:0]
+        for head in heads(0, zero):  # a run's last partial batch goes on to the next
+            head = np.concatenate((rest, head))
+            full = head.size - head.size % batch
+            for start in range(0, full, batch):
                 yield np.bitwise_or.outer(head[start:start + batch], tail).ravel()
-            continue
-        last = first - 1
-        fast = fits - sum(map(len, free[first:]))
-        slow, cols = prefix[:len(prefix) - fast], free[last][len(free[last]) - fast:]
-        starts = unit[list(pivots[:first])]
-        piece = q ** fast * tail.size
-        chunk, filled = np.empty(batch // q ** fast * piece, dtype=mask), 0
-        for coeffs in _digit_walk(starts, slow, set_digit):
-            masks = next(_word_masks(code, coeffs[last], cols))
-            for row in coeffs[:last]:
-                masks |= next(_word_masks(code, row))
-            np.bitwise_or.outer(masks, tail,
-                                out=chunk[filled:filled + piece].reshape(-1, tail.size))
-            filled += piece
-            if filled == chunk.size:
-                yield chunk
-                chunk, filled = np.empty_like(chunk), 0
-        if filled:
-            yield chunk[:filled]
+            rest = head[full:]
+        if rest.size:
+            yield np.bitwise_or.outer(rest, tail).ravel()
 
 
 def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -970,11 +961,12 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     words whose first nonzero coefficient is 1 are compared: G[p] plus any
     combination of the later rows, for each row p.  The span of the last
     generator rows, at most _ORACLE_CHUNK words, is held once, and a row
-    among them reads its words as a slice of it.  A row before them steps
-    its later rows outside the span through _digit_walk, each combination
-    compared against the whole span, so one chunk covers at most
-    _ORACLE_CHUNK codewords.  The words compared, times q - 1, plus the
-    zero word, must number q^K; the budget bounds q^K as well.  Unlike
+    among them reads its words as a slice of it.  A row before them builds
+    its words outside the span up to _ORACLE_CHUNK at a time, their
+    coefficients from _digit_rows and the words from one matmul, and
+    compares as many of them against the whole span at once as cover at
+    most _ORACLE_CHUNK codewords.  The words compared, times q - 1, plus
+    the zero word, must number q^K; the budget bounds q^K as well.  Unlike
     brute_ghw, it takes codes of any length.
     """
     K, n = code.dimension, code.length
@@ -994,24 +986,28 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     count = np.min_scalar_type(n)
     best = n
     compared = 0
-    zero = np.zeros((1, n), dtype=field.int_dtype)
+    zero = np.zeros((1, 1, n), dtype=field.int_dtype)  # minus the zero word, as outer_words
+    unit = np.eye(cut, dtype=np.int64)
+    step = _ORACLE_CHUNK // len(inner)  # words compared against the whole span at once
 
-    def add_multiples(word, c):
-        return _sum_into(field.mul_table[:, code.matrix[c]], word, field)
+    # minus each word v outside the span, in blocks: w + v is zero exactly where w == -v
+    def outer_words(p, total):
+        for start in range(0, total, _ORACLE_CHUNK):
+            coeffs = _digit_rows(unit[p], range(p + 1, cut), start,
+                                 min(start + _ORACLE_CHUNK, total), q)
+            yield field.neg_table[matmul(coeffs, code.matrix[:cut], field)][:, None]
 
     for p in range(K):
         if p < cut:  # each G[p] + a combination of G[p+1:cut], plus the whole span
-            slow = [(0, c) for c in range(p + 1, cut)]
-            pieces = ((inner, outer) for outer in _digit_walk(code.matrix[p:p + 1], slow,
-                                                              add_multiples))
+            words, outers = inner, outer_words(p, q ** (cut - 1 - p))
         else:  # G[p] + span(G[p+1:]), a slice of the span
             size = q ** (K - 1 - p)
-            pieces = [(inner[size:2 * size], zero)]
-        for words, outer in pieces:
-            # a word w + v is zero exactly where v == -w
-            weights = (words != field.neg_table[outer]).sum(axis=1, dtype=count)
-            compared += weights.size
-            best = min(best, int(weights.min()))
+            words, outers = inner[size:2 * size], [zero]
+        for minus in outers:
+            for start in range(0, len(minus), step):
+                weights = (words != minus[start:start + step]).sum(axis=-1, dtype=count)
+                compared += weights.size
+                best = int(weights.min(initial=best))
     covered = (q - 1) * compared + 1
     if covered != total:
         raise InvariantError(f"compared {covered} codewords, expected {total}")

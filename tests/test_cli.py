@@ -495,21 +495,24 @@ def test_verify_counts_no_subspaces_past_the_length_cap(capsys):
     # swept on 4 bit planes
     ("2^4", "0,1,2,3;0,1,2,3", 2, "13 of 33 checks by their oracles: "
                                   "ghw r=2..4, min_distance, dual ghw r=1..9"),
-    # the codeword oracle walks the rows before its held span, and the
-    # rank-1 sweep reads the rows that its tail table does not reach as
-    # whole chunks of low-table words against the whole high table
+    # the codeword oracle builds the words of the rows before its held span
+    # in blocks, and the rank-1 sweep reads the rows that its tail table
+    # does not reach as whole chunks of low-table words against the whole
+    # high table
     ("2^2", "0,1,2,3;0,1,2,3", 3, "7 of 41 checks by their oracles: ghw r=2..8"),
     # no pair masks, row multiples or plane tables: one subspace, packed row by row
     ("2^10", "0,1,2,3,4,5,6,7;0,1,2,3,4,5,6,7", 14, "64 of 195 checks by their oracles: "
                                                     "ghw r=1..63, min_distance"),
     # no plane table before the cut: the [21,9] dual over GF(7) has 7^5
     # words there and the [8,3] dual over GF(256) 2^16, so their rank-1
-    # sweeps build those words against the one table of the rows after it
+    # sweeps build those words in blocks, against the one table of the rows
+    # after it
     ("7^1", "0,1,2;0,1,2,3,4,5,6", 4, "18 of 50 checks by their oracles: "
                                       "ghw r=1..11, min_distance, dual ghw r=2..7"),
     ("2^8", "0,1;0,1,2,3", 2, "5 of 23 checks by their oracles: ghw r=1..4, min_distance"),
     # one digit per chunk over GF(131): the rank-1 rows of the [4,4] code
-    # and of the [8,4] code have up to three later rows
+    # and of the [8,4] code with two or three later rows build the side
+    # before the cut in blocks
     ("131", "0,1;0,1", 2, "2 of 15 checks by their oracles: ghw r=2, min_distance"),
     ("131", "0,1;0,1;0,1", 1, "3 of 21 checks by their oracles: "
                               "ghw r=2, min_distance, dual ghw r=2"),

@@ -888,7 +888,7 @@ def test_brute_min_weight_matches_codeword_scan():
     # a grid code over GF(4), codes over GF(5) and GF(9), and a [90, 5]
     # ternary code with zero and repeated columns, too long for brute_ghw.
     # At small chunks the held span is short or empty, so the rows before
-    # it walk their later rows
+    # it build their words in blocks
     rng = np.random.default_rng(3)
     cases = [generator_matrix(spec_from_parts("2^2", "0,1,2;0,1,2,3", 2))]
     for pe, k, n in (((5, 1), 4, 9), ((3, 2), 3, 8), ((3, 1), 5, 75)):
@@ -1159,13 +1159,8 @@ def test_rank_one_sweep_reads_whole_chunk_blocks(monkeypatch, q, K, chunks):
     code = LinearCode(field, matrix)
     pivot_sets = [(p,) for p in range(K - 1, -1, -1)]
     expected = {pivots: echelon_support_masks(code, pivots) for pivots in pivot_sets}
-
-    def no_walk(*args):
-        raise AssertionError("the rank-1 sweep stepped through _digit_walk")
-
     for chunk in chunks:
         monkeypatch.setattr(codes, "_ORACLE_CHUNK", chunk)
-        monkeypatch.setattr(codes, "_digit_walk", no_walk)
         assert all(table is not None for table in codes._plane_tables(code)[1:3]), chunk
         fits = max(j for j in range(K) if q ** j <= chunk)
         assert q ** (K - 1) > chunk and q ** (K - K // 2) <= q ** fits
@@ -1185,6 +1180,27 @@ def test_rank_one_sweep_reads_whole_chunk_blocks(monkeypatch, q, K, chunks):
             sizes = [block] * (total // block) + [total % block] * (total % block > 0)
             assert [c.size for c in got] == (sizes if total > chunk else [total]), (chunk, pivots)
             assert np.concatenate(got).tolist() == expected[pivots], (chunk, pivots)
+
+
+@pytest.mark.parametrize("sets, d", [("0,1;0,1", 2), ("0,1;0,1;0,1", 1)], ids=["4,4", "8,4"])
+def test_side_with_no_table_is_built_a_chunk_per_product(monkeypatch, sets, d):
+    # over GF(131) one digit fits a chunk, so the [4,4] and [8,4] codes have
+    # no plane table before their cut: at r = 1 row 0 has 131^2 words there,
+    # and at r = 3 two rows of 131 masks each lie before the tail.  Both
+    # build those words about a chunk at a time, one matmul each, not one
+    # product per word or per block of 131 words
+    spec = spec_from_parts("131", sets, d)
+    matmul, calls = codes.matmul, []
+
+    def counted(*args):
+        calls.append(args)
+        return matmul(*args)
+
+    monkeypatch.setattr(codes, "matmul", counted)
+    for r in (1, 3):
+        calls.clear()  # a fresh code builds its tables inside the count
+        assert brute_ghw(generator_matrix(spec), r) == hierarchy(spec)[r - 1]
+        assert len(calls) <= 8, (r, len(calls))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1246,24 +1262,25 @@ def test_truncated_codeword_span_trips_the_count_invariant(monkeypatch):
 
 def test_dropped_codeword_piece_trips_the_compared_invariant(monkeypatch):
     # at one digit per chunk the [9,6] ternary code spans only its last row,
-    # so the rows before it step through _digit_walk, 3 words per piece
+    # so the rows before it build their words three to a block, each
+    # compared alone against the 3 words of the span
     spec = spec_from_parts("3^1", "0,1,2;0,1,2", 2)
     code = generator_matrix(spec)
     monkeypatch.setattr(codes, "_ORACLE_CHUNK", 3)
     assert brute_min_weight(code) == hierarchy(spec)[0]
-    walk, dropped = codes._digit_walk, []
+    counter, dropped = codes._digit_rows, []
 
-    def drop_first_piece(starts, slow, variants):
-        pieces = walk(starts, slow, variants)
-        if not dropped:  # once: the walk's recursion comes back here
-            dropped.append(slow)
-            next(pieces)
-        yield from pieces
+    def drop_first_row(*args):
+        rows = counter(*args)
+        if not dropped:  # once: one row of the counter's first block
+            dropped.append(len(rows))
+            rows = rows[1:]
+        return rows
 
-    monkeypatch.setattr(codes, "_digit_walk", drop_first_piece)
+    monkeypatch.setattr(codes, "_digit_rows", drop_first_row)
     with pytest.raises(InvariantError, match=exactly("compared 723 codewords, expected 729")):
         brute_min_weight(code)
-    assert len(dropped) == 1
+    assert dropped == [3]
 
 
 def test_dropped_monomial_trips_the_generator_row_count(monkeypatch):

@@ -36,7 +36,7 @@ ORACLE_SIDE = (
     "shadow*", "all_tuples", "tuples_deg_*", "brute_*", "hilbert_fn", "box_ideal",
     "_span_words", "_mask_type", "_bit_planes", "_span_planes", "_oracle_table",
     "_plane_tables", "_row_multiples", "_planes_differ", "_pair_masks", "_word_masks",
-    "_tail_masks", "_subspace_masks", "_digit_walk",
+    "_tail_masks", "_subspace_masks", "_digit_rows",
 )
 
 # The oracles' entry points.  They, and every library function they call,
@@ -224,11 +224,14 @@ def test_lex_segment_is_a_view_of_the_band_listing():
 
 
 def test_both_sweeps_step_their_slow_digits_through_one_walk():
-    # no mixed-radix counter of their own, such as itertools.product
+    # one counter of base-q digits, _digit_rows, and no mixed-radix counter
+    # of their own, such as itertools.product: the codeword oracle names it,
+    # and the subspace sweep reaches it through _word_masks
     functions = _module_functions()
-    for name in ("_subspace_masks", "brute_min_weight"):
+    for name in ("_word_masks", "brute_min_weight"):
         names = _names(functions[name])
-        assert "_digit_walk" in names and "itertools" not in names, name
+        assert "_digit_rows" in names and "itertools" not in names, name
+    assert "_word_masks" in _names(functions["_subspace_masks"])
 
 
 def test_cli_leaves_the_oracles_to_verification():
