@@ -516,8 +516,12 @@ def test_verify_counts_no_subspaces_past_the_length_cap(capsys):
     ("131", "0,1;0,1", 2, "2 of 15 checks by their oracles: ghw r=2, min_distance"),
     ("131", "0,1;0,1;0,1", 1, "3 of 21 checks by their oracles: "
                               "ghw r=2, min_distance, dual ghw r=2"),
+    # RM(1,7) is longer than 64, so the subspace oracle skips every rank,
+    # and the codeword oracle checks min_distance
+    ("2^1", ";".join(["0,1"] * 7), 1, "128 of 149 checks by their oracles: "
+                                      "ghw r=1..8, dual ghw r=1..120"),
 ], ids=["27,17-GF3", "16,6-GF16", "16,10-GF4", "64,64-GF1024", "21,12-GF7", "8,5-GF256",
-        "4,4-GF131", "8,4-GF131"])
+        "4,4-GF131", "8,4-GF131", "128,8-GF2"])
 def test_verify_oracle_coverage_is_pinned(capsys, field, sets, d, skipped):
     # the same codes and skip lists as the installed-script checks in CI, so
     # that no oracle's coverage shrinks unseen
@@ -896,6 +900,12 @@ RECORDED_DIGESTS = {
         "fdf797ac8e1bcde1e283b5909aa1ba9edd7daa195f525e4cf05a5d5b1ce44263",
     "verify --field 131 --sets 0,1;0,1;0,1 --d 1 --format json":
         "2fc480ca706f31eef0acde232446af375bc1d9d1bf52b049844e544f755df1d4",
+    # RM(1,7), [128,8]: past 64 coordinates only the codeword oracle runs,
+    # and it checks min_distance 64
+    "verify --field 2^1 --sets 0,1;0,1;0,1;0,1;0,1;0,1;0,1 --d 1 --format table":
+        "6b933a9e37ebb81695e4ef2b7b05e965dbab25a626f0f1cf1ee22ae7244a22fc",
+    "verify --field 2^1 --sets 0,1;0,1;0,1;0,1;0,1;0,1;0,1 --d 1 --format json":
+        "20fd830b19fab8bea9318bb376f20acf063e216fd2cdcac4819c03f76b3f0a0c",
 }
 
 
