@@ -97,13 +97,22 @@ def format_polynomials(exponents, coeffs, starts) -> list:
                         np.repeat(np.arange(len(counts)), counts)))
     exponents, coeffs = exponents[order], coeffs[order]
     values, which = np.unique(coeffs, return_inverse=True)
-    # the distinct nonzero exponents, by a sort: np.unique without an
-    # inverse builds a hash table, whose allocations raised the peak RSS of
-    # the closed_form benchmark by about 0.6 MB (glibc, x86-64)
-    flat = np.sort(exponents, axis=None)
-    first = np.ones(flat.shape, dtype=bool)  # each value's first place
-    first[1:] = flat[1:] != flat[:-1]
-    powers = flat[first & (flat > 0)]
+    # the distinct nonzero exponents, marked in a table of one flag per
+    # value up to the largest, a column at a time, so that no index wider
+    # than one column is made; past one flag per exponent, by a sort.
+    # np.unique without an inverse builds a hash table, whose allocations
+    # raised the peak RSS of the closed_form benchmark by about 0.6 MB
+    top = int(exponents.max(initial=0))
+    if top < exponents.size:
+        used = np.zeros(top + 1, dtype=bool)
+        for s in range(m):
+            used[exponents[:, s]] = True
+        powers = np.flatnonzero(used[1:]).astype(exponents.dtype) + 1
+    else:
+        flat = np.sort(exponents, axis=None)
+        first = np.ones(flat.shape, dtype=bool)  # each value's first place
+        first[1:] = flat[1:] != flat[:-1]
+        powers = flat[first & (flat > 0)]
     factors = [f"x{s + 1}" + (f"^{e}" if e > 1 else "") for s in range(m) for e in powers.tolist()]
     pool = ["", " + ", *map(str, values.tolist()), *factors, *["*" + f for f in factors]]
     # a row per term: its separator, its coefficient, a factor per variable
