@@ -45,9 +45,13 @@ matmul, and raise InvariantError unless they covered exactly the
 gaussian_binomial(K, r, q) subspaces or q^K codewords they should.  The
 codeword oracle compares one word per scalar class, the (q^K - 1) / (q - 1)
 words whose first nonzero coefficient is 1; their multiples and the zero
-word cover the rest.  The subspace oracle packs bit planes and masks once
-per code, into tables of at most one chunk of words per plane that
-_oracle_table keeps on the LinearCode: the planes of the spans of the rows
+word cover the rest.  In characteristic 2 it holds each word as bit
+planes, ceil(n / 64) uint64s per plane past 64 coordinates, and weighs a
+word by popcounts of _planes_differ's mask (_mask_weights); elsewhere as
+its n codes, counting the entries that differ.  The subspace oracle packs
+bit planes and masks once per code, into tables of at most one chunk of
+words per plane that _oracle_table keeps on the LinearCode: the planes of
+the spans of the rows
 before and from a cut, the rows' multiples, the pair masks, and the masks
 of the span of the last rows (_tail_masks), which a basis row among those
 rows slices its masks from.  The rows from the cut always fit one table,
@@ -89,7 +93,9 @@ from .grid import (
     values_deg_ge,
 )
 
-# Support bitmasks in the subspace oracle live in unsigned words of at most 64 bits.
+# Support bitmasks live in unsigned words of at most 64 bits: the subspace
+# oracle takes codes of at most this length, and past it a bit plane of the
+# codeword oracle takes one word per this many coordinates.
 _MAX_ORACLE_LENGTH = 64
 
 # Most subspaces or codewords an exhaustive oracle holds at once; it sizes
@@ -626,41 +632,47 @@ def _mask_type(n: int) -> np.dtype:
 def _bit_planes(codes: np.ndarray, bits: int) -> np.ndarray:
     """Plane k of a word of codes has bit j set where entry j has bit k set.
 
-    codes holds words of n <= 64 entries along its last axis; the planes
-    take shape (..., bits), the words' leading shape followed by one plane
-    per bit, of _mask_type(n).  Each bit of every entry is written to a
-    byte of a row as wide as that type's bits per plane, and the rows are
-    packed in one contiguous pass.
+    codes holds words of n entries along its last axis; the planes take
+    shape (..., bits), the words' leading shape followed by one plane per
+    bit, of _mask_type(n) for n <= 64.  Past 64 entries a plane is W =
+    ceil(n / 64) uint64 words, bit j in word j // 64, on a trailing axis:
+    shape (..., bits, W).  Each bit of every entry is written to a byte of
+    a row as wide as a plane's bits, and the rows are packed in one
+    contiguous pass.
     """
-    mask = _mask_type(codes.shape[-1])
-    flags = np.zeros((*codes.shape[:-1], bits, 8 * mask.itemsize), dtype=np.uint8)
+    n = codes.shape[-1]
+    mask = _mask_type(min(n, _MAX_ORACLE_LENGTH))
+    width = max(1, -(-n // _MAX_ORACLE_LENGTH))
+    flags = np.zeros((*codes.shape[:-1], bits, width * 8 * mask.itemsize), dtype=np.uint8)
     shifts = np.arange(bits, dtype=codes.dtype)[:, None]
-    np.bitwise_and(codes[..., None, :] >> shifts, 1, out=flags[..., :codes.shape[-1]],
-                   casting="unsafe")
+    np.bitwise_and(codes[..., None, :] >> shifts, 1, out=flags[..., :n], casting="unsafe")
     packed = np.packbits(flags, axis=None, bitorder="little")
-    return packed.view(f"<u{mask.itemsize}").reshape(flags.shape[:-1])
+    words = (width,) if n > _MAX_ORACLE_LENGTH else ()
+    return packed.view(f"<u{mask.itemsize}").reshape(*flags.shape[:-1], *words)
 
 
 def _span_planes(code: LinearCode, rows, negate: bool) -> np.ndarray:
     """Planes of each word of the span of G[rows], negated if negate.
 
     The planes take shape (bits, q^len(rows)), the span's words in
-    _span_words order.  In characteristic 2 a sum is the XOR of codes and
-    -x = x, so the planes of a sum are the XOR of theirs: while
-    _row_multiples keeps the rows' multiples packed, nothing is packed here.
+    _span_words order, and past 64 coordinates _bit_planes' trailing axis
+    of words.  In characteristic 2 a sum is the XOR of codes and -x = x, so
+    the planes of a sum are the XOR of theirs: while _row_multiples keeps
+    the rows' multiples packed, nothing is packed here.
     """
     field, rows = code.field, list(rows)
     bits = max(1, (field.q - 1).bit_length())
     multiples = _oracle_table(code, _row_multiples) if field.p == 2 else None
     if multiples is not None:
-        planes = np.zeros((bits, 1), dtype=multiples.dtype)
+        words = multiples.shape[3:]
+        planes = np.zeros((bits, 1, *words), dtype=multiples.dtype)
         for c in rows:
-            planes = (planes[:, :, None] ^ multiples[:, c, None, :]).reshape(bits, -1)
+            planes = (planes[:, :, None] ^ multiples[:, c, None]).reshape(bits, -1, *words)
         return planes
     words = _span_words(code.matrix[rows], field)
     if negate:
         words = field.neg_table[words]
-    return _bit_planes(words, bits).T
+    return _bit_planes(words, bits).swapaxes(0, 1)
 
 
 def _oracle_table(code: LinearCode, build):
@@ -701,13 +713,29 @@ def _plane_tables(code: LinearCode) -> tuple:
 def _row_multiples(code: LinearCode):
     """Planes of a G[c] for every row c and code a, indexed [k, c, a], or None.
 
-    None past one chunk of words per plane, K q > _ORACLE_CHUNK.
+    None past one chunk of words per plane, K q > _ORACLE_CHUNK.  Past 64
+    coordinates each plane keeps _bit_planes' trailing axis of words.
     """
     field = code.field
     if code.dimension * field.q > _ORACLE_CHUNK:
         return None
     planes = _bit_planes(field.mul_table[:, code.matrix], max(1, (field.q - 1).bit_length()))
-    return np.ascontiguousarray(planes.transpose(2, 1, 0))
+    return np.ascontiguousarray(planes.swapaxes(0, 2))
+
+
+def _mask_weights(masks: np.ndarray, n: int) -> np.ndarray:
+    """The number of coordinates set in each support mask of n coordinates.
+
+    One popcount per word, summed over the trailing axis of words past 64
+    coordinates.  numpy counts the bits of 32- and 64-bit words about twice
+    as fast as those of narrower ones, so narrower masks are widened as
+    they are counted.
+    """
+    weights = np.bitwise_count(masks, signature=(np.promote_types(masks.dtype, np.uint32),
+                                                 np.uint8))
+    if n <= _MAX_ORACLE_LENGTH:
+        return weights
+    return weights.sum(axis=-1, dtype=np.min_scalar_type(n))
 
 
 def _planes_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -923,13 +951,10 @@ def brute_ghw(code: LinearCode, r: int, budget: int = DEFAULT_BUDGET) -> int:
         raise BudgetExceededError(f"{total} subspaces exceed budget {budget}")
     best = n
     enumerated = 0
-    # numpy counts the bits of 32- and 64-bit words about twice as fast as
-    # those of narrower ones, so narrower masks are widened as they are counted
-    wide = (np.promote_types(_mask_type(n), np.uint32), np.uint8)
     pivot_sets = (top[::-1] for top in itertools.combinations(range(K - 1, -1, -1), r))
     for acc in _subspace_masks(code, r, pivot_sets):
         enumerated += acc.size
-        best = min(best, int(np.bitwise_count(acc, signature=wide).min()))
+        best = min(best, int(_mask_weights(acc, n).min()))
     if enumerated != total:
         raise InvariantError(f"enumerated {enumerated} subspaces, expected {total}")
     return best
@@ -965,9 +990,14 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     its words outside the span up to _ORACLE_CHUNK at a time, their
     coefficients from _digit_rows and the words from one matmul, and
     compares as many of them against the whole span at once as cover at
-    most _ORACLE_CHUNK codewords.  The words compared, times q - 1, plus
-    the zero word, must number q^K; the budget bounds q^K as well.  Unlike
-    brute_ghw, it takes codes of any length.
+    most _ORACLE_CHUNK codewords.  In characteristic 2 a word is held as
+    its bit planes, from _span_planes and _bit_planes, and the support of a
+    sum is _planes_differ's mask: one popcount per word of ceil(n / 64)
+    uint64s past 64 coordinates, else of one _mask_type(n).  Elsewhere a
+    word is held as its n codes, and a weight counts the entries that
+    differ.  The words compared, times q - 1, plus the zero word, must
+    number q^K; the budget bounds q^K as well.  Unlike brute_ghw, it takes
+    codes of any length.
     """
     K, n = code.dimension, code.length
     field = code.field
@@ -978,24 +1008,43 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     if total > budget:
         raise BudgetExceededError(f"{total} codewords exceed budget {budget}")
     cut = max(0, K - _fast_digits(q))
-    # column-major, so that the weights sum whole columns at a time
-    inner = np.asfortranarray(_span_words(code.matrix[cut:], field))
+    # the span and the blocks of words outside it hold one word per index
+    # of their first axis; weigh(words, minus) is the weight of w + v for
+    # each v of minus, -v in the blocks, against each w of words
+    if field.p == 2:  # -v = v, and the planes of w + v are the XOR of theirs
+        bits = max(1, (q - 1).bit_length())
+        inner = _span_planes(code, range(cut, K), False).swapaxes(0, 1)
+
+        def pack(words):
+            return _bit_planes(words, bits)
+
+        def weigh(words, minus):
+            planes = minus.swapaxes(0, 1)[:, :, None], words.swapaxes(0, 1)[:, None]
+            return _mask_weights(_planes_differ(*planes), n)
+    else:  # w + v is zero exactly where w == -v
+        # column-major, so that the weights sum whole columns at a time
+        inner = np.asfortranarray(_span_words(code.matrix[cut:], field))
+        count = np.min_scalar_type(n)
+
+        def pack(words):
+            return field.neg_table[words]
+
+        def weigh(words, minus):
+            return (words != minus[:, None]).sum(axis=-1, dtype=count)
     # the slices below never read the span's last word, so count the span itself
     if len(inner) != q ** (K - cut):
         raise InvariantError(f"spanned {len(inner)} codewords, expected {q ** (K - cut)}")
-    count = np.min_scalar_type(n)
     best = n
     compared = 0
-    zero = np.zeros((1, 1, n), dtype=field.int_dtype)  # minus the zero word, as outer_words
+    zero = pack(np.zeros((1, n), dtype=field.int_dtype))  # as a block of outer_words
     unit = np.eye(cut, dtype=np.int64)
     step = _ORACLE_CHUNK // len(inner)  # words compared against the whole span at once
 
-    # minus each word v outside the span, in blocks: w + v is zero exactly where w == -v
-    def outer_words(p, total):
+    def outer_words(p, total):  # each word v outside the span, in blocks
         for start in range(0, total, _ORACLE_CHUNK):
             coeffs = _digit_rows(unit[p], range(p + 1, cut), start,
                                  min(start + _ORACLE_CHUNK, total), q)
-            yield field.neg_table[matmul(coeffs, code.matrix[:cut], field)][:, None]
+            yield pack(matmul(coeffs, code.matrix[:cut], field))
 
     for p in range(K):
         if p < cut:  # each G[p] + a combination of G[p+1:cut], plus the whole span
@@ -1005,7 +1054,7 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
             words, outers = inner[size:2 * size], [zero]
         for minus in outers:
             for start in range(0, len(minus), step):
-                weights = (words != minus[start:start + step]).sum(axis=-1, dtype=count)
+                weights = weigh(words, minus[start:start + step])
                 compared += weights.size
                 best = int(weights.min(initial=best))
     covered = (q - 1) * compared + 1

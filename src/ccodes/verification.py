@@ -6,7 +6,9 @@ The GHWs checked are the hierarchy that `ccodes hierarchy` prints (one
 values_deg_ge listing): against the subspace oracle, and against n minus
 max_common_zeros, which unranks each rank with rth_of_deg_le instead.
 The minimum distance checked is d_1 of that hierarchy, against the
-codeword oracle, the one oracle that covers codes longer than 64.
+codeword oracle, the one oracle that covers codes longer than 64: in
+characteristic 2 it weighs words as bit-plane masks of ceil(n / 64)
+64-bit words, and elsewhere as their n codes.
 The extremal family is checked in its expanded form: its flat term
 arrays scattered into a matrix of codes, one row per polynomial and one
 column per distinct monomial, times the evaluations of those monomials,

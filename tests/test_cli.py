@@ -496,9 +496,9 @@ def test_verify_counts_no_subspaces_past_the_length_cap(capsys):
     ("2^4", "0,1,2,3;0,1,2,3", 2, "13 of 33 checks by their oracles: "
                                   "ghw r=2..4, min_distance, dual ghw r=1..9"),
     # the codeword oracle builds the words of the rows before its held span
-    # in blocks, and the rank-1 sweep reads the rows that its tail table
-    # does not reach as whole chunks of low-table words against the whole
-    # high table
+    # in blocks, as two bit planes each, and the rank-1 sweep reads the rows
+    # that its tail table does not reach as whole chunks of low-table words
+    # against the whole high table
     ("2^2", "0,1,2,3;0,1,2,3", 3, "7 of 41 checks by their oracles: ghw r=2..8"),
     # no pair masks, row multiples or plane tables: one subspace, packed row by row
     ("2^10", "0,1,2,3,4,5,6,7;0,1,2,3,4,5,6,7", 14, "64 of 195 checks by their oracles: "

@@ -911,6 +911,35 @@ FIELDS_BY_ORDER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3,
                    16: (2, 4), 1024: (2, 10)}
 
 
+# at most 256 codewords, which all_codewords lists in a test's time
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 4, 8, 16, 3, 5]), st.data())
+def test_brute_min_weight_matches_codeword_scan_at_any_length(q, data):
+    # characteristic 2 compares bit-plane masks, of 1 to 3 uint64 words
+    # past 64 coordinates; GF(3) and GF(5) compare the codes themselves.
+    # At small chunks the held span is short or empty, so the rows before
+    # it build their words in blocks
+    field = field_create(*FIELDS_BY_ORDER[q])
+    n = data.draw(st.integers(1, 150))
+    k = data.draw(st.integers(1, min(n, max(j for j in range(9) if q ** j <= 256))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    matrix = rng.integers(0, q, (k, n))
+    # about one column in eight all zero, and one in eight a copy of another
+    kind = rng.integers(0, 8, n)
+    matrix[:, kind == 0] = 0
+    copies = np.flatnonzero(kind == 1)
+    matrix[:, copies] = matrix[:, rng.integers(0, n, copies.size)]
+    assume(rank(matrix, field) == k)
+    code = LinearCode(field, matrix)
+    weight = min(sum(1 for x in w if x) for w in all_codewords(code) if any(w))
+    with pytest.MonkeyPatch.context() as patch:
+        for chunk in (1, 3, 7, codes._ORACLE_CHUNK):
+            patch.setattr(codes, "_ORACLE_CHUNK", chunk)
+            assert brute_min_weight(code) == weight, chunk
+            if n <= 64:
+                assert brute_ghw(code, 1) == weight, chunk
+
+
 def weighted_sum(bits):
     """The uint64 with bit j set where bits[..., j] is, for every word."""
     pow2 = np.left_shift(np.uint64(1), np.arange(bits.shape[-1], dtype=np.uint64))
@@ -936,6 +965,22 @@ def test_bit_planes_match_power_of_two_sum(n, rows, q, seed):
         assert planes[:, k].tolist() == weighted_sum((words >> k) & 1).tolist()
     # leading axes are kept
     assert np.array_equal(codes._bit_planes(words[None, :, None], bits), planes[None, :, None])
+
+
+@pytest.mark.parametrize("n", [65, 128, 150])
+def test_bit_planes_past_64_coordinates_take_a_word_axis(n):
+    # bit j of a plane is bit j % 64 of its word j // 64, words uint64
+    rng = np.random.default_rng(n)
+    words = (rng.integers(0, 16, (5, n)) * (rng.random((5, n)) < 0.3)).astype(np.uint8)
+    planes = codes._bit_planes(words, 4)
+    width = -(-n // 64)
+    assert planes.dtype == np.uint64 and planes.shape == (5, 4, width)
+    padded = np.pad(words, ((0, 0), (0, 64 * width - n)))
+    for k in range(4):
+        for w in range(width):
+            bits = (padded[:, 64 * w:64 * (w + 1)] >> k) & 1
+            assert planes[:, k, w].tolist() == weighted_sum(bits).tolist()
+    assert np.array_equal(codes._bit_planes(words[None, :, None], 4), planes[None, :, None])
 
 
 def span_reference(rows, field):
@@ -1283,6 +1328,47 @@ def test_dropped_codeword_piece_trips_the_compared_invariant(monkeypatch):
     assert dropped == [3]
 
 
+def test_dropped_binary_codeword_piece_trips_the_compared_invariant(monkeypatch):
+    # the same over GF(4), whose words are compared as bit-plane masks: at
+    # chunk 7 the [9,6] code spans only its last row, so the rows before it
+    # build their words seven to a block, each compared alone against the
+    # 4 words of the span
+    spec = spec_from_parts("2^2", "0,1,2;0,1,2", 2)
+    code = generator_matrix(spec)
+    monkeypatch.setattr(codes, "_ORACLE_CHUNK", 7)
+    assert brute_min_weight(code) == hierarchy(spec)[0]
+    counter, dropped = codes._digit_rows, []
+
+    def drop_first_row(*args):
+        rows = counter(*args)
+        if not dropped:  # once: one row of the counter's first block
+            dropped.append(len(rows))
+            rows = rows[1:]
+        return rows
+
+    monkeypatch.setattr(codes, "_digit_rows", drop_first_row)
+    with pytest.raises(InvariantError, match=exactly("compared 4084 codewords, expected 4096")):
+        brute_min_weight(code)
+    assert dropped == [7]
+
+
+@pytest.mark.parametrize("sets,d,bound", [
+    (";".join(["0,1"] * 5), 2, 2 ** 19),  # RM(2,5), [32,16], of the verify ladder
+    (";".join(["0,1"] * 10), 1, 2 ** 20),  # RM(1,10), [1024,11]
+])
+def test_binary_codeword_oracle_holds_bit_planes(sets, d, bound):
+    # n bytes a word took 1.04 MB and 4.00 MB; bit planes take n / 8
+    spec = spec_from_parts("2^1", sets, d)
+    code = generator_matrix(spec)
+    tracemalloc.start()
+    try:
+        value = brute_min_weight(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == hierarchy(spec)[0] and peak < bound, (value, peak)
+
+
 def test_dropped_monomial_trips_the_generator_row_count(monkeypatch):
     spec = spec_from_parts("3^1", "0,1,2;0,1,2", 2)
     tuples = codes.tuples_deg_le
@@ -1293,13 +1379,17 @@ def test_dropped_monomial_trips_the_generator_row_count(monkeypatch):
 
 def test_oracle_memory_does_not_grow_with_the_budget():
     # a [26, 13] ternary code: (3^13 - 1) / 2 = 797161 one-dimensional
-    # subcodes and 3^13 = 1594323 codewords; and a [64, 16] binary code,
-    # whose spans of 2^14 words of length 64 are the widest the oracles build
+    # subcodes and 3^13 = 1594323 codewords; a [64, 16] binary code, whose
+    # spans of 2^14 words of length 64 are the widest the subspace oracle
+    # builds; and a [150, 18] binary code, whose codeword span holds 2^14
+    # words of three uint64s
     f2, f3 = field_create(2), field_create(3)
     ternary = [[(i * j + i + 1) % 3 for j in range(13)] for i in range(13)]
     binary = [[(i * j + i + j) // 3 % 2 for j in range(48)] for i in range(16)]
+    long_binary = [[(i * j + i + j) // 3 % 2 for j in range(132)] for i in range(18)]
     ternary_code = LinearCode(f3, np.hstack([np.eye(13, dtype=np.uint8), ternary]))
     binary_code = LinearCode(f2, np.hstack([np.eye(16, dtype=np.uint8), binary]))
+    long_code = LinearCode(f2, np.hstack([np.eye(18, dtype=np.uint8), long_binary]))
     # the [16, 10] GF(4) code of the verify benchmark: (4^10 - 1) / 3 = 349525
     # subspaces at r = 1 and at r = 9, with its plane tables built on the first
     # call.  At r = 1 its rows 0..2 read whole chunks of 16 low-table words
@@ -1318,6 +1408,7 @@ def test_oracle_memory_does_not_grow_with_the_budget():
     # have more free entries than one chunk holds, so their first rows are
     # ORed in blocks onto the kept suffix
     for oracles in (distance_oracles(ternary_code), distance_oracles(binary_code),
+                    [lambda budget: brute_min_weight(long_code, budget=10 * budget)],
                     [lambda budget: brute_ghw(ternary_code, 12, budget=budget)],
                     [lambda budget: brute_ghw(gf4_code, 1, budget=budget),
                      lambda budget: brute_ghw(generator_matrix(gf4_spec), 1, budget=budget)],

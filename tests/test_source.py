@@ -36,7 +36,7 @@ ORACLE_SIDE = (
     "shadow*", "all_tuples", "tuples_deg_*", "brute_*", "hilbert_fn", "box_ideal",
     "_span_words", "_mask_type", "_bit_planes", "_span_planes", "_oracle_table",
     "_plane_tables", "_row_multiples", "_planes_differ", "_pair_masks", "_word_masks",
-    "_tail_masks", "_subspace_masks", "_digit_rows",
+    "_tail_masks", "_subspace_masks", "_digit_rows", "_mask_weights",
 )
 
 # The oracles' entry points.  They, and every library function they call,
