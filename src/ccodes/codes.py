@@ -45,27 +45,26 @@ matmul, and raise InvariantError unless they covered exactly the
 gaussian_binomial(K, r, q) subspaces or q^K codewords they should.  The
 codeword oracle compares one word per scalar class, the (q^K - 1) / (q - 1)
 words whose first nonzero coefficient is 1; their multiples and the zero
-word cover the rest.  In characteristic 2 it holds each word as bit
-planes, ceil(n / 64) uint64s per plane past 64 coordinates, and weighs a
-word by popcounts of _planes_differ's mask (_mask_weights); elsewhere as
-its n codes, counting the entries that differ.  The subspace oracle packs
-bit planes and masks once per code, into tables of at most one chunk of
-words per plane that _oracle_table keeps on the LinearCode: the planes of
-the spans of the rows
-before and from a cut, the rows' multiples, the pair masks, and the masks
-of the span of the last rows (_tail_masks), which a basis row among those
-rows slices its masks from.  The rows from the cut always fit one table,
-and those before it have one while they fit.  A plane table has one axis
-per row, so each word read from it, a coefficient on each row's axis and
-the whole axis of each free row, is one view of it; only a word's side
-before the cut of a code with no table there is built, in blocks, from its
-free rows there.  While the tables fit, the sweep adds no codes.  It then
-ORs the rows' masks.  _planes_differ is its one zero test, _plane_tables
-alone splits the rows, _word_masks alone reads those tables, and
-_subspace_masks is its one sweep, which keeps the masks that consecutive
-pivot sets share for one call.  Only _hierarchy_at_degree decides whether a
-hierarchy is short enough to list, and only extremal_family whether a
-family is.
+word cover the rest.  In characteristic 2 it holds each word as bit planes,
+ceil(n / 64) uint64s per plane past 64 coordinates, and weighs a word by
+popcounts of _planes_differ's mask (_mask_weights); elsewhere as its n
+codes, counting the entries that differ.  The subspace oracle packs bit
+planes and masks once per code, into tables of at most one chunk of words
+per plane that _oracle_table keeps on the LinearCode: the planes of the
+spans of the rows before and from a cut, the rows' multiples, the pair
+masks, and the masks of the span of the last rows (_tail_masks), which a
+basis row among those rows slices its masks from.  The rows from the cut
+always fit one table, and those before it have one while they fit.  A plane
+table has one axis per row, so each word read from it, a coefficient on
+each row's axis and the whole axis of each free row, is one view of it;
+only a word's side before the cut of a code with no table there is built,
+in blocks, from its free rows there.  While the tables fit, the sweep adds
+no codes.  It then ORs the rows' masks.  _planes_differ is its one zero
+test, _plane_tables alone splits the rows, _word_masks alone reads those
+tables, and _subspace_masks is its one sweep, which keeps the masks that
+consecutive pivot sets share for one call.  Only _hierarchy_at_degree
+decides whether a hierarchy is short enough to list, and only
+extremal_family whether a family is.
 
 Errors: bad input raises ValueError, generator entries that are not
 integer codes in [0, q) included.  Its one subclass, BudgetExceededError,
@@ -1019,8 +1018,8 @@ def brute_min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
             return _bit_planes(words, bits)
 
         def weigh(words, minus):
-            planes = minus.swapaxes(0, 1)[:, :, None], words.swapaxes(0, 1)[:, None]
-            return _mask_weights(_planes_differ(*planes), n)
+            minus, words = minus.swapaxes(0, 1), words.swapaxes(0, 1)  # planes first
+            return _mask_weights(_planes_differ(minus[:, :, None], words[:, None]), n)
     else:  # w + v is zero exactly where w == -v
         # column-major, so that the weights sum whole columns at a time
         inner = np.asfortranarray(_span_words(code.matrix[cut:], field))
